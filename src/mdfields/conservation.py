@@ -235,7 +235,7 @@ def canonical_residuals(groups, mol, probes, dt_check, richardson=True):
             r_mom[i] = (b.mom - a.mom) / (2 * dt) + c.div_mom_flux
             r_energy[i] = (b.energy - a.energy) / (2 * dt) \
                 + c.div_energy_flux
-        err = _canonical_stderr(ens_m, ens_c, ens_p, mol, probes, dt)
+        err = _canonical_stderr(gm.raws, gc.raws, gp.raws, dt)
         scales = _scales(gm, gc, gp, dt)
         return r_mass, r_mom, r_energy, masked, err, scales
 
@@ -255,23 +255,22 @@ def canonical_residuals(groups, mol, probes, dt_check, richardson=True):
                           stderr_energy=err["energy"])
 
 
-def _canonical_stderr(ens_m, ens_c, ens_p, mol, probes, dt):
+def _canonical_stderr(raws_m, raws_c, raws_p, dt):
     """Combined MC standard errors of each conservation law.
 
-    For every member trajectory the central-difference time derivative and
-    the pre-split divergence are single-sample estimates; the canonical
-    residual is exactly their weighted mean, so the law's standard error is
-    the quadrature sum of both terms' standard errors.
+    ``raws_*`` are the per-state raw moments of the three field grids, as
+    (weight, [moments, ...]) groups.  For every member trajectory the
+    central-difference time derivative and the pre-split divergence are
+    single-sample estimates; the canonical residual is exactly their
+    weighted mean, so the law's standard error is the quadrature sum of
+    both terms' standard errors.
     """
     dt_terms = {"mass": [], "mom": [], "energy": []}
     dv_terms = {"mass": [], "mom": [], "energy": []}
     wlist = []
-    for (wt, sm), (_, sc), (_, sp) in zip(ens_m, ens_c, ens_p):
+    for (wt, sm), (_, sc), (_, sp) in zip(raws_m, raws_c, raws_p):
         nst = len(sc)
-        for a, c, b in zip(sm, sc, sp):
-            ga = fields._raw_fields(a, mol, probes)
-            gc = fields._raw_fields(c, mol, probes)
-            gb = fields._raw_fields(b, mol, probes)
+        for ga, gc, gb in zip(sm, sc, sp):
             dt_terms["mass"].append((gb["rho"] - ga["rho"]) / (2 * dt))
             dt_terms["mom"].append((gb["mom"] - ga["mom"]) / (2 * dt))
             dt_terms["energy"].append(

@@ -142,30 +142,30 @@ class CorrectedSurface(SurfaceProvider):
         self.fd_step = float(fd_step)
         self.gap_tol = gap_tol
 
-    def _bare(self, x, j):
-        eig = potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
-        return float(eig.lambdas[j]), eig
-
-    def _correction(self, x, j):
-        cs = nonlinear_eigen.solve_nonlinear_eigen(
+    def _solve(self, x):
+        return nonlinear_eigen.solve_nonlinear_eigen(
             self.v_pot, x, self.mass, gap_tol=self.gap_tol)
-        bare, _ = self._bare(x, j)
-        return float(cs.lambdas_bar[j]) - bare
+
+    @staticmethod
+    def _correction(cs, j):
+        return float(cs.lambdas_bar[j]) - float(cs.bare.lambdas[j])
 
     def value(self, x, j):
-        return self._bare(x, j)[0] + self._correction(x, j)
+        cs = self._solve(x)
+        return float(cs.bare.lambdas[j]) + self._correction(cs, j)
 
     def gradient(self, x, j):
         x = np.asarray(x, dtype=float)
-        _, eig = self._bare(x, j)
+        eig = potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
         grad = potential.surface_gradient(self.v_pot, x, eig, j)
         h = self.fd_step
         for n in range(x.shape[0]):
             for a in range(3):
                 xp = x.copy(); xp[n, a] += h
                 xm = x.copy(); xm[n, a] -= h
-                grad[n, a] += (self._correction(xp, j)
-                               - self._correction(xm, j)) / (2.0 * h)
+                grad[n, a] += (self._correction(self._solve(xp), j)
+                               - self._correction(self._solve(xm), j)) \
+                    / (2.0 * h)
         return grad
 
 

@@ -159,8 +159,9 @@ class AdiabaticShares:
         self.gap_tol = gap_tol
 
     def shares(self, x):
-        eig = potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
-        return potential.surface_partition(self.v_pot, x, eig)
+        v, parts = self.v_pot.evaluate_parts(x)
+        eig = potential.eigendecompose(v, self.gap_tol)
+        return potential.shares_from_parts(parts, eig.psi)
 
 
 class CorrectedShares:

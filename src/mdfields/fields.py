@@ -88,16 +88,19 @@ class CorrectedFieldModel:
         self.fd_step = float(fd_step)
         self.gap_tol = gap_tol
 
-    def _shares(self, x):
-        cs = nonlinear_eigen.solve_nonlinear_eigen(
+    def _solve(self, x):
+        return nonlinear_eigen.solve_nonlinear_eigen(
             self.v_pot, x, self.mass, gap_tol=self.gap_tol)
-        return cs.per_particle_bar[:, self.j]
+
+    def _shares(self, x):
+        return self._solve(x).per_particle_bar[:, self.j]
 
     def surface_data(self, x):
         x = np.asarray(x, dtype=float)
         n = x.shape[0]
-        lam_n = self._shares(x)
-        eig = potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
+        cs = self._solve(x)
+        lam_n = cs.per_particle_bar[:, self.j]
+        eig = cs.bare
         grad = potential.surface_gradient(self.v_pot, x, eig, self.j)
         pp = np.empty((n, n, 3))
         h = self.fd_step
@@ -172,10 +175,8 @@ def _raw_fields(sd, mol, probes):
         out["grad_t2"] = np.zeros((nq, 3, 3))
         return out
 
-    pairs = geometry.pair_list(n)
-    npair = len(pairs)
-    iu = np.array([i for i, _ in pairs], dtype=int)
-    ju = np.array([j for _, j in pairs], dtype=int)
+    iu, ju = geometry.pair_indices(n)
+    npair = len(iu)
     dx = x[iu] - x[ju]
     r = np.linalg.norm(dx, axis=1)
     b = np.empty((nq, npair))
@@ -348,11 +349,19 @@ class FieldSample:
 
 @dataclass
 class ProbeGrid:
+    """Field samples at the probes.
+
+    ``raws`` keeps the per-state raw moments the grid was built from, as
+    (weight, [moments of each state]) groups, so callers can form per-state
+    statistics without evaluating them again.
+    """
+
     points: np.ndarray
     samples: list
     mode: str
     time: float = 0.0
     weights: tuple = (1.0,)
+    raws: list = field(default=None, repr=False)
 
     def to_csv(self, path):
         cols = (["y_1", "y_2", "y_3", "rho", "mom_1", "mom_2", "mom_3", "E"]
@@ -495,7 +504,7 @@ def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     weights = tuple(wt for wt, _ in ensembles)
     return ProbeGrid(points=probes, samples=samples, mode=mode,
-                     time=float(time), weights=weights)
+                     time=float(time), weights=weights, raws=raws_by_group)
 
 
 def _stderr(raws_by_group, u):

@@ -5,6 +5,8 @@ the fixed lexicographic ordering (0,1), (0,2), ..., (0,N-1), (1,2), ...,
 (N-2,N-1); every module in the package shares this layout.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import CoincidentPointsError, NotRealizableError, ResidualTooLargeError
@@ -15,23 +17,19 @@ SVD_CUTOFF = 1e-10
 LIFT_RESIDUAL_TOL = 1e-10
 
 
-def pair_list(n):
-    """Index pairs (i, j), i < j, in the canonical lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def pair_index(i, j, n):
-    """Position of the (i, j) pair, i < j, in the canonical ordering."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < n, got ({i}, {j}) with n={n}")
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+@functools.lru_cache(maxsize=None)
+def pair_indices(n):
+    """Read-only index arrays (iu, ju) of the pairs i < j in canonical order."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
 
 
 def pair_distances(x):
     """All N(N-1)/2 pair distances |x^i - x^j| in canonical order."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(x.shape[0])
     return np.linalg.norm(x[iu] - x[ju], axis=1)
 
 
@@ -59,7 +57,7 @@ def distance_jacobian(x):
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(n)
     diff = x[iu] - x[ju]
     r = np.linalg.norm(diff, axis=1)
     if np.any(r == 0.0):
@@ -117,7 +115,7 @@ def reconstruct_positions(r, n, tol=1e-8):
     if r.shape != (n * (n - 1) // 2,):
         raise ValueError(f"expected {n*(n-1)//2} distances, got {r.shape}")
     d2 = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(n)
     d2[iu, ju] = r ** 2
     d2 += d2.T
     j = np.eye(n) - np.full((n, n), 1.0 / n)

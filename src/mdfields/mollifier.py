@@ -13,6 +13,7 @@ from .errors import InvalidParameterError
 
 BOND_TOL = 1e-12
 _GL_POINTS = 16
+_GL_NODES, _GL_WEIGHTS = leggauss(_GL_POINTS)
 
 _unit_integral_cache = {}
 
@@ -119,21 +120,20 @@ class Mollifier:
         yh = y[hit]
 
         def estimate(panels):
-            nodes, weights = leggauss(_GL_POINTS)
             # composite rule with `panels` equal panels on [lo, hi] per probe
             edges = lo[:, None] + (hi - lo)[:, None] * \
                 np.linspace(0.0, 1.0, panels + 1)[None, :]
             half = 0.5 * (edges[:, 1:] - edges[:, :-1])      # (m, panels)
             mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            s = mid[:, :, None] + half[:, :, None] * nodes[None, None, :]
+            s = mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]
             pts = yh[:, None, None, :] - b[None, None, None, :] \
                 - s[..., None] * d[None, None, None, :]
             vals = kernel(pts.reshape(-1, 3))
             if vector:
                 vals = vals.reshape(s.shape + (3,))
-                return np.einsum("mpkc,k,mp->mc", vals, weights, half)
+                return np.einsum("mpkc,k,mp->mc", vals, _GL_WEIGHTS, half)
             vals = vals.reshape(s.shape)
-            return np.einsum("mpk,k,mp->m", vals, weights, half)
+            return np.einsum("mpk,k,mp->m", vals, _GL_WEIGHTS, half)
 
         panels = 1
         prev = estimate(panels)

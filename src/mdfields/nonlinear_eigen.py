@@ -27,7 +27,8 @@ class CorrectedSurfaces:
 
     ``per_particle_bar[n, k]`` is the share of surface k carried by particle
     n; the shares sum over n to ``lambdas_bar[k]`` exactly at the fixed
-    point.
+    point.  ``bare`` is the eigendecomposition of V(x) the solve started
+    from.
     """
 
     lambdas_bar: np.ndarray
@@ -35,6 +36,7 @@ class CorrectedSurfaces:
     per_particle_bar: np.ndarray
     mass: float
     residual_norm: float
+    bare: potential.EigenData
 
 
 def _gram(dpsi):
@@ -42,23 +44,15 @@ def _gram(dpsi):
     return np.einsum("ncia,ncib->ab", dpsi, dpsi)
 
 
-def _gram_per_particle(dpsi, n):
-    """Same contraction restricted to particle n's three coordinates."""
-    return np.einsum("cia,cib->ab", dpsi[n], dpsi[n])
+def _partition(parts, psi, dpsi, mass):
+    """Per-particle shares <psi_k, (V^n + G_n/4M) psi_k>, shape (N, d).
 
-
-def _partition(v_pot, x, lam, psi, dpsi, mass):
-    """Per-particle shares <psi_k, (V^n + G_n/4M) psi_k>, shape (N, d)."""
-    n = v_pot.n_particles
-    d = v_pot.d
-    out = np.empty((n, d))
-    for i in range(n):
-        vn = v_pot.part(x, i)
-        gn = _gram_per_particle(dpsi, i)
-        # psi_k^T Psi G_n Psi^T psi_k = (G_n)_kk since Psi^T psi_k = e_k
-        out[i] = np.einsum("ik,ij,jk->k", psi, vn, psi) \
-            + np.diag(gn) / (4.0 * mass)
-    return out
+    ``parts`` are the V^n, shaped (N, d, d); G_n is the Gram matrix of
+    particle n's three coordinates, and psi_k^T Psi G_n Psi^T psi_k is its
+    diagonal entry (G_n)_kk since Psi^T psi_k = e_k.
+    """
+    gram_diag = np.einsum("ncia,ncia->na", dpsi, dpsi)
+    return potential.shares_from_parts(parts, psi) + gram_diag / (4.0 * mass)
 
 
 def _residual(v, lam, psi, dpsi, mass):
@@ -89,7 +83,7 @@ def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
         raise InvalidParameterError(
             f"mass {mass} below the solvability guard {m_min}")
     x = np.asarray(x, dtype=float)
-    v = v_pot.evaluate(x)
+    v, parts = v_pot.evaluate_parts(x)
     dv = v_pot.deriv(x)
     eig = potential.eigendecompose(v, gap_tol)
     if method == "fixed_point":
@@ -105,10 +99,10 @@ def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
         resid = _residual(v, lam, psi, dpsi, mass)
     else:
         raise InvalidParameterError(f"unknown method {method!r}")
-    shares = _partition(v_pot, x, lam, psi, dpsi, mass)
+    shares = _partition(parts, psi, dpsi, mass)
     return CorrectedSurfaces(lambdas_bar=lam, psi_bar=psi,
                              per_particle_bar=shares, mass=float(mass),
-                             residual_norm=resid)
+                             residual_norm=resid, bare=eig)
 
 
 def _solve_fixed_point(v, dv, eig, mass, max_iter, tol):
@@ -173,4 +167,4 @@ def corrected_partition(cs, v_pot, x):
     x = np.asarray(x, dtype=float)
     dv = v_pot.deriv(x)
     dpsi = potential._psi_derivatives(dv, cs.lambdas_bar, cs.psi_bar)
-    return _partition(v_pot, x, cs.lambdas_bar, cs.psi_bar, dpsi, cs.mass)
+    return _partition(v_pot.evaluate_parts(x)[1], cs.psi_bar, dpsi, cs.mass)

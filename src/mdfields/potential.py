@@ -3,6 +3,24 @@
 Built-in models are sums of scalar pair functions over the canonical pair
 ordering, which makes them rigid-motion invariant by construction.  The
 per-particle split assigns half of every pair term to each endpoint.
+
+``PairSumPotential`` works in one pass per configuration.  The pair index
+arrays and two (N, P) incidence matrices over the P pairs are built once,
+in ``__init__``.  A call computes the pair vectors once and calls each
+distinct pair function once (an entry repeated in the matrix, or inside a
+``SumPair``, is shared), which gives a (d, d, P) table.  One product with
+an incidence matrix then turns the table into every per-particle quantity
+at once:
+
+- ``evaluate_parts``: V and all parts V^n, (N, d, d), through the
+  unsigned incidence;
+- ``deriv``: dV/dx^m through the signed incidence, (N, 3, d, d);
+- ``part_deriv_all``: all dV^n/dx^m, (N, N, 3, d, d): half of ``deriv``
+  on the diagonal, and off it the single pair term that couples n and m.
+
+``part`` and ``part_deriv`` are views of one row of these.  The share
+partition and the per-particle gradients are single einsums over the
+stacked parts, with no loop over particles.
 """
 
 from dataclasses import dataclass
@@ -10,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateSpectrumError, InvalidParameterError
+from .errors import (CoincidentPointsError, DegenerateSpectrumError,
+                     InvalidParameterError)
 
 GAP_TOL = 1e-10
 
@@ -160,8 +179,10 @@ class SumPair(PairFunction):
 class MatrixPotential:
     """Interface: Hermitian d x d potential of an (N, 3) configuration.
 
-    ``deriv`` and ``part_deriv`` return all coordinate derivatives at once,
-    shaped ``(N, 3, d, d)``.
+    ``evaluate_parts`` returns V together with every per-particle part V^n,
+    shaped ``(N, d, d)``.  ``deriv`` returns all coordinate derivatives of V
+    at once, shaped ``(N, 3, d, d)``; ``part_deriv_all`` those of every V^n,
+    shaped ``(N, N, 3, d, d)`` and indexed [n, m, c].
     """
 
     d = 1
@@ -170,18 +191,22 @@ class MatrixPotential:
     def evaluate(self, x):
         raise NotImplementedError
 
-    def part(self, x, n):
+    def evaluate_parts(self, x):
         raise NotImplementedError
 
     def deriv(self, x):
         raise NotImplementedError
 
-    def part_deriv(self, x, n):
+    def part_deriv_all(self, x):
         raise NotImplementedError
 
 
 class PairSumPotential(MatrixPotential):
-    """V(x) = sum over pairs of a fixed symmetric matrix of pair functions."""
+    """V(x) = sum over pairs of a fixed symmetric matrix of pair functions.
+
+    ``n_particles`` is fixed: every method takes an ``(n_particles, 3)``
+    configuration.
+    """
 
     def __init__(self, entries, n_particles):
         """``entries``: d x d nested list of PairFunction or None, symmetric."""
@@ -189,69 +214,108 @@ class PairSumPotential(MatrixPotential):
         self.d = len(entries)
         if n_particles < 2:
             raise InvalidParameterError("need at least two particles")
-        self.n_particles = int(n_particles)
-        self._pairs = geometry.pair_list(n_particles)
-
-    def _pair_values(self, r):
-        """(d, d, P) array of entry values at each pair distance."""
-        p = len(r)
-        out = np.zeros((self.d, self.d, p))
-        for a in range(self.d):
-            for b in range(self.d):
-                f = self.entries[a][b]
+        n = self.n_particles = int(n_particles)
+        self._iu, self._ju = geometry.pair_indices(n)
+        npair = len(self._iu)
+        cols = np.arange(npair)
+        # sign[n, p] is +1 / -1 at the first / second endpoint of pair p, so
+        # that grad_{x^n} r^p = sign[n, p] e^p with e^p the unit pair
+        # vector; touch[n, p] = 1 if particle n is an endpoint of pair p
+        self._sign = np.zeros((n, npair))
+        self._sign[self._iu, cols] = 1.0
+        self._sign[self._ju, cols] = -1.0
+        self._touch = np.abs(self._sign)
+        # distinct pair functions (SumPair flattened into its terms) and,
+        # per nonzero entry, the functions it sums
+        self._funcs = []
+        self._slots = []
+        for a, row in enumerate(entries):
+            for b, f in enumerate(row):
                 if f is not None:
-                    out[a, b] = f.value(r)
+                    self._slots.append((a, b, self._func_ids(f)))
+
+    def _func_ids(self, f):
+        if isinstance(f, SumPair):
+            return [i for t in f.terms for i in self._func_ids(t)]
+        for i, g in enumerate(self._funcs):
+            if g is f:
+                return [i]
+        self._funcs.append(f)
+        return [len(self._funcs) - 1]
+
+    def _table(self, r, method):
+        """(d, d, P) array of entry values or derivatives at distances r,
+        calling each distinct pair function once."""
+        vals = [getattr(f, method)(r) for f in self._funcs]
+        out = np.zeros((self.d, self.d, len(r)))
+        for a, b, ids in self._slots:
+            out[a, b] = vals[ids[0]] if len(ids) == 1 \
+                else sum(vals[i] for i in ids)
         return out
 
-    def _pair_derivs(self, r):
-        p = len(r)
-        out = np.zeros((self.d, self.d, p))
-        for a in range(self.d):
-            for b in range(self.d):
-                f = self.entries[a][b]
-                if f is not None:
-                    out[a, b] = f.deriv(r)
-        return out
+    def _pair_vectors(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_particles, 3):
+            raise InvalidParameterError(
+                f"expected a ({self.n_particles}, 3) configuration, "
+                f"got {x.shape}")
+        diff = x[self._iu] - x[self._ju]
+        # what np.linalg.norm(diff, axis=1) computes, without its overhead
+        return diff, np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+    def _deriv_terms(self, x):
+        """Per-pair e^p dphi_p, flattened to (P, 3 d d).
+
+        Raises
+        ------
+        CoincidentPointsError
+            If two particles coincide.
+        """
+        diff, r = self._pair_vectors(x)
+        if np.any(r == 0.0):
+            bad = int(np.argmin(r))
+            raise CoincidentPointsError(
+                f"particles {self._iu[bad]} and {self._ju[bad]} coincide")
+        dvals = self._table(r, "deriv").transpose(2, 0, 1)   # (P, d, d)
+        terms = (diff / r[:, None])[:, :, None, None] * dvals[:, None]
+        return terms.reshape(len(r), -1)
 
     def evaluate(self, x):
-        r = geometry.pair_distances(x)
-        return self._pair_values(r).sum(axis=2)
+        _, r = self._pair_vectors(x)
+        return self._table(r, "value").sum(axis=2)
+
+    def evaluate_parts(self, x):
+        """V and all per-particle parts V^n, shapes (d, d) and (N, d, d)."""
+        _, r = self._pair_vectors(x)
+        vals = self._table(r, "value")
+        d = self.d
+        parts = 0.5 * (self._touch @ vals.reshape(d * d, -1).T)
+        return vals.sum(axis=2), parts.reshape(-1, d, d)
 
     def part(self, x, n):
-        r = geometry.pair_distances(x)
-        vals = self._pair_values(r)
-        out = np.zeros((self.d, self.d))
-        for idx, (i, j) in enumerate(self._pairs):
-            if n in (i, j):
-                out += 0.5 * vals[:, :, idx]
-        return out
+        return self.evaluate_parts(x)[1][n]
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        n = self.n_particles
-        r = geometry.pair_distances(x)
-        dvals = self._pair_derivs(r)  # (d, d, P)
-        out = np.zeros((n, 3, self.d, self.d))
-        for idx, (i, j) in enumerate(self._pairs):
-            e = geometry.pair_direction(x, i, j)
-            out[i] += e[:, None, None] * dvals[None, :, :, idx]
-            out[j] -= e[:, None, None] * dvals[None, :, :, idx]
-        return out
+        n, d = self.n_particles, self.d
+        return (self._sign @ self._deriv_terms(x)).reshape(n, 3, d, d)
+
+    def part_deriv_all(self, x):
+        """All d V^n / d x^m, shape (N, N, 3, d, d) indexed [n, m, c].
+
+        V^n holds half of each pair term at n, so for m != n only pair
+        (n, m) contributes, and the diagonal block is half of dV/dx^n.
+        """
+        n, d = self.n_particles, self.d
+        terms = self._deriv_terms(x)
+        out = np.zeros((n, n, terms.shape[1]))
+        out[self._iu, self._ju] = -0.5 * terms
+        out[self._ju, self._iu] = 0.5 * terms
+        diag = np.arange(n)
+        out[diag, diag] = 0.5 * (self._sign @ terms)
+        return out.reshape(n, n, 3, d, d)
 
     def part_deriv(self, x, n):
-        x = np.asarray(x, dtype=float)
-        npart = self.n_particles
-        r = geometry.pair_distances(x)
-        dvals = self._pair_derivs(r)
-        out = np.zeros((npart, 3, self.d, self.d))
-        for idx, (i, j) in enumerate(self._pairs):
-            if n not in (i, j):
-                continue
-            k = j if n == i else i
-            e = geometry.pair_direction(x, n, k)
-            out[n] += 0.5 * e[:, None, None] * dvals[None, :, :, idx]
-            out[k] -= 0.5 * e[:, None, None] * dvals[None, :, :, idx]
-        return out
+        return self.part_deriv_all(x)[n]
 
 
 def make_scalar_pair_model(pair, n_particles):
@@ -259,18 +323,15 @@ def make_scalar_pair_model(pair, n_particles):
     return PairSumPotential([[pair]], n_particles)
 
 
-def make_two_state_model(phi1, gap, coupling, n_particles, extra_gap=None):
-    """Two-state model [[sum phi1, sum c], [sum c, sum phi1 + gap terms]].
+def make_two_state_model(phi1, gap, coupling, n_particles):
+    """Two-state model [[sum phi1, sum c], [sum c, sum phi1 + gap]].
 
     ``gap`` is the constant per-pair diagonal offset and must be positive so
-    the eigenvalue gap stays bounded below; ``extra_gap`` may add a
-    nonnegative pair profile on top.
+    the eigenvalue gap stays bounded below.
     """
     if gap <= 0:
         raise InvalidParameterError("two-state gap must be positive")
     phi2 = SumPair(phi1, Constant(gap))
-    if extra_gap is not None:
-        phi2 = SumPair(phi2, extra_gap)
     entries = [[phi1, coupling], [coupling, phi2]]
     return PairSumPotential(entries, n_particles)
 
@@ -289,11 +350,8 @@ class EigenData:
 
 def _fix_signs(psi):
     """Make each column's largest-magnitude entry real-positive."""
-    psi = psi.copy()
-    for k in range(psi.shape[1]):
-        i = int(np.argmax(np.abs(psi[:, k])))
-        phase = psi[i, k] / abs(psi[i, k])
-        psi[:, k] = psi[:, k] / phase
+    lead = psi[np.argmax(np.abs(psi), axis=0), np.arange(psi.shape[1])]
+    psi = psi / (lead / np.abs(lead))
     if np.isrealobj(psi) or np.allclose(psi.imag, 0.0):
         psi = psi.real.astype(float, copy=False)
     return psi
@@ -310,7 +368,7 @@ def eigendecompose(v, gap_tol=GAP_TOL):
     v = np.asarray(v)
     lam, psi = np.linalg.eigh(v)
     if len(lam) > 1:
-        gap_min = float(np.min(np.diff(lam)))
+        gap_min = float(np.min(lam[1:] - lam[:-1]))
         if gap_min < gap_tol:
             raise DegenerateSpectrumError(
                 f"adjacent eigenvalue gap {gap_min:.3e} below {gap_tol:.1e}")
@@ -319,15 +377,14 @@ def eigendecompose(v, gap_tol=GAP_TOL):
     return EigenData(lambdas=lam, psi=_fix_signs(psi), gap_min=gap_min)
 
 
+def shares_from_parts(parts, psi):
+    """Shares <psi_k, V^n psi_k> of per-particle parts (N, d, d), (N, d)."""
+    return np.real(np.einsum("ik,nij,jk->nk", psi.conj(), parts, psi))
+
+
 def surface_partition(v_pot, x, eig):
     """Per-particle eigenvalue shares lambda_k^n = <psi_k, V^n psi_k>, (N, d)."""
-    n = v_pot.n_particles
-    d = v_pot.d
-    out = np.empty((n, d))
-    for i in range(n):
-        vn = v_pot.part(x, i)
-        out[i] = np.real(np.einsum("ik,ij,jk->k", eig.psi.conj(), vn, eig.psi))
-    return out
+    return shares_from_parts(v_pot.evaluate_parts(x)[1], eig.psi)
 
 
 def eigenvector_derivatives(v_pot, x, eig):
@@ -367,26 +424,17 @@ def surface_gradient(v_pot, x, eig, k):
 
 def per_particle_gradient(v_pot, x, eig, k, n):
     """Configuration gradient of lambda_k^n, shape (N, 3)."""
-    dpsi = eigenvector_derivatives(v_pot, x, eig)
-    return _per_particle_gradient(v_pot, x, eig, k, n, dpsi)
-
-
-def _per_particle_gradient(v_pot, x, eig, k, n, dpsi):
-    vn = v_pot.part(x, n)
-    dvn = v_pot.part_deriv(x, n)  # (N, 3, d, d)
-    psi_k = eig.psi[:, k]
-    term1 = np.real(np.einsum("i,ncij,j->nc", psi_k.conj(), dvn, psi_k))
-    # (d_i psi_k)* V^n psi_k + psi_k* V^n (d_i psi_k) = 2 Re(psi_k* V^n d_i psi_k)
-    term2 = 2.0 * np.real(np.einsum("i,ij,ncj->nc",
-                                    psi_k.conj(), vn, dpsi[:, :, :, k]))
-    return term1 + term2
+    return per_particle_gradients_all(v_pot, x, eig, k)[n]
 
 
 def per_particle_gradients_all(v_pot, x, eig, k):
     """grad_{x^m} lambda_k^n for all (n, m), shape (N, N, 3)."""
-    dpsi = eigenvector_derivatives(v_pot, x, eig)
-    n = v_pot.n_particles
-    out = np.empty((n, n, 3))
-    for i in range(n):
-        out[i] = _per_particle_gradient(v_pot, x, eig, k, i, dpsi)
-    return out
+    _, parts = v_pot.evaluate_parts(x)
+    dparts = v_pot.part_deriv_all(x)  # (N, N, 3, d, d)
+    dpsi_k = eigenvector_derivatives(v_pot, x, eig)[..., k]  # (N, 3, d)
+    psi_k = eig.psi[:, k]
+    term1 = np.real(np.einsum("i,nmcij,j->nmc", psi_k.conj(), dparts, psi_k))
+    # (d_i psi_k)* V^n psi_k + psi_k* V^n (d_i psi_k) = 2 Re(psi_k* V^n d_i psi_k)
+    term2 = 2.0 * np.real(np.einsum("i,nij,mcj->nmc",
+                                    psi_k.conj(), parts, dpsi_k))
+    return term1 + term2

@@ -155,3 +155,28 @@ class TestCanonical:
             richardson=False)
         assert not rep.masked[0]
         assert rep.masked[1]
+
+    def test_raw_moments_computed_once_per_state(self, monkeypatch):
+        # the field grids and the stderr pass share one set of per-state
+        # raw moments: 3 evaluations per state (tau - dt, tau, tau + dt)
+        rng = np.random.default_rng(6)
+        _, provider, model = harmonic_setup(2)
+        states = [dynamics.PhaseState(
+            x=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+            + rng.normal(scale=0.1, size=(2, 3)),
+            p=rng.normal(scale=0.2, size=(2, 3)), masses=np.ones(2))
+            for _ in range(5)]
+        calls = []
+        raw = fields._raw_fields
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "_raw_fields", counted)
+        conservation.canonical_residuals(
+            [(0.4, states[:2], provider, model),
+             (0.6, states[2:], provider, model)],
+            Mollifier(0.8), np.array([[0.5, 0.0, 0.0]]), 1e-4,
+            richardson=False)
+        assert len(calls) == 3 * len(states)

@@ -158,5 +158,5 @@ class TestPartition:
                 xm = x.copy(); xm[n, a] -= h
                 dpsi_fd[n, a] = (psi_at(xp) - psi_at(xm)) / (2 * h)
         shares_fd = nonlinear_eigen._partition(
-            v, x, cs.lambdas_bar, psi0, dpsi_fd, mass)
+            v.evaluate_parts(x)[1], psi0, dpsi_fd, mass)
         np.testing.assert_allclose(shares_fd, cs.per_particle_bar, atol=1e-6)

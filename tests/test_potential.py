@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mdfields import geometry, potential
-from mdfields.errors import DegenerateSpectrumError, InvalidParameterError
+from mdfields.errors import (CoincidentPointsError, DegenerateSpectrumError,
+                             InvalidParameterError)
 
 
 def random_config(n, rng, spread=1.5):
@@ -18,6 +19,46 @@ def two_state(n):
         gap=0.8,
         coupling=potential.GaussianCoupling(c0=0.15, rc=1.3, w=0.6),
         n_particles=n)
+
+
+MODELS = {
+    "harmonic": lambda n: potential.make_scalar_pair_model(
+        potential.Harmonic(1.7, 1.2), n),
+    "two_state": two_state,
+    "lj": lambda n: potential.make_scalar_pair_model(
+        potential.LennardJones(0.7, 1.0), n),
+}
+
+
+def per_pair_reference(v_pot, x):
+    """V, the V^n, dV and the dV^n by a plain loop over pairs and entries."""
+    n, d = v_pot.n_particles, v_pot.d
+    v = np.zeros((d, d))
+    parts = np.zeros((n, d, d))
+    dv = np.zeros((n, 3, d, d))
+    dparts = np.zeros((n, n, 3, d, d))
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = x[i] - x[j]
+            r = np.array([np.linalg.norm(diff)])
+            val = np.zeros((d, d))
+            der = np.zeros((d, d))
+            for a in range(d):
+                for b in range(d):
+                    f = v_pot.entries[a][b]
+                    if f is not None:
+                        val[a, b] = f.value(r)[0]
+                        der[a, b] = f.deriv(r)[0]
+            # gradient of the pair term in x^i; its negation in x^j
+            g = (diff / r[0])[:, None, None] * der
+            v += val
+            dv[i] += g
+            dv[j] -= g
+            for k in (i, j):
+                parts[k] += 0.5 * val
+                dparts[k, i] += 0.5 * g
+                dparts[k, j] -= 0.5 * g
+    return v, parts, dv, dparts
 
 
 def fd_matrix(v_pot, x, n, a, h=1e-6):
@@ -133,6 +174,38 @@ class TestPairSumPotential:
                     fd = (v.part(xp, part_n) - v.part(xm, part_n)) / (2 * h)
                     np.testing.assert_allclose(dvn[n, a], fd, atol=1e-7)
 
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_one_pass_matches_per_pair_loop(self, model, n):
+        rng = np.random.default_rng(20 + n)
+        x = random_config(n, rng)
+        v = MODELS[model](n)
+        ref_v, ref_parts, ref_dv, ref_dparts = per_pair_reference(v, x)
+        got_v, got_parts = v.evaluate_parts(x)
+        for got, ref in ((got_v, ref_v), (v.evaluate(x), ref_v),
+                         (got_parts, ref_parts), (v.deriv(x), ref_dv),
+                         (v.part_deriv_all(x), ref_dparts)):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+        for k in range(n):
+            np.testing.assert_array_equal(v.part(x, k), got_parts[k])
+
+    def test_coincident_points_raise(self):
+        rng = np.random.default_rng(30)
+        x = random_config(4, rng)
+        x[3] = x[1]
+        v = two_state(4)
+        with pytest.raises(CoincidentPointsError):
+            v.deriv(x)
+        with pytest.raises(CoincidentPointsError):
+            v.part_deriv_all(x)
+
+    def test_wrong_particle_count_rejected(self):
+        rng = np.random.default_rng(31)
+        v = two_state(4)
+        with pytest.raises(InvalidParameterError):
+            v.evaluate(random_config(5, rng))
+
     def test_part_derivs_sum_to_deriv(self):
         rng = np.random.default_rng(7)
         x = random_config(5, rng)
@@ -184,6 +257,29 @@ class TestPartition:
         eig = potential.eigendecompose(v.evaluate(x))
         lam_n = potential.surface_partition(v, x, eig)
         np.testing.assert_allclose(lam_n.sum(axis=0), eig.lambdas, atol=1e-12)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_shares_reproduce_eigenvalues(self, model, n):
+        rng = np.random.default_rng(40 + n)
+        x = random_config(n, rng)
+        v = MODELS[model](n)
+        eig = potential.eigendecompose(v.evaluate(x), gap_tol=0.0)
+        lam_n = potential.surface_partition(v, x, eig)
+        assert lam_n.shape == (n, v.d)
+        np.testing.assert_allclose(lam_n.sum(axis=0), eig.lambdas,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_permutation_permutes_rows(self):
+        rng = np.random.default_rng(41)
+        x = random_config(5, rng)
+        v = two_state(5)
+        perm = rng.permutation(5)
+        lam_n = potential.surface_partition(
+            v, x, potential.eigendecompose(v.evaluate(x)))
+        lam_p = potential.surface_partition(
+            v, x[perm], potential.eigendecompose(v.evaluate(x[perm])))
+        np.testing.assert_allclose(lam_p, lam_n[perm], atol=1e-13)
 
     def test_scalar_half_half(self):
         # scalar case: share of particle n is half its pair sums
