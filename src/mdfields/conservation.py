@@ -107,27 +107,25 @@ class ResidualReport:
                                  else str(v) for v in row])
 
 
-def _step_state(state, provider, dt, direction):
-    """One Verlet step of size dt forward or backward in time."""
-    if direction > 0:
-        tr = dynamics.integrate(state, dt, 1, provider)
-        return tr.state(1)
-    back = dynamics.PhaseState(x=state.x.copy(), p=-state.p,
-                               masses=state.masses, surface=state.surface,
-                               time=state.time)
-    tr = dynamics.integrate(back, dt, 1, provider)
-    out = tr.state(1)
-    out.p = -out.p
-    out.time = state.time - dt
-    return out
+def _central(state, provider, model):
+    """StateData and force at tau, shared by every dt_check."""
+    return (fields.prepare_state(state.x, state.p, state.masses, model),
+            dynamics.force(provider, state.x, state.surface))
 
 
-def _triple(state, provider, model, dt_check):
-    """StateData at tau - dt_check, tau, tau + dt_check."""
-    minus = _step_state(state, provider, dt_check, -1)
-    plus = _step_state(state, provider, dt_check, +1)
-    return tuple(fields.prepare_state(s.x, s.p, s.masses, model)
-                 for s in (minus, state, plus))
+def _neighbours(state, provider, model, f, dt_check):
+    """StateData at tau - dt_check and tau + dt_check.
+
+    One Verlet step each way, both opened by the force ``f`` at tau; the
+    backward step runs forward from the reversed momenta.
+    """
+    m = state.masses[:, None]
+    xm, pm, _ = dynamics.verlet_step(provider, state.x, -state.p, m, f,
+                                     dt_check, state.surface)
+    xp, pp, _ = dynamics.verlet_step(provider, state.x, state.p, m, f,
+                                     dt_check, state.surface)
+    return (fields.prepare_state(xm, -pm, state.masses, model),
+            fields.prepare_state(xp, pp, state.masses, model))
 
 
 def _scales(grid_m, grid_c, grid_p, dt_check):
@@ -156,11 +154,12 @@ def per_trajectory_residuals(state, provider, model, mol, probes, dt_check,
     energy:   d E / dt + div (T1 + T2)
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    sc, f = _central(state, provider, model)
+    gc = fields.field_grid(sc, mol, probes, mode="per-trajectory")
 
     def run(dt):
-        sm, sc, sp = _triple(state, provider, model, dt)
+        sm, sp = _neighbours(state, provider, model, f, dt)
         gm = fields.field_grid(sm, mol, probes, mode="per-trajectory")
-        gc = fields.field_grid(sc, mol, probes, mode="per-trajectory")
         gp = fields.field_grid(sp, mol, probes, mode="per-trajectory")
         nq = probes.shape[0]
         r_mass = np.empty(nq)
@@ -211,18 +210,24 @@ def canonical_residuals(groups, mol, probes, dt_check, richardson=True):
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     nq = probes.shape[0]
+    centres = []
+    for _, states, provider, model in groups:
+        if not states:
+            raise InvalidParameterError("empty ensemble group")
+        centres.append([_central(s, provider, model) for s in states])
+    gc = fields.field_grid(
+        [(weight, [sd for sd, _ in cs])
+         for (weight, *_), cs in zip(groups, centres)],
+        mol, probes, mode="ensemble")
 
     def run(dt):
-        ens_m, ens_c, ens_p = [], [], []
-        for weight, states, provider, model in groups:
-            if not states:
-                raise InvalidParameterError("empty ensemble group")
-            triples = [_triple(s, provider, model, dt) for s in states]
-            ens_m.append((weight, [t[0] for t in triples]))
-            ens_c.append((weight, [t[1] for t in triples]))
-            ens_p.append((weight, [t[2] for t in triples]))
+        ens_m, ens_p = [], []
+        for (weight, states, provider, model), cs in zip(groups, centres):
+            pairs = [_neighbours(s, provider, model, f, dt)
+                     for s, (_, f) in zip(states, cs)]
+            ens_m.append((weight, [sm for sm, _ in pairs]))
+            ens_p.append((weight, [sp for _, sp in pairs]))
         gm = fields.field_grid(ens_m, mol, probes, mode="ensemble")
-        gc = fields.field_grid(ens_c, mol, probes, mode="ensemble")
         gp = fields.field_grid(ens_p, mol, probes, mode="ensemble")
         r_mass = np.empty(nq)
         r_mom = np.empty((nq, 3))

@@ -201,6 +201,25 @@ def total_energy(surface_provider, state):
     return kinetic + surface_provider.value(state.x, state.surface)
 
 
+def verlet_step(surface_provider, x, p, m, f, dt, j):
+    """One velocity-Verlet step of size ``dt`` from (x, p) on surface j.
+
+    ``f`` is the force at x and ``m`` the masses shaped (N, 1); returns the
+    new (x, p) and the force at the new x, which opens the next step.
+
+    Raises
+    ------
+    BlowUpError
+        When any new coordinate magnitude exceeds ``BLOWUP_LIMIT``.
+    """
+    p_half = p + 0.5 * dt * f
+    x = x + dt * p_half / m
+    if np.max(np.abs(x)) > BLOWUP_LIMIT:
+        raise BlowUpError("coordinate overflow in a Verlet step")
+    f = force(surface_provider, x, j)
+    return x, p_half + 0.5 * dt * f, f
+
+
 def integrate(initial, dt, steps, surface_provider):
     """Velocity-Verlet trajectory of ``steps`` uniform steps of size ``dt``.
 
@@ -227,12 +246,7 @@ def integrate(initial, dt, steps, surface_provider):
         + surface_provider.value(x, j)
     f = force(surface_provider, x, j)
     for s in range(steps):
-        p_half = p + 0.5 * dt * f
-        x = x + dt * p_half / m
-        if np.max(np.abs(x)) > BLOWUP_LIMIT:
-            raise BlowUpError(f"coordinate overflow at step {s + 1}")
-        f = force(surface_provider, x, j)
-        p = p_half + 0.5 * dt * f
+        x, p, f = verlet_step(surface_provider, x, p, m, f, dt, j)
         positions[s + 1], momenta[s + 1] = x, p
         energies[s + 1] = 0.5 * np.sum(p ** 2 / m) \
             + surface_provider.value(x, j)

@@ -176,14 +176,9 @@ def _raw_fields(sd, mol, probes):
         return out
 
     iu, ju = geometry.pair_indices(n)
-    npair = len(iu)
     dx = x[iu] - x[ju]
     r = np.linalg.norm(dx, axis=1)
-    b = np.empty((nq, npair))
-    gb = np.empty((nq, npair, 3))
-    for k in range(npair):
-        b[:, k] = mol.bond_integral(probes, x[iu[k]], x[ju[k]])
-        gb[:, k] = mol.bond_integral_grad(probes, x[iu[k]], x[ju[k]])
+    b, gb = mol.bond_weights(probes, x[iu], x[ju])
     # bond stress kernel dx_l * dlambda/dr * dx_j / r per pair
     w_pair = dx[:, :, None] * dx[:, None, :] \
         * (sd.pair_derivs / r)[:, None, None]

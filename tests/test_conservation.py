@@ -20,6 +20,28 @@ def harmonic_setup(n, kappa=1.0, r0=1.0):
     return v, provider, model
 
 
+def pair_states(count, rng):
+    """Two-particle states near the harmonic rest length."""
+    return [dynamics.PhaseState(
+        x=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        + rng.normal(scale=0.1, size=(2, 3)),
+        p=rng.normal(scale=0.2, size=(2, 3)), masses=np.ones(2))
+        for _ in range(count)]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper; returns the list it appends to."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def cloud_probes(x, count, rng, margin=0.3):
     lo = x.min(axis=0) - margin
     hi = x.max(axis=0) + margin
@@ -75,6 +97,34 @@ class TestPerTrajectory:
         # central differencing: halving dt_check divides residuals by ~4
         for law in ("mass", "mom", "energy"):
             assert 1.5 <= rep.richardson_order[law] <= 2.5
+
+    def test_central_state_shared_by_richardson(self, monkeypatch):
+        # tau is prepared and its force taken once; each of dt and dt/2
+        # adds the raw moments and the closing force of two Verlet steps
+        _, provider, model = harmonic_setup(2)
+        st = pair_states(1, np.random.default_rng(4))[0]
+        raws = count_calls(monkeypatch, fields, "_raw_fields")
+        grads = count_calls(monkeypatch, provider, "gradient")
+        conservation.per_trajectory_residuals(
+            st, provider, model, Mollifier(0.8),
+            np.array([[0.5, 0.0, 0.0], [0.3, 0.1, 0.0]]), 1e-4,
+            richardson=True)
+        assert len(raws) == 5
+        assert len(grads) == 5
+
+    def test_steps_match_integrate(self):
+        # the tau -/+ dt states are bit for bit one integrate step from
+        # (x, p) and, time-reversed, from (x, -p)
+        _, provider, model = harmonic_setup(2)
+        st = pair_states(1, np.random.default_rng(5))[0]
+        f = dynamics.force(provider, st.x, st.surface)
+        sm, sp = conservation._neighbours(st, provider, model, f, 1e-3)
+        fwd = dynamics.integrate(st, 1e-3, 1, provider).state(1)
+        back = dynamics.integrate(
+            dynamics.PhaseState(x=st.x, p=-st.p, masses=st.masses),
+            1e-3, 1, provider).state(1)
+        assert np.array_equal(sp.x, fwd.x) and np.array_equal(sp.p, fwd.p)
+        assert np.array_equal(sm.x, back.x) and np.array_equal(sm.p, -back.p)
 
     def test_json_and_csv(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -158,25 +208,16 @@ class TestCanonical:
 
     def test_raw_moments_computed_once_per_state(self, monkeypatch):
         # the field grids and the stderr pass share one set of per-state
-        # raw moments: 3 evaluations per state (tau - dt, tau, tau + dt)
-        rng = np.random.default_rng(6)
+        # raw moments: 3 evaluations per state (tau - dt, tau, tau + dt);
+        # one force at tau opens both Verlet steps: 3 gradients per state
         _, provider, model = harmonic_setup(2)
-        states = [dynamics.PhaseState(
-            x=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-            + rng.normal(scale=0.1, size=(2, 3)),
-            p=rng.normal(scale=0.2, size=(2, 3)), masses=np.ones(2))
-            for _ in range(5)]
-        calls = []
-        raw = fields._raw_fields
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return raw(*args, **kwargs)
-
-        monkeypatch.setattr(fields, "_raw_fields", counted)
+        states = pair_states(5, np.random.default_rng(6))
+        calls = count_calls(monkeypatch, fields, "_raw_fields")
+        grads = count_calls(monkeypatch, provider, "gradient")
         conservation.canonical_residuals(
             [(0.4, states[:2], provider, model),
              (0.6, states[2:], provider, model)],
             Mollifier(0.8), np.array([[0.5, 0.0, 0.0]]), 1e-4,
             richardson=False)
         assert len(calls) == 3 * len(states)
+        assert len(grads) == 3 * len(states)

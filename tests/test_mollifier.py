@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from mdfields.errors import InvalidParameterError
+from mdfields import mollifier
+from mdfields.errors import InvalidParameterError, NoConvergenceError
 from mdfields.mollifier import Mollifier
 
 
@@ -144,3 +145,102 @@ class TestBondIntegral:
                      - eta.bond_integral(y - e, a, b)) / (2 * h)
         np.testing.assert_allclose(eta.bond_integral_grad(y, a, b), fd,
                                    atol=1e-6)
+
+
+def per_pair_bond(eta, y, a, b, kernel, vector=False):
+    """Reference: one pair at a time, panels doubled until the worst probe's
+    change is below BOND_TOL (the loop bond_weights replaced)."""
+    d = a - b
+    seg2 = float(d @ d)
+    if seg2 == 0.0:
+        return kernel(y - a)
+    w = y - b
+    beta = (w @ d) / seg2
+    disc = beta ** 2 - (np.sum(w * w, axis=1) - eta.epsilon ** 2) / seg2
+    out = np.zeros((len(y), 3) if vector else len(y))
+    hit = disc > 0.0
+    if not np.any(hit):
+        return out
+    lo = np.clip(beta[hit] - np.sqrt(disc[hit]), 0.0, 1.0)
+    hi = np.clip(beta[hit] + np.sqrt(disc[hit]), 0.0, 1.0)
+    nodes, weights = leggauss(16)
+
+    def estimate(panels):
+        edges = lo[:, None] + (hi - lo)[:, None] \
+            * np.linspace(0.0, 1.0, panels + 1)[None, :]
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+        s = mid[:, :, None] + half[:, :, None] * nodes[None, None, :]
+        pts = y[hit][:, None, None, :] - b - s[..., None] * d
+        vals = kernel(pts.reshape(-1, 3))
+        if vector:
+            return np.einsum("mpkc,k,mp->mc", vals.reshape(s.shape + (3,)),
+                             weights, half)
+        return np.einsum("mpk,k,mp->m", vals.reshape(s.shape), weights, half)
+
+    panels = 1
+    prev = estimate(panels)
+    while panels < 64:
+        panels *= 2
+        cur = estimate(panels)
+        err = np.max(np.abs(cur - prev))
+        prev = cur
+        if err < mollifier.BOND_TOL:
+            break
+    out[hit] = prev
+    return out
+
+
+def mixed_pairs():
+    """Pairs and probes mixing hits, misses, empty clipped intervals and a
+    coincident pair."""
+    rng = np.random.default_rng(21)
+    a = rng.normal(scale=0.6, size=(6, 3))
+    b = a + rng.normal(scale=0.5, size=(6, 3))
+    b[2] = a[2]                                   # coincident endpoints
+    a[4], b[4] = [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    y = np.vstack([rng.normal(scale=0.7, size=(30, 3)),
+                   [[1.9, 0.0, 0.0],              # on the line past a: the
+                    [-0.9, 0.0, 0.0],             # clipped interval is empty
+                    [6.0, 6.0, 6.0]]])            # misses every segment
+    return y, a, b
+
+
+class TestBondWeights:
+    def test_matches_per_pair_reference(self):
+        eta = Mollifier(0.6)
+        y, a, b = mixed_pairs()
+        bw, gbw = eta.bond_weights(y, a, b)
+        # the mix holds every kind of item
+        assert np.any(bw == 0.0) and np.any(bw > 0.0)
+        assert np.all(bw[-3:-1, 4] == 0.0) and np.all(bw[-1] == 0.0)
+        # coincident endpoints keep the exact kernel values
+        assert np.array_equal(bw[:, 2], eta.eval(y - a[2]))
+        assert np.array_equal(gbw[:, 2], eta.grad(y - a[2]))
+        for probes in (y, y[:1]):
+            bw, gbw = eta.bond_weights(probes, a, b)
+            assert bw.shape == (len(probes), len(a))
+            assert gbw.shape == (len(probes), len(a), 3)
+            for k in range(len(a)):
+                ref = per_pair_bond(eta, probes, a[k], b[k], eta.eval)
+                gref = per_pair_bond(eta, probes, a[k], b[k], eta.grad,
+                                     vector=True)
+                np.testing.assert_allclose(bw[:, k], ref, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(gbw[:, k], gref, rtol=0,
+                                           atol=1e-12)
+
+    def test_pair_permutation_permutes_columns(self):
+        eta = Mollifier(0.7)
+        y, a, b = mixed_pairs()
+        perm = np.random.default_rng(3).permutation(len(a))
+        bw, gbw = eta.bond_weights(y, a, b)
+        pbw, pgbw = eta.bond_weights(y, a[perm], b[perm])
+        np.testing.assert_allclose(pbw, bw[:, perm], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pgbw, gbw[:, perm], rtol=0, atol=1e-15)
+
+    def test_panel_cap_raises(self, monkeypatch):
+        eta = Mollifier(0.6)
+        y, a, b = mixed_pairs()
+        monkeypatch.setattr(mollifier, "BOND_TOL", 0.0)
+        with pytest.raises(NoConvergenceError, match="64 panels"):
+            eta.bond_weights(y, a, b)
