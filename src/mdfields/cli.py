@@ -297,18 +297,19 @@ def _build_probes(cfg):
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _build_surface_pack(model_cfg, n, surface, mass_parameter):
+def _build_surface(model_cfg, n, surface, mass_parameter):
+    """Surface ``surface`` of the model, bare or mass-corrected.
+
+    The field model serves both Verlet (``value``/``gradient``) and the
+    fields (``surface_data``).
+    """
     v_pot = _build_model(model_cfg, n)
     if surface >= v_pot.d:
         raise ConfigError(f"surface {surface} out of range for a "
                           f"{v_pot.d}-state model")
     if mass_parameter is None:
-        provider = dynamics.AdiabaticSurface(v_pot)
-        fmodel = fields.AdiabaticFieldModel(v_pot, surface)
-    else:
-        provider = dynamics.CorrectedSurface(v_pot, mass_parameter)
-        fmodel = fields.CorrectedFieldModel(v_pot, surface, mass_parameter)
-    return v_pot, provider, fmodel
+        return fields.AdiabaticFieldModel(v_pot, surface)
+    return fields.CorrectedFieldModel(v_pot, surface, mass_parameter)
 
 
 def _build_coeff(cfg, length):
@@ -360,11 +361,10 @@ def _out(cfg, args, name):
 def _cmd_run_md(cfg, cfg_hash, args):
     state = _build_state(cfg["particles"])
     dyn = cfg["dynamics"]
-    _, provider, _ = _build_surface_pack(cfg["model"], state.x.shape[0],
-                                         dyn.get("surface", 0),
-                                         dyn.get("mass_parameter"))
+    surf = _build_surface(cfg["model"], state.x.shape[0],
+                          dyn.get("surface", 0), dyn.get("mass_parameter"))
     state.surface = dyn.get("surface", 0)
-    traj = dynamics.integrate(state, dyn["dt"], dyn["steps"], provider)
+    traj = dynamics.integrate(state, dyn["dt"], dyn["steps"], surf)
     path = _out(cfg, args, "trajectory.csv")
     traj.to_csv(path)
     _stamp_csv(path, cfg_hash, cfg.get("seed", 0))
@@ -373,12 +373,11 @@ def _cmd_run_md(cfg, cfg_hash, args):
 
 def _cmd_fields(cfg, cfg_hash, args):
     state = _build_state(cfg["particles"])
-    _, _, fmodel = _build_surface_pack(cfg["model"], state.x.shape[0],
-                                       cfg.get("surface", 0),
-                                       cfg.get("mass_parameter"))
+    surf = _build_surface(cfg["model"], state.x.shape[0],
+                          cfg.get("surface", 0), cfg.get("mass_parameter"))
     mol = Mollifier(cfg["mollifier"]["epsilon"])
     probes = _build_probes(cfg["probes"])
-    sd = fields.prepare_state(state.x, state.p, state.masses, fmodel)
+    sd = fields.prepare_state(state.x, state.p, state.masses, surf)
     grid = fields.field_grid([(1.0, [sd])], mol, probes,
                              mode="per-trajectory")
     path = _out(cfg, args, "fields.csv")
@@ -389,15 +388,13 @@ def _cmd_fields(cfg, cfg_hash, args):
 
 def _cmd_conserve_check(cfg, cfg_hash, args):
     state = _build_state(cfg["particles"])
-    _, provider, fmodel = _build_surface_pack(cfg["model"],
-                                              state.x.shape[0],
-                                              cfg.get("surface", 0),
-                                              cfg.get("mass_parameter"))
+    surf = _build_surface(cfg["model"], state.x.shape[0],
+                          cfg.get("surface", 0), cfg.get("mass_parameter"))
     state.surface = cfg.get("surface", 0)
     mol = Mollifier(cfg["mollifier"]["epsilon"])
     probes = _build_probes(cfg["probes"])
     rep = conservation.per_trajectory_residuals(
-        state, provider, fmodel, mol, probes, cfg["dt_check"])
+        state, surf, surf, mol, probes, cfg["dt_check"])
     jpath = _out(cfg, args, "residuals.json")
     cpath = _out(cfg, args, "residuals.csv")
     payload = rep.to_json_dict()
@@ -492,9 +489,6 @@ def main(argv=None):
                     "matrix-potential particle systems")
     parser.add_argument("subcommand", choices=sorted(_HANDLERS))
     parser.add_argument("config", help="path to a JSON config file")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker pool size (results are independent of "
-                             "it; reductions use a fixed order)")
     args = parser.parse_args(argv)
 
     try:

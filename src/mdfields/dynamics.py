@@ -1,12 +1,18 @@
-"""Symplectic dynamics on a single adiabatic surface.
+"""Adiabatic surfaces and symplectic dynamics on one of them.
 
 The Hamiltonian is H(x, p) = sum_n |p^n|^2 / (2 m_n) + lambda_bar_j(x); in
 scaled units all masses are one.  Velocity Verlet with one force evaluation
 per step keeps the energy drift bounded without secular growth.
+
+One class models each kind of surface: ``AdiabaticSurface`` (bare, analytic)
+and ``CorrectedSurface`` (mass-corrected, from the nonlinear eigen solve).
+The same object gives Verlet its values and gradients, the fields their
+per-particle shares and share gradients (``field_data``), and the Gibbs
+sampler its shares (``shares``).
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,23 +103,36 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# surface providers
+# surfaces
 
-class SurfaceProvider:
-    """Interface: value and configuration gradient of lambda_bar_j."""
+def _central_difference(f, x):
+    """Central differences of ``f`` along every coordinate of ``x``.
 
-    def value(self, x, j):
-        raise NotImplementedError
+    ``f`` maps an (N, 3) configuration to a scalar or an array; the result
+    has shape (N, 3) + f's shape, with
+    out[n, a] = (f(x + h e_na) - f(x - h e_na)) / 2h and h = ``FD_STEP``.
+    """
+    x = np.asarray(x, dtype=float)
+    diffs = []
+    for n in range(x.shape[0]):
+        for a in range(3):
+            xp = x.copy(); xp[n, a] += FD_STEP
+            xm = x.copy(); xm[n, a] -= FD_STEP
+            diffs.append(np.asarray(f(xp)) - np.asarray(f(xm)))
+    diffs = np.array(diffs) / (2.0 * FD_STEP)
+    return diffs.reshape(x.shape + diffs.shape[1:])
 
-    def gradient(self, x, j):
-        raise NotImplementedError
 
+class AdiabaticSurface:
+    """Bare surfaces lambda_j of a matrix potential, analytic gradients.
 
-class AdiabaticSurface(SurfaceProvider):
-    """Bare surfaces lambda_j of a matrix potential, analytic gradients."""
+    ``value`` and ``gradient`` drive Verlet, ``shares`` weights the Gibbs
+    sampler and ``field_data`` feeds the fields.
+    """
 
     def __init__(self, v_pot, gap_tol=potential.GAP_TOL):
         self.v_pot = v_pot
+        self.d = v_pot.d
         self.gap_tol = gap_tol
 
     def _eig(self, x):
@@ -125,21 +144,40 @@ class AdiabaticSurface(SurfaceProvider):
     def gradient(self, x, j):
         return potential.surface_gradient(self.v_pot, x, self._eig(x), j)
 
+    def shares(self, x):
+        """Per-particle shares lambda_k^n of every surface, (N, d)."""
+        v, parts = self.v_pot.evaluate_parts(x)
+        eig = potential.eigendecompose(v, self.gap_tol)
+        return potential.shares_from_parts(parts, eig.psi)
 
-class CorrectedSurface(SurfaceProvider):
-    """Mass-corrected surfaces lambda_bar_j.
+    def field_data(self, x, j):
+        """(lam_n, grad, pp) of surface j: the shares lambda_j^n (N,), the
+        gradient (N, 3) and the per-particle gradients [n, m, :] (N, N, 3)."""
+        v, parts = self.v_pot.evaluate_parts(x)
+        eig = potential.eigendecompose(v, self.gap_tol)
+        return (potential.shares_from_parts(parts, eig.psi)[:, j],
+                potential.surface_gradient(self.v_pot, x, eig, j),
+                potential.per_particle_gradients_all(self.v_pot, x, eig, j))
+
+
+class CorrectedSurface:
+    """Mass-corrected surfaces lambda_bar_j, from the nonlinear eigen solve.
 
     The gradient is the analytic Hellmann-Feynman gradient of the bare
-    surface plus a central finite difference of the O(1/M) correction; the
-    correction is smooth and small, so the hybrid keeps full accuracy at one
-    analytic evaluation per force call.
+    surface plus a central difference of the O(1/M) correction
+    lambda_bar_j - lambda_j (6N solves); the correction is smooth and small,
+    so the hybrid keeps full accuracy.  ``field_data`` takes the correction
+    and the per-particle gradients of the shares from the same 6N solves.
     """
 
-    def __init__(self, v_pot, mass, fd_step=FD_STEP,
-                 gap_tol=potential.GAP_TOL):
+    # FD noise in the correction breaks exact rigid invariance of the
+    # gradient at the 1e-10 scale; the lift check gets headroom for it
+    lift_tol = 1e-8
+
+    def __init__(self, v_pot, mass, gap_tol=potential.GAP_TOL):
         self.v_pot = v_pot
+        self.d = v_pot.d
         self.mass = float(mass)
-        self.fd_step = float(fd_step)
         self.gap_tol = gap_tol
 
     def _solve(self, x):
@@ -157,38 +195,43 @@ class CorrectedSurface(SurfaceProvider):
     def gradient(self, x, j):
         x = np.asarray(x, dtype=float)
         eig = potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
-        grad = potential.surface_gradient(self.v_pot, x, eig, j)
-        h = self.fd_step
-        for n in range(x.shape[0]):
-            for a in range(3):
-                xp = x.copy(); xp[n, a] += h
-                xm = x.copy(); xm[n, a] -= h
-                grad[n, a] += (self._correction(self._solve(xp), j)
-                               - self._correction(self._solve(xm), j)) \
-                    / (2.0 * h)
-        return grad
+        return potential.surface_gradient(self.v_pot, x, eig, j) \
+            + _central_difference(
+                lambda xx: self._correction(self._solve(xx), j), x)
+
+    def shares(self, x):
+        """Per-particle shares of every corrected surface, (N, d)."""
+        return self._solve(x).per_particle_bar
+
+    def field_data(self, x, j):
+        """(lam_n, grad, pp) of surface j, as ``AdiabaticSurface.field_data``;
+        1 + 6N solves, and ``grad`` equals ``gradient(x, j)``."""
+        x = np.asarray(x, dtype=float)
+        cs = self._solve(x)
+
+        def correction_and_shares(xx):
+            c = self._solve(xx)
+            return np.concatenate(([self._correction(c, j)],
+                                   c.per_particle_bar[:, j]))
+
+        diff = _central_difference(correction_and_shares, x)  # (N, 3, 1 + N)
+        grad = potential.surface_gradient(self.v_pot, x, cs.bare, j) \
+            + diff[..., 0]
+        pp = np.moveaxis(diff[..., 1:], 2, 0)                 # [n, m, a]
+        return cs.per_particle_bar[:, j], grad, pp
 
 
-class FiniteDifferenceSurface(SurfaceProvider):
+class FiniteDifferenceSurface:
     """Black-box surface from a callable ``f(x, j) -> float``."""
 
-    def __init__(self, f, fd_step=FD_STEP):
+    def __init__(self, f):
         self.f = f
-        self.fd_step = float(fd_step)
 
     def value(self, x, j):
         return float(self.f(np.asarray(x, dtype=float), j))
 
     def gradient(self, x, j):
-        x = np.asarray(x, dtype=float)
-        h = self.fd_step
-        grad = np.empty_like(x)
-        for n in range(x.shape[0]):
-            for a in range(3):
-                xp = x.copy(); xp[n, a] += h
-                xm = x.copy(); xm[n, a] -= h
-                grad[n, a] = (self.f(xp, j) - self.f(xm, j)) / (2.0 * h)
-        return grad
+        return _central_difference(lambda xx: self.f(xx, j), x)
 
 
 def force(surface_provider, x, j):

@@ -7,6 +7,9 @@ weights w_n = 1 (uniform mode) or max(eta(y - x^n), eta_floor)
 the exact x-marginal; momenta are exact Gaussian draws with mean M_n u0 and
 per-coordinate variance M_n T / w_n.  Uniform mode supports grand-canonical
 insert/delete moves tied to the chemical potential.
+
+A surface set is any object with ``d`` and ``shares(x)`` -> (N, d); the
+matrix-potential surfaces are the ``dynamics`` surface objects themselves.
 """
 
 import json
@@ -15,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nonlinear_eigen, potential
-from .dynamics import PhaseState
+from .dynamics import AdiabaticSurface, PhaseState
 from .errors import (InsufficientOverlapError, InvalidParameterError,
                      UnattainableTargetError)
 
@@ -150,33 +152,9 @@ class HarmonicSurfaces:
         return 0.5 * r2[:, None] * self.kappas[None, :]
 
 
-class AdiabaticShares:
-    """Per-particle shares of the bare surfaces of a matrix potential."""
-
-    def __init__(self, v_pot, gap_tol=potential.GAP_TOL):
-        self.v_pot = v_pot
-        self.d = v_pot.d
-        self.gap_tol = gap_tol
-
-    def shares(self, x):
-        v, parts = self.v_pot.evaluate_parts(x)
-        eig = potential.eigendecompose(v, self.gap_tol)
-        return potential.shares_from_parts(parts, eig.psi)
-
-
-class CorrectedShares:
-    """Per-particle shares of the mass-corrected surfaces."""
-
-    def __init__(self, v_pot, mass, gap_tol=potential.GAP_TOL):
-        self.v_pot = v_pot
-        self.mass = float(mass)
-        self.d = v_pot.d
-        self.gap_tol = gap_tol
-
-    def shares(self, x):
-        cs = nonlinear_eigen.solve_nonlinear_eigen(
-            self.v_pot, x, self.mass, gap_tol=self.gap_tol)
-        return cs.per_particle_bar
+# the bare shares of a matrix potential: the surface object Verlet and the
+# fields use (``dynamics.CorrectedSurface`` gives the corrected shares)
+AdiabaticShares = AdiabaticSurface
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +265,10 @@ class GibbsSampler:
                     step = min(step * 1.4, cap)
                 window_acc = 0
         rate = accepted / n_prop
-        if not WARN_LO <= rate <= WARN_HI:
+        # a high rate with the step at the container's cap is the size of
+        # the container, not a badly tuned chain: there is no longer step
+        at_cap = rate > WARN_HI and step >= cap
+        if not (WARN_LO <= rate <= WARN_HI or at_cap):
             warnings.warn(f"acceptance rate {rate:.2f} outside "
                           f"[{WARN_LO}, {WARN_HI}] after tuning",
                           RuntimeWarning)

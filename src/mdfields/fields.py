@@ -15,6 +15,11 @@ B = int_0^1 eta(y - s x^n - (1-s) x^k) ds, which is what turns pair forces
 into divergence form.  All fields come with analytic y-gradients so
 divergences in the conservation checks are exact.
 
+The per-particle shares lambda^n, the surface gradient and the share
+gradients come from the same surface object that drives the trajectory
+(``dynamics.AdiabaticSurface`` or ``CorrectedSurface``); this module holds
+no surface math.
+
 The heat-flux bond term sums ordered pairs n != m for the power part
 (p^m/M_m).grad_{x^m} lambda^n; its u-part is a single unordered pair sum
 +sum_j W_{lj} u_j, the orientation that makes the canonical energy law an
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, nonlinear_eigen, potential
+from . import dynamics, geometry, potential
 from .errors import InvalidParameterError, VacuumProbeError
 
 RHO_FLOOR = 1e-12
@@ -52,73 +57,36 @@ class StateData:
     pp_grads: np.ndarray
 
 
-class AdiabaticFieldModel:
-    """Surface data for the bare adiabatic surface j of a matrix potential."""
+class AdiabaticFieldModel(dynamics.AdiabaticSurface):
+    """The bare surface bound to one index j, for ``prepare_state``."""
 
     def __init__(self, v_pot, j=0, gap_tol=potential.GAP_TOL):
-        self.v_pot = v_pot
+        super().__init__(v_pot, gap_tol)
         self.j = int(j)
-        self.gap_tol = gap_tol
 
     def surface_data(self, x):
-        eig = potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
-        lam_n = potential.surface_partition(self.v_pot, x, eig)[:, self.j]
-        grad = potential.surface_gradient(self.v_pot, x, eig, self.j)
-        pp = potential.per_particle_gradients_all(self.v_pot, x, eig, self.j)
-        return lam_n, grad, pp
+        return self.field_data(x, self.j)
 
 
-class CorrectedFieldModel:
-    """Surface data for the mass-corrected surface lambda_bar_j.
+class CorrectedFieldModel(dynamics.CorrectedSurface):
+    """The mass-corrected surface bound to one index j, for
+    ``prepare_state``."""
 
-    The gradient of the O(1/M) correction and the per-particle gradients of
-    the corrected shares are taken by central finite differences; the bare
-    parts stay analytic.
-    """
-
-    # FD noise in the correction breaks exact rigid invariance of the
-    # gradient at the 1e-10 scale; the lift check gets headroom for it
-    lift_tol = 1e-8
-
-    def __init__(self, v_pot, j, mass, fd_step=1e-5,
-                 gap_tol=potential.GAP_TOL):
-        self.v_pot = v_pot
+    def __init__(self, v_pot, j, mass, gap_tol=potential.GAP_TOL):
+        super().__init__(v_pot, mass, gap_tol)
         self.j = int(j)
-        self.mass = float(mass)
-        self.fd_step = float(fd_step)
-        self.gap_tol = gap_tol
-
-    def _solve(self, x):
-        return nonlinear_eigen.solve_nonlinear_eigen(
-            self.v_pot, x, self.mass, gap_tol=self.gap_tol)
-
-    def _shares(self, x):
-        return self._solve(x).per_particle_bar[:, self.j]
 
     def surface_data(self, x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        cs = self._solve(x)
-        lam_n = cs.per_particle_bar[:, self.j]
-        eig = cs.bare
-        grad = potential.surface_gradient(self.v_pot, x, eig, self.j)
-        pp = np.empty((n, n, 3))
-        h = self.fd_step
-        for m in range(n):
-            for a in range(3):
-                xp = x.copy(); xp[m, a] += h
-                xm = x.copy(); xm[m, a] -= h
-                pp[:, m, a] = (self._shares(xp) - self._shares(xm)) / (2 * h)
-        # hybrid total gradient: analytic bare part plus the finite
-        # difference of the small correction, summed from the shares
-        eig_pp = potential.per_particle_gradients_all(
-            self.v_pot, x, eig, self.j)
-        grad = grad + (pp.sum(axis=0) - eig_pp.sum(axis=0))
-        return lam_n, grad, pp
+        return self.field_data(x, self.j)
 
 
 def prepare_state(x, p, masses, model):
-    """Assemble StateData for one state using a surface model."""
+    """Assemble StateData for one state.
+
+    ``model.surface_data(x)`` returns (lam_n, grad, pp) of the state's
+    surface; ``AdiabaticFieldModel`` and ``CorrectedFieldModel`` bind a
+    ``dynamics`` surface to its index.
+    """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     masses = np.asarray(masses, dtype=float)

@@ -230,13 +230,3 @@ class TestQuantumCommands:
         first = (tmp_path / "egorov.json").read_bytes()
         assert cli.main(["egorov", path]) == 0
         assert (tmp_path / "egorov.json").read_bytes() == first
-
-
-class TestWorkersFlag:
-    def test_accepted_and_irrelevant(self, tmp_path):
-        cfg = run_md_config(str(tmp_path))
-        path = write_config(tmp_path, cfg)
-        assert cli.main(["run-md", path, "--workers", "4"]) == 0
-        first = (tmp_path / "trajectory.csv").read_bytes()
-        assert cli.main(["run-md", path, "--workers", "1"]) == 0
-        assert (tmp_path / "trajectory.csv").read_bytes() == first

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mdfields import ensemble
+from mdfields import ensemble, potential
 from mdfields.errors import (InsufficientOverlapError, InvalidParameterError,
                              UnattainableTargetError)
 from mdfields.mollifier import Mollifier
@@ -170,6 +170,52 @@ class TestSampling:
             ensemble.GibbsSampler(spec, ensemble.ZeroSurfaces(),
                                   np.ones(1), box, mol=Mollifier(0.5),
                                   gcmc=True)
+
+
+class OnlyStart:
+    """One surface that is flat at x0 and 1e6 everywhere else."""
+
+    d = 1
+
+    def __init__(self, x0):
+        self.x0 = x0
+
+    def shares(self, x):
+        return np.full((x.shape[0], 1),
+                       0.0 if np.array_equal(x, self.x0) else 1e6)
+
+
+class TestTuneWarning:
+    def tune(self, surfaces, x0, box):
+        sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=2.0), surfaces,
+                                        np.ones(x0.shape[0]), box)
+        return sampler._tune_step(x0, 0, np.random.default_rng(1), 0.5)[2]
+
+    def test_high_rate_at_cap_is_silent(self):
+        # the canonical-corrected box: side 1.8, T = 2, two-state N = 2
+        v = potential.make_two_state_model(
+            potential.Morse(1.0, 1.2, 1.0), 0.8,
+            potential.GaussianCoupling(0.15, 1.3, 0.6), 2)
+        box = ensemble.BoxContainer(0.0, 1.8)
+        x0 = box.draw(np.random.default_rng(0), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            step = self.tune(ensemble.AdiabaticShares(v), x0, box)
+        assert step == box.max_step()
+
+    def test_high_rate_below_cap_warns(self):
+        # free particle in a huge box: every move is accepted, and 50
+        # growth windows take the step to 0.5 * 1.4^50, far below the cap
+        box = ensemble.BoxContainer(0.0, 1e9)
+        with pytest.warns(RuntimeWarning, match="acceptance rate 1.00"):
+            step = self.tune(ensemble.ZeroSurfaces(), np.zeros((1, 3)), box)
+        assert step < box.max_step()
+
+    def test_low_rate_warns(self):
+        box = ensemble.BoxContainer(0.0, 1.8)
+        x0 = np.full((1, 3), 0.9)
+        with pytest.warns(RuntimeWarning, match="acceptance rate 0.00"):
+            self.tune(OnlyStart(x0), x0, box)
 
 
 class TestSurfaceWeights:
