@@ -300,8 +300,8 @@ def _build_probes(cfg):
 def _build_surface(model_cfg, n, surface, mass_parameter):
     """Surface ``surface`` of the model, bare or mass-corrected.
 
-    The field model serves both Verlet (``value``/``gradient``) and the
-    fields (``surface_data``).
+    The field model serves both Verlet (``at``) and the fields
+    (``surface_data``).
     """
     v_pot = _build_model(model_cfg, n)
     if surface >= v_pot.d:

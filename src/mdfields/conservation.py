@@ -5,6 +5,10 @@ evaluations at tau +/- dt_check (states advanced by single Verlet steps), so
 the check exercises the whole pipeline instead of sharing the analytic chain
 rule with the quantities being tested.  Spatial divergences come from the
 analytic probe-space gradients of ``fields`` and are exact.
+
+The provider opens the Verlet steps and the model closes them, with the
+gradient of its surface data at tau +/- dt_check, which the fields read
+anyway; so every configuration is evaluated once.
 """
 
 import csv
@@ -108,24 +112,55 @@ class ResidualReport:
 
 
 def _central(state, provider, model):
-    """StateData and force at tau, shared by every dt_check."""
-    return (fields.prepare_state(state.x, state.p, state.masses, model),
-            dynamics.force(provider, state.x, state.surface))
+    """StateData and force at tau, shared by every dt_check.
+
+    Raises ``InvalidParameterError`` if the model's gradient differs from
+    the provider's force beyond the model's lift tolerance: the fields and
+    the dynamics would describe different surfaces.
+    """
+    data = model.surface_data(state.x)
+    f = dynamics.force(provider, state.x, state.surface)
+    tol = fields.lift_tol(model)
+    miss = np.linalg.norm(data[1] + f)
+    limit = tol * max(1.0, np.linalg.norm(f))
+    if miss > limit:
+        raise InvalidParameterError(
+            f"model gradient and provider force differ by {miss:.3e} "
+            f"(limit {limit:.1e}) on surface {state.surface}")
+    return fields.state_data(state.x, state.p, state.masses, data, tol), f
 
 
-def _neighbours(state, provider, model, f, dt_check):
+def _neighbours(state, model, f, dt_check):
     """StateData at tau - dt_check and tau + dt_check.
 
-    One Verlet step each way, both opened by the force ``f`` at tau; the
-    backward step runs forward from the reversed momenta.
+    One Verlet step each way, opened by the force ``f`` at tau and closed
+    by the model's surface data, which the StateData reuses; the backward
+    step runs forward from the reversed momenta.
     """
     m = state.masses[:, None]
-    xm, pm, _ = dynamics.verlet_step(provider, state.x, -state.p, m, f,
-                                     dt_check, state.surface)
-    xp, pp, _ = dynamics.verlet_step(provider, state.x, state.p, m, f,
-                                     dt_check, state.surface)
-    return (fields.prepare_state(xm, -pm, state.masses, model),
-            fields.prepare_state(xp, pp, state.masses, model))
+    tol = fields.lift_tol(model)
+    xm, pm, dm = dynamics.verlet_step(model.surface_data, state.x, -state.p,
+                                      m, f, dt_check)
+    xp, pp, dp = dynamics.verlet_step(model.surface_data, state.x, state.p,
+                                      m, f, dt_check)
+    return (fields.state_data(xm, -pm, state.masses, dm, tol),
+            fields.state_data(xp, pp, state.masses, dp, tol))
+
+
+def _residuals(grid_m, grid_c, grid_p, dt):
+    """Per-probe residuals of the three laws, and the vacuum mask."""
+    nq = len(grid_c.samples)
+    r_mass = np.empty(nq)
+    r_mom = np.empty((nq, 3))
+    r_energy = np.empty(nq)
+    masked = np.zeros(nq, dtype=bool)
+    for i, (a, c, b) in enumerate(zip(grid_m.samples, grid_c.samples,
+                                      grid_p.samples)):
+        masked[i] = a.vacuum or c.vacuum or b.vacuum
+        r_mass[i] = (b.rho - a.rho) / (2 * dt) + c.div_mom
+        r_mom[i] = (b.mom - a.mom) / (2 * dt) + c.div_mom_flux
+        r_energy[i] = (b.energy - a.energy) / (2 * dt) + c.div_energy_flux
+    return r_mass, r_mom, r_energy, masked
 
 
 def _scales(grid_m, grid_c, grid_p, dt_check):
@@ -158,27 +193,15 @@ def per_trajectory_residuals(state, provider, model, mol, probes, dt_check,
     gc = fields.field_grid(sc, mol, probes, mode="per-trajectory")
 
     def run(dt):
-        sm, sp = _neighbours(state, provider, model, f, dt)
+        sm, sp = _neighbours(state, model, f, dt)
         gm = fields.field_grid(sm, mol, probes, mode="per-trajectory")
         gp = fields.field_grid(sp, mol, probes, mode="per-trajectory")
-        nq = probes.shape[0]
-        r_mass = np.empty(nq)
-        r_mom = np.empty((nq, 3))
-        r_energy = np.empty(nq)
-        for i, (a, c, b) in enumerate(zip(gm.samples, gc.samples,
-                                          gp.samples)):
-            r_mass[i] = (b.rho - a.rho) / (2 * dt) + c.div_mom
-            r_mom[i] = (b.mom - a.mom) / (2 * dt) + c.div_mom_flux
-            r_energy[i] = (b.energy - a.energy) / (2 * dt) \
-                + c.div_energy_flux
-        scales = _scales(gm, gc, gp, dt)
-        return r_mass, r_mom, r_energy, scales
+        return _residuals(gm, gc, gp, dt) + (_scales(gm, gc, gp, dt),)
 
-    r_mass, r_mom, r_energy, scales = run(dt_check)
-    masked = np.zeros(probes.shape[0], dtype=bool)
+    r_mass, r_mom, r_energy, masked, scales = run(dt_check)
     order = None
     if richardson:
-        h_mass, h_mom, h_energy, _ = run(dt_check / 2.0)
+        h_mass, h_mom, h_energy, _, _ = run(dt_check / 2.0)
         order = _richardson(
             (r_mass, r_mom, r_energy), (h_mass, h_mom, h_energy))
     return ResidualReport(probes=probes, r_mass=r_mass, r_mom=r_mom,
@@ -209,7 +232,6 @@ def canonical_residuals(groups, mol, probes, dt_check, richardson=True):
     and divergence estimators of each law.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    nq = probes.shape[0]
     centres = []
     for _, states, provider, model in groups:
         if not states:
@@ -222,24 +244,14 @@ def canonical_residuals(groups, mol, probes, dt_check, richardson=True):
 
     def run(dt):
         ens_m, ens_p = [], []
-        for (weight, states, provider, model), cs in zip(groups, centres):
-            pairs = [_neighbours(s, provider, model, f, dt)
+        for (weight, states, _, model), cs in zip(groups, centres):
+            pairs = [_neighbours(s, model, f, dt)
                      for s, (_, f) in zip(states, cs)]
             ens_m.append((weight, [sm for sm, _ in pairs]))
             ens_p.append((weight, [sp for _, sp in pairs]))
         gm = fields.field_grid(ens_m, mol, probes, mode="ensemble")
         gp = fields.field_grid(ens_p, mol, probes, mode="ensemble")
-        r_mass = np.empty(nq)
-        r_mom = np.empty((nq, 3))
-        r_energy = np.empty(nq)
-        masked = np.zeros(nq, dtype=bool)
-        for i, (a, c, b) in enumerate(zip(gm.samples, gc.samples,
-                                          gp.samples)):
-            masked[i] = a.vacuum or c.vacuum or b.vacuum
-            r_mass[i] = (b.rho - a.rho) / (2 * dt) + c.div_mom
-            r_mom[i] = (b.mom - a.mom) / (2 * dt) + c.div_mom_flux
-            r_energy[i] = (b.energy - a.energy) / (2 * dt) \
-                + c.div_energy_flux
+        r_mass, r_mom, r_energy, masked = _residuals(gm, gc, gp, dt)
         err = _canonical_stderr(gm.raws, gc.raws, gp.raws, dt)
         scales = _scales(gm, gc, gp, dt)
         return r_mass, r_mom, r_energy, masked, err, scales
@@ -287,14 +299,6 @@ def _canonical_stderr(raws_m, raws_c, raws_p, dt):
                 "qcc->q", gc["grad_t1"] + gc["grad_t2"]))
             wlist.append(wt / nst)
     w = np.asarray(wlist)
-    out = {}
-    for key in ("mass", "mom", "energy"):
-        se2 = 0.0
-        for terms in (dt_terms[key], dv_terms[key]):
-            vals = np.stack(terms)
-            shape = (len(w),) + (1,) * (vals.ndim - 1)
-            wv = w.reshape(shape)
-            mean = np.sum(wv * vals, axis=0)
-            se2 = se2 + np.sum(wv ** 2 * (vals - mean) ** 2, axis=0)
-        out[key] = np.sqrt(se2)
-    return out
+    return {key: np.sqrt(fields.weighted_mean_variance(w, dt_terms[key])
+                         + fields.weighted_mean_variance(w, dv_terms[key]))
+            for key in dt_terms}

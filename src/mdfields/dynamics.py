@@ -6,13 +6,14 @@ per step keeps the energy drift bounded without secular growth.
 
 One class models each kind of surface: ``AdiabaticSurface`` (bare, analytic)
 and ``CorrectedSurface`` (mass-corrected, from the nonlinear eigen solve).
-The same object gives Verlet its values and gradients, the fields their
-per-particle shares and share gradients (``field_data``), and the Gibbs
-sampler its shares (``shares``).
+A surface is evaluated once per configuration: ``at(x, j)`` returns one
+``SurfacePoint`` record (value, gradient, shares, share gradients) that
+Verlet and the fields both read.  The Gibbs sampler reads ``shares``.
 """
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +106,15 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # surfaces
 
+class SurfacePoint(NamedTuple):
+    """Surface j at one configuration; ``point[:3]`` is the field data."""
+
+    lam_n: np.ndarray   # shares lambda_j^n, (N,)
+    grad: np.ndarray    # gradient of lambda_j, (N, 3)
+    pp: np.ndarray      # share gradients grad_{x^m} lambda_j^n, [n, m, :]
+    value: float        # lambda_j
+
+
 def _central_difference(f, x):
     """Central differences of ``f`` along every coordinate of ``x``.
 
@@ -124,25 +134,32 @@ def _central_difference(f, x):
 
 
 class AdiabaticSurface:
-    """Bare surfaces lambda_j of a matrix potential, analytic gradients.
-
-    ``value`` and ``gradient`` drive Verlet, ``shares`` weights the Gibbs
-    sampler and ``field_data`` feeds the fields.
-    """
+    """Bare surfaces lambda_j of a matrix potential, analytic gradients."""
 
     def __init__(self, v_pot, gap_tol=potential.GAP_TOL):
         self.v_pot = v_pot
         self.d = v_pot.d
         self.gap_tol = gap_tol
 
-    def _eig(self, x):
-        return potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
+    def at(self, x, j, fields=True):
+        """Surface j at x from one ``evaluate_parts``, ``deriv`` and
+        ``eigendecompose``; lam_n and pp are None unless ``fields``."""
+        v, parts = self.v_pot.evaluate_parts(x)
+        eig = potential.eigendecompose(v, self.gap_tol)
+        dv = self.v_pot.deriv(x)
+        lam_n = pp = None
+        if fields:
+            lam_n = potential.shares_from_parts(parts, eig.psi)[:, j]
+            pp = potential.per_particle_gradients_all(self.v_pot, x, parts,
+                                                      dv, eig, j)
+        return SurfacePoint(lam_n, potential.surface_gradient(dv, eig, j), pp,
+                            float(eig.lambdas[j]))
 
     def value(self, x, j):
-        return float(self._eig(x).lambdas[j])
+        return self.at(x, j, fields=False).value
 
     def gradient(self, x, j):
-        return potential.surface_gradient(self.v_pot, x, self._eig(x), j)
+        return self.at(x, j, fields=False).grad
 
     def shares(self, x):
         """Per-particle shares lambda_k^n of every surface, (N, d)."""
@@ -153,11 +170,7 @@ class AdiabaticSurface:
     def field_data(self, x, j):
         """(lam_n, grad, pp) of surface j: the shares lambda_j^n (N,), the
         gradient (N, 3) and the per-particle gradients [n, m, :] (N, N, 3)."""
-        v, parts = self.v_pot.evaluate_parts(x)
-        eig = potential.eigendecompose(v, self.gap_tol)
-        return (potential.shares_from_parts(parts, eig.psi)[:, j],
-                potential.surface_gradient(self.v_pot, x, eig, j),
-                potential.per_particle_gradients_all(self.v_pot, x, eig, j))
+        return self.at(x, j)[:3]
 
 
 class CorrectedSurface:
@@ -166,8 +179,8 @@ class CorrectedSurface:
     The gradient is the analytic Hellmann-Feynman gradient of the bare
     surface plus a central difference of the O(1/M) correction
     lambda_bar_j - lambda_j (6N solves); the correction is smooth and small,
-    so the hybrid keeps full accuracy.  ``field_data`` takes the correction
-    and the per-particle gradients of the shares from the same 6N solves.
+    so the hybrid keeps full accuracy.  ``at`` takes the correction and the
+    per-particle gradients of the shares from the same 6N solves.
     """
 
     # FD noise in the correction breaks exact rigid invariance of the
@@ -188,37 +201,48 @@ class CorrectedSurface:
     def _correction(cs, j):
         return float(cs.lambdas_bar[j]) - float(cs.bare.lambdas[j])
 
-    def value(self, x, j):
+    @classmethod
+    def _value(cls, cs, j):
+        return float(cs.bare.lambdas[j]) + cls._correction(cs, j)
+
+    def _differences(self, x, j):
+        """Central differences of the correction of surface j (entry 0)
+        and of its shares (entries 1..N), (N, 3, 1 + N); 6N solves."""
+        def correction_and_shares(xx):
+            c = self._solve(xx)
+            return np.concatenate(([self._correction(c, j)],
+                                   c.per_particle_bar[:, j]))
+
+        return _central_difference(correction_and_shares, x)
+
+    def at(self, x, j, fields=True):
+        """Surface j at x from 1 + 6N solves, ``fields`` or not."""
+        x = np.asarray(x, dtype=float)
         cs = self._solve(x)
-        return float(cs.bare.lambdas[j]) + self._correction(cs, j)
+        diff = self._differences(x, j)
+        grad = potential.surface_gradient(self.v_pot.deriv(x), cs.bare, j) \
+            + diff[..., 0]
+        return SurfacePoint(cs.per_particle_bar[:, j], grad,
+                            np.moveaxis(diff[..., 1:], 2, 0),  # [n, m, a]
+                            self._value(cs, j))
+
+    def value(self, x, j):
+        return self._value(self._solve(x), j)
 
     def gradient(self, x, j):
+        """The gradient of ``at(x, j)``, bit for bit, from 6N solves."""
         x = np.asarray(x, dtype=float)
         eig = potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
-        return potential.surface_gradient(self.v_pot, x, eig, j) \
-            + _central_difference(
-                lambda xx: self._correction(self._solve(xx), j), x)
+        return potential.surface_gradient(self.v_pot.deriv(x), eig, j) \
+            + self._differences(x, j)[..., 0]
 
     def shares(self, x):
         """Per-particle shares of every corrected surface, (N, d)."""
         return self._solve(x).per_particle_bar
 
     def field_data(self, x, j):
-        """(lam_n, grad, pp) of surface j, as ``AdiabaticSurface.field_data``;
-        1 + 6N solves, and ``grad`` equals ``gradient(x, j)``."""
-        x = np.asarray(x, dtype=float)
-        cs = self._solve(x)
-
-        def correction_and_shares(xx):
-            c = self._solve(xx)
-            return np.concatenate(([self._correction(c, j)],
-                                   c.per_particle_bar[:, j]))
-
-        diff = _central_difference(correction_and_shares, x)  # (N, 3, 1 + N)
-        grad = potential.surface_gradient(self.v_pot, x, cs.bare, j) \
-            + diff[..., 0]
-        pp = np.moveaxis(diff[..., 1:], 2, 0)                 # [n, m, a]
-        return cs.per_particle_bar[:, j], grad, pp
+        """(lam_n, grad, pp), as ``AdiabaticSurface.field_data``."""
+        return self.at(x, j)[:3]
 
 
 class FiniteDifferenceSurface:
@@ -233,22 +257,22 @@ class FiniteDifferenceSurface:
     def gradient(self, x, j):
         return _central_difference(lambda xx: self.f(xx, j), x)
 
+    def at(self, x, j, fields=False):
+        """Value and gradient of surface j at x; a black box has no shares."""
+        return SurfacePoint(None, self.gradient(x, j), None, self.value(x, j))
+
 
 def force(surface_provider, x, j):
     """The force -grad lambda_bar_j(x), shape (N, 3)."""
     return -surface_provider.gradient(x, j)
 
 
-def total_energy(surface_provider, state):
-    kinetic = 0.5 * np.sum(np.sum(state.p ** 2, axis=1) / state.masses)
-    return kinetic + surface_provider.value(state.x, state.surface)
+def verlet_step(at, x, p, m, f, dt):
+    """One velocity-Verlet step of size ``dt`` from (x, p).
 
-
-def verlet_step(surface_provider, x, p, m, f, dt, j):
-    """One velocity-Verlet step of size ``dt`` from (x, p) on surface j.
-
-    ``f`` is the force at x and ``m`` the masses shaped (N, 1); returns the
-    new (x, p) and the force at the new x, which opens the next step.
+    ``f`` is the force at x, ``m`` the masses shaped (N, 1) and ``at(x)``
+    surface data whose entry 1 is the gradient.  Returns the new (x, p)
+    and ``at`` of the new x, whose gradient closes the step.
 
     Raises
     ------
@@ -259,15 +283,15 @@ def verlet_step(surface_provider, x, p, m, f, dt, j):
     x = x + dt * p_half / m
     if np.max(np.abs(x)) > BLOWUP_LIMIT:
         raise BlowUpError("coordinate overflow in a Verlet step")
-    f = force(surface_provider, x, j)
-    return x, p_half + 0.5 * dt * f, f
+    point = at(x)
+    return x, p_half - 0.5 * dt * point[1], point
 
 
 def integrate(initial, dt, steps, surface_provider):
     """Velocity-Verlet trajectory of ``steps`` uniform steps of size ``dt``.
 
-    One force evaluation per step; the closing force of a step is reused to
-    open the next.
+    One ``surface_provider.at`` per step gives the energy and the force
+    that closes the step and opens the next.
 
     Raises
     ------
@@ -285,14 +309,16 @@ def integrate(initial, dt, steps, surface_provider):
     momenta = np.empty_like(positions)
     energies = np.empty(steps + 1)
     positions[0], momenta[0] = x, p
-    energies[0] = 0.5 * np.sum(p ** 2 / m) \
-        + surface_provider.value(x, j)
-    f = force(surface_provider, x, j)
+
+    def at(xx):
+        return surface_provider.at(xx, j, fields=False)
+
+    point = at(x)
+    energies[0] = 0.5 * np.sum(p ** 2 / m) + point.value
     for s in range(steps):
-        x, p, f = verlet_step(surface_provider, x, p, m, f, dt, j)
+        x, p, point = verlet_step(at, x, p, m, -point.grad, dt)
         positions[s + 1], momenta[s + 1] = x, p
-        energies[s + 1] = 0.5 * np.sum(p ** 2 / m) \
-            + surface_provider.value(x, j)
+        energies[s + 1] = 0.5 * np.sum(p ** 2 / m) + point.value
     return Trajectory(times=times, positions=positions, momenta=momenta,
                       energies=energies, masses=initial.masses.copy(),
                       surface=j, dt=float(dt))

@@ -17,8 +17,8 @@ divergences in the conservation checks are exact.
 
 The per-particle shares lambda^n, the surface gradient and the share
 gradients come from the same surface object that drives the trajectory
-(``dynamics.AdiabaticSurface`` or ``CorrectedSurface``); this module holds
-no surface math.
+(``dynamics.AdiabaticSurface`` or ``CorrectedSurface``), evaluated once per
+configuration; this module holds no surface math.
 
 The heat-flux bond term sums ordered pairs n != m for the power part
 (p^m/M_m).grad_{x^m} lambda^n; its u-part is a single unordered pair sum
@@ -80,6 +80,11 @@ class CorrectedFieldModel(dynamics.CorrectedSurface):
         return self.field_data(x, self.j)
 
 
+def lift_tol(model):
+    """``model.lift_tol``, else ``geometry.LIFT_RESIDUAL_TOL``."""
+    return getattr(model, "lift_tol", geometry.LIFT_RESIDUAL_TOL)
+
+
 def prepare_state(x, p, masses, model):
     """Assemble StateData for one state.
 
@@ -88,10 +93,15 @@ def prepare_state(x, p, masses, model):
     ``dynamics`` surface to its index.
     """
     x = np.asarray(x, dtype=float)
+    return state_data(x, p, masses, model.surface_data(x), lift_tol(model))
+
+
+def state_data(x, p, masses, data, tol):
+    """StateData from surface data (lam_n, grad, pp) evaluated at x."""
+    x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     masses = np.asarray(masses, dtype=float)
-    lam_n, grad, pp = model.surface_data(x)
-    tol = getattr(model, "lift_tol", geometry.LIFT_RESIDUAL_TOL)
+    lam_n, grad, pp = data
     pair_derivs = geometry.lift_gradient_to_distances(x, grad, tol_factor=tol)
     return StateData(x=x, p=p, masses=masses, lam_n=np.asarray(lam_n),
                      pair_derivs=pair_derivs, pp_grads=pp)
@@ -226,12 +236,19 @@ def velocity_field(source, mol, y):
         Where the ensemble density falls below RHO_FLOOR.
     """
     single = np.asarray(y).ndim == 1
-    mean, _ = _mean_raw(_as_ensembles(source), mol, y)
-    rho = mean["rho"]
-    if np.any(rho < RHO_FLOOR):
-        raise VacuumProbeError("ensemble density below the vacuum floor")
-    u = mean["mom"] / rho[:, None]
+    _, u = _mean_and_u(source, mol, y)
     return u[0] if single else u
+
+
+def _mean_and_u(source, mol, y, u=None):
+    """Ensemble mean moments at ``y`` and ``u``, by default the ensemble
+    velocity (which raises VacuumProbeError below RHO_FLOOR)."""
+    mean, _ = _mean_raw(_as_ensembles(source), mol, y)
+    if u is not None:
+        return mean, np.atleast_2d(np.asarray(u, dtype=float))
+    if np.any(mean["rho"] < RHO_FLOOR):
+        raise VacuumProbeError("ensemble density below the vacuum floor")
+    return mean, mean["mom"] / mean["rho"][:, None]
 
 
 def _sigma_from_mean(mean, u):
@@ -259,30 +276,14 @@ def _q_from_mean(mean, u):
 def stress_tensor(source, mol, y, u=None):
     """Ensemble stress sigma(y); ``u`` defaults to the ensemble velocity."""
     single = np.asarray(y).ndim == 1
-    mean, _ = _mean_raw(_as_ensembles(source), mol, y)
-    if u is None:
-        rho = mean["rho"]
-        if np.any(rho < RHO_FLOOR):
-            raise VacuumProbeError("ensemble density below the vacuum floor")
-        u = mean["mom"] / rho[:, None]
-    else:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-    sigma = _sigma_from_mean(mean, u)
+    sigma = _sigma_from_mean(*_mean_and_u(source, mol, y, u))
     return sigma[0] if single else sigma
 
 
 def heat_flux(source, mol, y, u=None):
     """Ensemble heat flux q(y); ``u`` defaults to the ensemble velocity."""
     single = np.asarray(y).ndim == 1
-    mean, _ = _mean_raw(_as_ensembles(source), mol, y)
-    if u is None:
-        rho = mean["rho"]
-        if np.any(rho < RHO_FLOOR):
-            raise VacuumProbeError("ensemble density below the vacuum floor")
-        u = mean["mom"] / rho[:, None]
-    else:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-    q = _q_from_mean(mean, u)
+    q = _q_from_mean(*_mean_and_u(source, mol, y, u))
     return q[0] if single else q
 
 
@@ -423,7 +424,7 @@ def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
     ensembles = _as_ensembles(source)
     mean, raws_by_group = _mean_raw(ensembles, mol, probes)
     nq = probes.shape[0]
-    samples = []
+    extra = [{}] * nq
     if mode == "per-trajectory":
         div_mom_flux = np.einsum("qccj->qj",
                                  mean["grad_kin"] - mean["grad_w"])
@@ -431,15 +432,6 @@ def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
                                     mean["grad_t1"] + mean["grad_t2"])
         sigma = -mean["kin"] + mean["w"]
         q = mean["t1"] + mean["t2"]
-        for i in range(nq):
-            samples.append(FieldSample(
-                y=probes[i], rho=float(mean["rho"][i]), mom=mean["mom"][i],
-                energy=float(mean["energy"][i]), sigma=sigma[i], q=q[i],
-                grad_rho=mean["grad_rho"][i], grad_mom=mean["grad_mom"][i],
-                grad_energy=mean["grad_energy"][i],
-                div_mom=float(np.trace(mean["grad_mom"][i])),
-                div_mom_flux=div_mom_flux[i],
-                div_energy_flux=float(div_energy_flux[i])))
     elif mode == "ensemble":
         vacuum = mean["rho"] < RHO_FLOOR
         u = np.zeros((nq, 3))
@@ -452,19 +444,20 @@ def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
         sigma, q, div_mom_flux, div_energy_flux = \
             _canonical_divergences(safe, u)
         err = _stderr(raws_by_group, u)
-        for i in range(nq):
-            samples.append(FieldSample(
-                y=probes[i], rho=float(mean["rho"][i]), mom=mean["mom"][i],
-                energy=float(mean["energy"][i]), sigma=sigma[i], q=q[i],
-                grad_rho=mean["grad_rho"][i], grad_mom=mean["grad_mom"][i],
-                grad_energy=mean["grad_energy"][i],
-                div_mom=float(np.trace(mean["grad_mom"][i])),
-                div_mom_flux=div_mom_flux[i],
-                div_energy_flux=float(div_energy_flux[i]),
-                u=u[i], vacuum=bool(vacuum[i]),
-                stderr={k: v[i] for k, v in err.items()}))
+        extra = [{"u": u[i], "vacuum": bool(vacuum[i]),
+                  "stderr": {k: v[i] for k, v in err.items()}}
+                 for i in range(nq)]
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
+    samples = [FieldSample(
+        y=probes[i], rho=float(mean["rho"][i]), mom=mean["mom"][i],
+        energy=float(mean["energy"][i]), sigma=sigma[i], q=q[i],
+        grad_rho=mean["grad_rho"][i], grad_mom=mean["grad_mom"][i],
+        grad_energy=mean["grad_energy"][i],
+        div_mom=float(np.trace(mean["grad_mom"][i])),
+        div_mom_flux=div_mom_flux[i],
+        div_energy_flux=float(div_energy_flux[i]), **extra[i])
+        for i in range(nq)]
     weights = tuple(wt for wt, _ in ensembles)
     return ProbeGrid(points=probes, samples=samples, mode=mode,
                      time=float(time), weights=weights, raws=raws_by_group)
@@ -488,13 +481,14 @@ def _stderr(raws_by_group, u):
             per_state["q"].append(_q_from_mean(raw, u))
             weights.append(wt / nst)
     weights = np.asarray(weights)
-    out = {}
-    for key, vals in per_state.items():
-        vals = np.stack(vals)                      # (S, Q, ...)
-        shape = (len(weights),) + (1,) * (vals.ndim - 1)
-        wview = weights.reshape(shape)
-        mean = np.sum(wview * vals, axis=0)
-        # weighted-mean variance: sum w_i^2 (x_i - mean)^2
-        var = np.sum(wview ** 2 * (vals - mean) ** 2, axis=0)
-        out[key] = np.sqrt(var)
-    return out
+    return {key: np.sqrt(weighted_mean_variance(weights, vals))
+            for key, vals in per_state.items()}
+
+
+def weighted_mean_variance(weights, vals):
+    """sum_i w_i^2 (x_i - mean)^2, the variance of the weighted mean of the
+    per-state values ``vals`` (a list of S arrays) with weights (S,)."""
+    vals = np.stack(vals)                      # (S, Q, ...)
+    wview = weights.reshape((len(weights),) + (1,) * (vals.ndim - 1))
+    mean = np.sum(wview * vals, axis=0)
+    return np.sum(wview ** 2 * (vals - mean) ** 2, axis=0)

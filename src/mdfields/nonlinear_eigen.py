@@ -95,7 +95,7 @@ def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
                 f"nonlinear eigen residual {resid:.3e} exceeds {bound:.3e}")
     elif method == "continuation":
         lam, psi = _solve_continuation(v, dv, eig, mass)
-        dpsi = potential._psi_derivatives(dv, lam, psi)
+        dpsi = potential.eigenvector_derivatives(dv, lam, psi)
         resid = _residual(v, lam, psi, dpsi, mass)
     else:
         raise InvalidParameterError(f"unknown method {method!r}")
@@ -112,13 +112,13 @@ def _solve_fixed_point(v, dv, eig, mass, max_iter, tol):
         # grad Psi from the perturbation formula against the current
         # effective matrix; the x-derivative of the O(1/M) part is dropped,
         # consistent to the order of the correction
-        dpsi = potential._psi_derivatives(dv, lam, psi)
+        dpsi = potential.eigenvector_derivatives(dv, lam, psi)
         b = psi @ _gram(dpsi) @ psi.T
         new = potential.eigendecompose(v + b / (4.0 * mass))
         delta = np.max(np.abs(new.lambdas - lam))
         lam, psi = new.lambdas, new.psi
         if delta <= tol:
-            dpsi = potential._psi_derivatives(dv, lam, psi)
+            dpsi = potential.eigenvector_derivatives(dv, lam, psi)
             return lam, psi, dpsi
     raise NoConvergenceError(
         f"no fixed point after {max_iter} iterations; "
@@ -134,7 +134,7 @@ def _solve_continuation(v, dv, eig, mass):
     """
 
     def rate(lam, psi):
-        dpsi = potential._psi_derivatives(dv, lam, psi)
+        dpsi = potential.eigenvector_derivatives(dv, lam, psi)
         g = _gram(dpsi)
         d = len(lam)
         denom = lam[None, :] - lam[:, None]  # lam_k - lam_l at (l, k)
@@ -166,5 +166,5 @@ def corrected_partition(cs, v_pot, x):
     """
     x = np.asarray(x, dtype=float)
     dv = v_pot.deriv(x)
-    dpsi = potential._psi_derivatives(dv, cs.lambdas_bar, cs.psi_bar)
+    dpsi = potential.eigenvector_derivatives(dv, cs.lambdas_bar, cs.psi_bar)
     return _partition(v_pot.evaluate_parts(x)[1], cs.psi_bar, dpsi, cs.mass)

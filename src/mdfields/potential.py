@@ -18,9 +18,9 @@ at once:
 - ``part_deriv_all``: all dV^n/dx^m, (N, N, 3, d, d): half of ``deriv``
   on the diagonal, and off it the single pair term that couples n and m.
 
-``part`` and ``part_deriv`` are views of one row of these.  The share
-partition and the per-particle gradients are single einsums over the
-stacked parts, with no loop over particles.
+``part`` is a view of one row of ``evaluate_parts``.  The share partition
+and the per-particle gradients are single einsums over the stacked parts,
+with no loop over particles.
 """
 
 from dataclasses import dataclass
@@ -176,33 +176,14 @@ class SumPair(PairFunction):
 # ---------------------------------------------------------------------------
 # matrix potentials
 
-class MatrixPotential:
-    """Interface: Hermitian d x d potential of an (N, 3) configuration.
+class PairSumPotential:
+    """V(x) = sum over pairs of a fixed symmetric matrix of pair functions.
 
+    A Hermitian d x d potential of an (N, 3) configuration.
     ``evaluate_parts`` returns V together with every per-particle part V^n,
     shaped ``(N, d, d)``.  ``deriv`` returns all coordinate derivatives of V
     at once, shaped ``(N, 3, d, d)``; ``part_deriv_all`` those of every V^n,
     shaped ``(N, N, 3, d, d)`` and indexed [n, m, c].
-    """
-
-    d = 1
-    n_particles = 0
-
-    def evaluate(self, x):
-        raise NotImplementedError
-
-    def evaluate_parts(self, x):
-        raise NotImplementedError
-
-    def deriv(self, x):
-        raise NotImplementedError
-
-    def part_deriv_all(self, x):
-        raise NotImplementedError
-
-
-class PairSumPotential(MatrixPotential):
-    """V(x) = sum over pairs of a fixed symmetric matrix of pair functions.
 
     ``n_particles`` is fixed: every method takes an ``(n_particles, 3)``
     configuration.
@@ -314,9 +295,6 @@ class PairSumPotential(MatrixPotential):
         out[diag, diag] = 0.5 * (self._sign @ terms)
         return out.reshape(n, n, 3, d, d)
 
-    def part_deriv(self, x, n):
-        return self.part_deriv_all(x)[n]
-
 
 def make_scalar_pair_model(pair, n_particles):
     """Scalar (d=1) potential V(x) = sum over pairs of ``pair``."""
@@ -387,22 +365,14 @@ def surface_partition(v_pot, x, eig):
     return shares_from_parts(v_pot.evaluate_parts(x)[1], eig.psi)
 
 
-def eigenvector_derivatives(v_pot, x, eig):
-    """All coordinate derivatives of the eigenvector matrix, (N, 3, d, d).
-
-    Column k of each (d, d) slice is the derivative of psi_k with the
-    psi_k-component removed (the normalization gauge).
-    """
-    dv = v_pot.deriv(x)  # (N, 3, d, d)
-    return _psi_derivatives(dv, eig.lambdas, eig.psi)
-
-
-def _psi_derivatives(dv, lam, psi):
+def eigenvector_derivatives(dv, lam, psi):
     """First-order eigenvector derivatives for derivative matrices ``dv``.
 
-    ``dv`` has shape (..., d, d).  Returns the same leading shape.  Uses the
-    perturbation formula d psi_k = sum_{l != k} psi_l <psi_l|dV|psi_k> /
-    (lambda_k - lambda_l).
+    ``dv`` has shape (..., d, d), e.g. ``v_pot.deriv(x)``.  Returns the same
+    leading shape.  Uses the perturbation formula d psi_k = sum_{l != k}
+    psi_l <psi_l|dV|psi_k> / (lambda_k - lambda_l): column k of each (d, d)
+    slice is the derivative of psi_k with the psi_k-component removed (the
+    normalization gauge).
     """
     d = len(lam)
     if d == 1:
@@ -415,23 +385,21 @@ def _psi_derivatives(dv, lam, psi):
     return np.einsum("il,...lk->...ik", psi, coef)
 
 
-def surface_gradient(v_pot, x, eig, k):
-    """Hellmann-Feynman gradient of lambda_k, shape (N, 3)."""
-    dv = v_pot.deriv(x)
+def surface_gradient(dv, eig, k):
+    """Hellmann-Feynman gradient of lambda_k, shape (N, 3), from the
+    derivatives ``dv`` = ``v_pot.deriv(x)``."""
     return np.real(np.einsum("i,ncij,j->nc",
                              eig.psi[:, k].conj(), dv, eig.psi[:, k]))
 
 
-def per_particle_gradient(v_pot, x, eig, k, n):
-    """Configuration gradient of lambda_k^n, shape (N, 3)."""
-    return per_particle_gradients_all(v_pot, x, eig, k)[n]
+def per_particle_gradients_all(v_pot, x, parts, dv, eig, k):
+    """grad_{x^m} lambda_k^n for all (n, m), shape (N, N, 3).
 
-
-def per_particle_gradients_all(v_pot, x, eig, k):
-    """grad_{x^m} lambda_k^n for all (n, m), shape (N, N, 3)."""
-    _, parts = v_pot.evaluate_parts(x)
+    ``parts`` and ``dv`` are ``v_pot.evaluate_parts(x)[1]`` and
+    ``v_pot.deriv(x)``, which the caller already holds.
+    """
     dparts = v_pot.part_deriv_all(x)  # (N, N, 3, d, d)
-    dpsi_k = eigenvector_derivatives(v_pot, x, eig)[..., k]  # (N, 3, d)
+    dpsi_k = eigenvector_derivatives(dv, eig.lambdas, eig.psi)[..., k]
     psi_k = eig.psi[:, k]
     term1 = np.real(np.einsum("i,nmcij,j->nmc", psi_k.conj(), dparts, psi_k))
     # (d_i psi_k)* V^n psi_k + psi_k* V^n (d_i psi_k) = 2 Re(psi_k* V^n d_i psi_k)

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
-from mdfields import conservation, dynamics, fields, geometry, potential
+from mdfields import (conservation, dynamics, fields, geometry,
+                      nonlinear_eigen, potential)
+from mdfields.errors import InvalidParameterError
 from mdfields.mollifier import Mollifier
 
 
@@ -99,18 +102,21 @@ class TestPerTrajectory:
             assert 1.5 <= rep.richardson_order[law] <= 2.5
 
     def test_central_state_shared_by_richardson(self, monkeypatch):
-        # tau is prepared and its force taken once; each of dt and dt/2
-        # adds the raw moments and the closing force of two Verlet steps
+        # tau is prepared and the provider's force taken once; each of dt
+        # and dt/2 adds the raw moments of two Verlet steps, each closed by
+        # the model's surface data, which the fields reuse
         _, provider, model = harmonic_setup(2)
         st = pair_states(1, np.random.default_rng(4))[0]
         raws = count_calls(monkeypatch, fields, "_raw_fields")
         grads = count_calls(monkeypatch, provider, "gradient")
+        data = count_calls(monkeypatch, model, "surface_data")
         conservation.per_trajectory_residuals(
             st, provider, model, Mollifier(0.8),
             np.array([[0.5, 0.0, 0.0], [0.3, 0.1, 0.0]]), 1e-4,
             richardson=True)
         assert len(raws) == 5
-        assert len(grads) == 5
+        assert len(grads) == 1
+        assert len(data) == 5
 
     def test_steps_match_integrate(self):
         # the tau -/+ dt states are bit for bit one integrate step from
@@ -118,7 +124,7 @@ class TestPerTrajectory:
         _, provider, model = harmonic_setup(2)
         st = pair_states(1, np.random.default_rng(5))[0]
         f = dynamics.force(provider, st.x, st.surface)
-        sm, sp = conservation._neighbours(st, provider, model, f, 1e-3)
+        sm, sp = conservation._neighbours(st, model, f, 1e-3)
         fwd = dynamics.integrate(st, 1e-3, 1, provider).state(1)
         back = dynamics.integrate(
             dynamics.PhaseState(x=st.x, p=-st.p, masses=st.masses),
@@ -209,15 +215,80 @@ class TestCanonical:
     def test_raw_moments_computed_once_per_state(self, monkeypatch):
         # the field grids and the stderr pass share one set of per-state
         # raw moments: 3 evaluations per state (tau - dt, tau, tau + dt);
-        # one force at tau opens both Verlet steps: 3 gradients per state
+        # one provider force at tau opens both Verlet steps, and the
+        # model's surface data at tau - dt and tau + dt closes them
         _, provider, model = harmonic_setup(2)
         states = pair_states(5, np.random.default_rng(6))
         calls = count_calls(monkeypatch, fields, "_raw_fields")
         grads = count_calls(monkeypatch, provider, "gradient")
+        data = count_calls(monkeypatch, model, "surface_data")
         conservation.canonical_residuals(
             [(0.4, states[:2], provider, model),
              (0.6, states[2:], provider, model)],
             Mollifier(0.8), np.array([[0.5, 0.0, 0.0]]), 1e-4,
             richardson=False)
         assert len(calls) == 3 * len(states)
-        assert len(grads) == 3 * len(states)
+        assert len(grads) == len(states)
+        assert len(data) == 3 * len(states)
+
+
+MASS = 1.0e3
+
+
+def two_state_states(n, count, rng, masses=1.0):
+    """Well-separated states of the two-state model on surface 0."""
+    base = np.array([[0.0, 0.0, 0.0], [1.1, 0.1, 0.0],
+                     [0.2, 1.0, 0.2], [1.0, 1.1, 0.9]])[:n]
+    v = potential.make_two_state_model(
+        potential.Morse(1.0, 1.2, 1.0), 0.8,
+        potential.GaussianCoupling(0.15, 1.3, 0.6), n)
+    states = [dynamics.PhaseState(
+        x=base + rng.normal(scale=0.05, size=(n, 3)),
+        p=rng.normal(scale=0.05, size=(n, 3)), masses=np.full(n, masses))
+        for _ in range(count)]
+    return v, states
+
+
+class TestCorrectedCanonical:
+    def test_solves_per_state(self, monkeypatch):
+        # N = 4: one provider gradient at tau (6N = 24 solves) and the
+        # model's surface data at tau and tau -/+ dt (3 x (1 + 6N) = 75)
+        n = 4
+        v, states = two_state_states(n, 2, np.random.default_rng(7), MASS)
+        provider = dynamics.CorrectedSurface(v, MASS)
+        model = fields.CorrectedFieldModel(v, 0, MASS)
+        solves = count_calls(monkeypatch, nonlinear_eigen,
+                             "solve_nonlinear_eigen")
+        grads = count_calls(monkeypatch, provider, "gradient")
+        data = count_calls(monkeypatch, model, "surface_data")
+        conservation.canonical_residuals(
+            [(1.0, states, provider, model)], Mollifier(0.9),
+            np.array([[0.6, 0.6, 0.4]]), 1e-4, richardson=False)
+        assert len(grads) == len(states)
+        assert len(data) == 3 * len(states)
+        assert len(solves) == 99 * len(states)
+
+
+class TestSurfaceMismatch:
+    """The provider opens the Verlet steps and the model closes them, so
+    the two must describe one surface."""
+
+    def check(self, provider, model, states):
+        with pytest.raises(InvalidParameterError):
+            conservation.canonical_residuals(
+                [(1.0, states, provider, model)], Mollifier(0.9),
+                np.array([[0.6, 0.6, 0.4]]), 1e-4, richardson=False)
+        with pytest.raises(InvalidParameterError):
+            conservation.per_trajectory_residuals(
+                states[0], provider, model, Mollifier(0.9),
+                np.array([[0.6, 0.6, 0.4]]), 1e-4, richardson=False)
+
+    def test_model_on_another_surface(self):
+        v, states = two_state_states(4, 2, np.random.default_rng(8))
+        self.check(dynamics.AdiabaticSurface(v),
+                   fields.AdiabaticFieldModel(v, 1), states)
+
+    def test_provider_with_another_mass(self):
+        v, states = two_state_states(2, 1, np.random.default_rng(9), MASS)
+        self.check(dynamics.CorrectedSurface(v, 2.0 * MASS),
+                   fields.CorrectedFieldModel(v, 0, MASS), states)

@@ -323,3 +323,86 @@ class TestFieldGrid:
         assert "q_3_err" in data.dtype.names
         np.testing.assert_allclose(
             data["rho"], [s.rho for s in grid.samples], rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# physical invariances of the ensemble fields
+
+MASSES = np.array([1.0, 2.0, 1.5, 0.7])
+BASE = np.array([[0.0, 0.0, 0.0], [1.1, 0.1, 0.0],
+                 [0.2, 1.0, 0.2], [1.0, 1.1, 0.9]])
+INVARIANCE_MODELS = {
+    "harmonic": lambda: potential.make_scalar_pair_model(
+        potential.Harmonic(1.0, 1.0), 4),
+    "two_state": lambda: potential.make_two_state_model(
+        potential.Morse(1.0, 1.2, 1.0), 0.8,
+        potential.GaussianCoupling(0.15, 1.3, 0.6), 4),
+}
+RTOL = 1e-12
+SAMPLE_FIELDS = ("rho", "mom", "energy", "sigma", "q", "grad_rho",
+                 "grad_mom", "grad_energy", "div_mom", "div_mom_flux",
+                 "div_energy_flux", "u")
+
+
+def ensemble_configs(seed, count=5):
+    rng = np.random.default_rng(seed)
+    return [(BASE + rng.normal(scale=0.1, size=BASE.shape),
+             rng.normal(scale=0.3, size=BASE.shape)) for _ in range(count)]
+
+
+def ensemble_grid(model, configs, masses=MASSES):
+    probes = np.random.default_rng(0).uniform(0.0, 1.0, size=(8, 3))
+    states = [fields.prepare_state(x, p, masses, model) for x, p in configs]
+    return fields.field_grid([(1.0, states)], Mollifier(0.9), probes,
+                             mode="ensemble")
+
+
+def assert_field_close(new, old, what):
+    """Normwise: |new - old| <= RTOL * max |old|."""
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    scale = np.max(np.abs(old))
+    assert np.max(np.abs(new - old)) <= RTOL * scale, what
+
+
+def stacked(grid, key):
+    return np.array([getattr(s, key) for s in grid.samples])
+
+
+@pytest.mark.parametrize("kind", sorted(INVARIANCE_MODELS))
+class TestInvariance:
+    def test_permutation(self, kind):
+        # relabelling the particles of every state changes no field, no
+        # divergence and no standard error
+        model = fields.AdiabaticFieldModel(INVARIANCE_MODELS[kind](), 0)
+        configs = ensemble_configs(21)
+        perm = np.array([2, 0, 3, 1])
+        grid = ensemble_grid(model, configs)
+        moved = ensemble_grid(model, [(x[perm], p[perm])
+                                      for x, p in configs], MASSES[perm])
+        assert not any(s.vacuum for s in grid.samples)
+        for key in SAMPLE_FIELDS:
+            assert_field_close(stacked(moved, key), stacked(grid, key), key)
+        for key in grid.samples[0].stderr:
+            assert_field_close([s.stderr[key] for s in moved.samples],
+                               [s.stderr[key] for s in grid.samples],
+                               f"stderr {key}")
+
+    def test_galilean_boost(self, kind):
+        # p^n -> p^n + M_n U shifts u by U and leaves the peculiar
+        # velocities, hence sigma, unchanged.  q is unchanged when the
+        # shares are pair-additive (the scalar model): there the share
+        # gradients of each pair lie along the pair.  The two-state shares
+        # mix pairs through the eigenvectors, so the bond power term does
+        # not cancel the W u term and q moves with the boost.
+        model = fields.AdiabaticFieldModel(INVARIANCE_MODELS[kind](), 0)
+        configs = ensemble_configs(22)
+        boost = np.array([0.3, -0.2, 0.5])
+        grid = ensemble_grid(model, configs)
+        moved = ensemble_grid(model, [(x, p + MASSES[:, None] * boost)
+                                      for x, p in configs])
+        assert_field_close(stacked(moved, "u"), stacked(grid, "u") + boost,
+                           "u")
+        assert_field_close(stacked(moved, "sigma"), stacked(grid, "sigma"),
+                           "sigma")
+        if kind == "harmonic":
+            assert_field_close(stacked(moved, "q"), stacked(grid, "q"), "q")

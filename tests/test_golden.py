@@ -9,12 +9,20 @@ The files under ``tests/golden/`` hold:
   a four-particle two-state model, bare and with ``mass_parameter``;
 - ``run_md_mass.csv``: a 20-step mass-corrected ``run-md`` trajectory;
 - ``canonical.json``: a tiny canonical report (N = 2, 16 states,
-  mass-corrected) with its central ensemble field grid.
+  mass-corrected) with its ensemble field grids at tau (with stderr) and
+  at tau - dt_check and tau + dt_check;
+- ``egorov.json`` and ``commutator.json``: the ``egorov`` and
+  ``commutator-check`` CLI outputs on the configs of the cli-md-quantum
+  benchmark workload (``QUANTUM``).
 
 Tolerances:
 
 - field values match at rtol 1e-12, taken normwise per column:
   |new - golden| <= 1e-12 * max |golden column|;
+- every number of the quantum JSON outputs matches at rtol 1e-12, normwise
+  per list.  The commutator's ``abs_op_norm``, ``rel_op_norm`` and
+  ``rel_packet_norm`` are roundoff, so a change that reorders the
+  split-step arithmetic regenerates them;
 - residuals are central differences over 2 dt_check, so they amplify the
   roundoff of the fields.  They match within
   C_ULP * (ulp(max |F|) / (2 dt_check) + ulp(max |div F|)) per law, with F
@@ -67,6 +75,22 @@ PARTICLES = {
                 [0.1, 0.0, -0.05], [-0.12, 0.06, -0.07]],
     "masses": 1.0,
 }
+PARTICLE_CFG = {"model": TWO_STATE, "particles": PARTICLES, "seed": 5}
+# the egorov and commutator-check configs of the cli-md-quantum workload,
+# with the commutator observable's random coefficients fixed
+BOX = {"x0": -2.0 * np.pi, "length": 4.0 * np.pi}
+QUANTUM = {
+    "egorov": ("egorov.json", {
+        "grid": BOX, "potential": {"a0": 1.0, "cos": [[1, -1.0]]},
+        "observable": [{"cos": [[1, 0.5]]}, {"const": 0.3}, {"const": 1.0}],
+        "masses": [100.0, 1000.0, 10000.0], "t_final": 1.0,
+        "packet": {"x0": 0.4, "p0": 0.5}, "seed": 5}),
+    "commutator-check": ("commutator.json", {
+        "grid": dict(BOX, n=256),
+        "potential": {"a0": 1.0, "cos": [[1, -1.0]]},
+        "observable": [{"a0": 0.3, "cos": [[1, 0.4]]}, {"const": 0.2}],
+        "mass": 1000.0, "seed": 5}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +119,7 @@ def traj_conserve():
     rep = conservation.per_trajectory_residuals(
         st, provider, model, mol, probes, dt_check, richardson=True)
     sc, f = conservation._central(st, provider, model)
-    sm, sp = conservation._neighbours(st, provider, model, f, dt_check)
+    sm, sp = conservation._neighbours(st, model, f, dt_check)
     grids = [_grid_dict(fields.field_grid(s, mol, probes))
              for s in (sm, sc, sp)]
     return {"dt_check": dt_check, "grids": grids,
@@ -125,6 +149,13 @@ def canonical():
     groups = [g for g in groups if g[1]]
     rep = conservation.canonical_residuals(groups, mol, probes, dt_check,
                                            richardson=False)
+    minus, plus = [], []
+    for wt, sts, provider, model in groups:
+        pairs = [conservation._neighbours(
+            s, model, dynamics.force(provider, s.x, s.surface), dt_check)
+            for s in sts]
+        minus.append((wt, [sm for sm, _ in pairs]))
+        plus.append((wt, [sp for _, sp in pairs]))
     central = fields.field_grid(
         [(wt, [fields.prepare_state(s.x, s.p, s.masses, model)
                for s in sts]) for wt, sts, _, model in groups],
@@ -138,8 +169,11 @@ def canonical():
                 "stderr_mom": rep.stderr_mom.tolist(),
                 "stderr_energy": rep.stderr_energy.tolist(),
                 "masked": rep.masked.tolist()})
+    neighbours = [_grid_dict(fields.field_grid(ens, mol, probes,
+                                               mode="ensemble"))
+                  for ens in (minus, plus)]
     return {"dt_check": dt_check, "q_weights": qw.q.tolist(),
-            "grid": grid, "report": out}
+            "grid": grid, "neighbours": neighbours, "report": out}
 
 
 def _report_dict(rep):
@@ -150,14 +184,12 @@ def _report_dict(rep):
     return out
 
 
-def _run_cli(tmp_dir, sub, output, **extra):
-    """Run a CLI subcommand on the two-state particles; the output file.
+def _run_cli(tmp_dir, sub, output, cfg):
+    """Run a CLI subcommand on ``cfg``; the output file.
 
     The output directory goes through the environment, so the config, and
-    with it the hash stamped on the CSV, does not depend on ``tmp_dir``.
+    with it the hash stamped on the output, does not depend on ``tmp_dir``.
     """
-    cfg = {"model": TWO_STATE, "particles": PARTICLES, "seed": 5}
-    cfg.update(extra)
     path = os.path.join(str(tmp_dir), "config.json")
     with open(path, "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
@@ -173,13 +205,20 @@ def fields_csv(tmp_dir, mass_parameter=None):
                         "spacing": [0.45, 0.5, 0.45], "shape": [3, 3, 2]}}
     if mass_parameter is not None:
         extra["mass_parameter"] = mass_parameter
-    return _run_cli(tmp_dir, "fields", "fields.csv", **extra).decode()
+    return _run_cli(tmp_dir, "fields", "fields.csv",
+                    dict(PARTICLE_CFG, **extra)).decode()
 
 
 def run_md_csv(tmp_dir):
     return _run_cli(tmp_dir, "run-md", "trajectory.csv",
-                    dynamics={"dt": 1e-3, "steps": 20, "surface": 0,
-                              "mass_parameter": MASS})
+                    dict(PARTICLE_CFG,
+                         dynamics={"dt": 1e-3, "steps": 20, "surface": 0,
+                                   "mass_parameter": MASS}))
+
+
+def quantum_json(tmp_dir, sub):
+    """``egorov.json`` or ``commutator.json`` of a QUANTUM config."""
+    return _run_cli(tmp_dir, sub, QUANTUM[sub][0], QUANTUM[sub][1]).decode()
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +277,18 @@ def assert_report_close(new, old, grids, dt_check):
             err = abs(new["richardson_order"][law]
                       - old["richardson_order"][law])
             assert err <= tol, f"order {law}: difference {err:.3e}"
+
+
+def assert_numbers_close(new, old, what):
+    """Equal keys, strings and flags; numbers within assert_field_close."""
+    if isinstance(old, dict):
+        assert sorted(new) == sorted(old), what
+        for k in old:
+            assert_numbers_close(new[k], old[k], f"{what} {k}")
+    elif isinstance(old, (str, bool)):
+        assert new == old, what
+    else:
+        assert_field_close(np.atleast_1d(new), np.atleast_1d(old), what)
 
 
 def _parse_csv(text):
@@ -305,6 +356,18 @@ def test_canonical_corrected():
         assert_field_close(new[f"stderr_{law}"], old[f"stderr_{law}"],
                            f"stderr_{law}")
     assert_report_close(new, old, [want["grid"]], want["dt_check"])
+    for got_grid, want_grid, when in zip(got["neighbours"],
+                                         want["neighbours"],
+                                         ("minus", "plus")):
+        for k in FIELD_KEYS:
+            assert_field_close(got_grid[k], want_grid[k], f"{when} {k}")
+
+
+@pytest.mark.parametrize("sub", sorted(QUANTUM))
+def test_quantum_cli(tmp_path, sub):
+    name = QUANTUM[sub][0]
+    assert_numbers_close(json.loads(quantum_json(tmp_path, sub)),
+                         _golden_json(name), name)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +390,9 @@ def regenerate():
                            ("fields_mass.csv", fields_csv(tmp, MASS))):
             with open(os.path.join(GOLDEN, name), "w") as fh:
                 fh.write(text)
+        for sub, (name, _) in QUANTUM.items():
+            with open(os.path.join(GOLDEN, name), "w") as fh:
+                fh.write(quantum_json(tmp, sub))
         with open(os.path.join(GOLDEN, "run_md_mass.csv"), "wb") as fh:
             fh.write(run_md_csv(tmp))
 

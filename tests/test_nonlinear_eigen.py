@@ -137,7 +137,7 @@ class TestPartition:
         h = 1e-5
         psi0 = cs.psi_bar
         b = psi0 @ nonlinear_eigen._gram(
-            potential._psi_derivatives(v.deriv(x), cs.lambdas_bar, psi0)
+            potential.eigenvector_derivatives(v.deriv(x), cs.lambdas_bar, psi0)
         ) @ psi0.T
         eff0 = v.evaluate(x) + b / (4.0 * mass)
 

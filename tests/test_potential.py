@@ -166,7 +166,7 @@ class TestPairSumPotential:
         v = two_state(4)
         h = 1e-6
         for part_n in range(4):
-            dvn = v.part_deriv(x, part_n)
+            dvn = v.part_deriv_all(x)[part_n]
             for n in range(4):
                 for a in range(3):
                     xp = x.copy(); xp[n, a] += h
@@ -210,7 +210,7 @@ class TestPairSumPotential:
         rng = np.random.default_rng(7)
         x = random_config(5, rng)
         v = two_state(5)
-        total = sum(v.part_deriv(x, n) for n in range(5))
+        total = sum(v.part_deriv_all(x)[n] for n in range(5))
         np.testing.assert_allclose(total, v.deriv(x), atol=1e-13)
 
 
@@ -303,7 +303,7 @@ class TestEigenDerivatives:
         eig = potential.eigendecompose(v.evaluate(x))
         h = 1e-6
         for k in range(2):
-            g = potential.surface_gradient(v, x, eig, k)
+            g = potential.surface_gradient(v.deriv(x), eig, k)
             for n in range(4):
                 for a in range(3):
                     xp = x.copy(); xp[n, a] += h
@@ -317,7 +317,8 @@ class TestEigenDerivatives:
         x = random_config(3, rng)
         v = two_state(3)
         eig = potential.eigendecompose(v.evaluate(x))
-        dpsi = potential.eigenvector_derivatives(v, x, eig)
+        dpsi = potential.eigenvector_derivatives(v.deriv(x), eig.lambdas,
+                                                 eig.psi)
         h = 1e-5
         for n in range(3):
             for a in range(3):
@@ -343,7 +344,8 @@ class TestEigenDerivatives:
         x = random_config(4, rng)
         v = two_state(4)
         eig = potential.eigendecompose(v.evaluate(x))
-        dpsi = potential.eigenvector_derivatives(v, x, eig)
+        dpsi = potential.eigenvector_derivatives(v.deriv(x), eig.lambdas,
+                                                 eig.psi)
         for k in range(2):
             overlap = np.einsum("i,nci->nc",
                                 eig.psi[:, k], dpsi[:, :, :, k])
@@ -354,10 +356,12 @@ class TestEigenDerivatives:
         x = random_config(4, rng)
         v = two_state(4)
         eig = potential.eigendecompose(v.evaluate(x))
+        parts, dv = v.evaluate_parts(x)[1], v.deriv(x)
         for k in range(2):
-            allg = potential.per_particle_gradients_all(v, x, eig, k)
+            allg = potential.per_particle_gradients_all(v, x, parts, dv, eig,
+                                                        k)
             np.testing.assert_allclose(
-                allg.sum(axis=0), potential.surface_gradient(v, x, eig, k),
+                allg.sum(axis=0), potential.surface_gradient(dv, eig, k),
                 atol=1e-10)
 
     def test_per_particle_gradient_matches_fd(self):
@@ -367,7 +371,8 @@ class TestEigenDerivatives:
         eig = potential.eigendecompose(v.evaluate(x))
         h = 1e-5
         k, part_n = 0, 1
-        g = potential.per_particle_gradient(v, x, eig, k, part_n)
+        g = potential.per_particle_gradients_all(
+            v, x, v.evaluate_parts(x)[1], v.deriv(x), eig, k)[part_n]
 
         def share(xx):
             e = potential.eigendecompose(v.evaluate(xx))

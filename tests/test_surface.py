@@ -118,21 +118,86 @@ class TestCorrected:
         assert len(calls) == 2
 
 
+def count_calls(monkeypatch, targets):
+    """Wrap each (owner, name) of ``targets``; the dict of call counts.
+
+    ``solve_nonlinear_eigen`` is counted too, and calls made inside it are
+    not."""
+    counts = {}
+    depth = [0]
+    solve = nonlinear_eigen.solve_nonlinear_eigen
+
+    def solving(*args, **kwargs):
+        if not depth[0]:
+            counts["solve"] = counts.get("solve", 0) + 1
+        depth[0] += 1
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(nonlinear_eigen, "solve_nonlinear_eigen", solving)
+    for owner, name in targets:
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            if not depth[0]:
+                counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def pair_sums(v_pot):
+    return [(v_pot, "evaluate"), (v_pot, "evaluate_parts"),
+            (v_pot, "deriv"), (potential, "eigendecompose")]
+
+
 def test_shares_one_pass(monkeypatch):
     """The sampler's hot path: one evaluate_parts, one eigendecompose and
     one shares_from_parts per call."""
     surf = make_surface("bare")
-    counts = {}
-    for owner, name in ((surf.v_pot, "evaluate_parts"),
-                        (potential, "eigendecompose"),
-                        (potential, "shares_from_parts")):
-        fn = getattr(owner, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
+    counts = count_calls(monkeypatch, ((surf.v_pot, "evaluate_parts"),
+                                       (potential, "eigendecompose"),
+                                       (potential, "shares_from_parts")))
     surf.shares(config(6))
     assert counts == {"evaluate_parts": 1, "eigendecompose": 1,
                       "shares_from_parts": 1}
+
+
+def test_field_data_one_pass(monkeypatch):
+    """Bare field data: one evaluate_parts, one deriv and one
+    eigendecompose, shared by the gradient and the share gradients."""
+    surf = make_surface("bare")
+    counts = count_calls(monkeypatch, pair_sums(surf.v_pot))
+    surf.field_data(config(7), 1)
+    assert counts == {"evaluate_parts": 1, "deriv": 1, "eigendecompose": 1}
+
+
+def moving_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return dynamics.PhaseState(x=config(seed)[:n],
+                               p=rng.normal(scale=0.05, size=(n, 3)),
+                               masses=np.full(n, MASS))
+
+
+def test_bare_integrate_one_evaluation_per_step(monkeypatch):
+    # the energy and the next force come from one record per configuration
+    surf = make_surface("bare")
+    counts = count_calls(monkeypatch, pair_sums(surf.v_pot))
+    steps = 3
+    dynamics.integrate(moving_state(4, 8), 1e-3, steps, surf)
+    assert counts == {"evaluate_parts": steps + 1, "deriv": steps + 1,
+                      "eigendecompose": steps + 1}
+
+
+def test_corrected_integrate_only_solves(monkeypatch):
+    # 1 + 6N solves per configuration and nothing besides them: the bare
+    # gradient reads the eigendata of the solve at x
+    n, steps = 2, 2
+    surf = make_surface("corrected", n)
+    counts = count_calls(monkeypatch, pair_sums(surf.v_pot))
+    dynamics.integrate(moving_state(n, 9), 1e-3, steps, surf)
+    assert counts == {"solve": (1 + 6 * n) * (steps + 1),
+                      "deriv": steps + 1}
