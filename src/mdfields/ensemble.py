@@ -251,20 +251,24 @@ class GibbsSampler:
     def _tune_step(self, x, j, rng, step):
         n_prop = BURN_IN_FACTOR * x.shape[0]
         logd = self.log_x_density(x, j)
-        accepted = window_acc = 0
+        # the step is tuned on displacement proposals only
+        moves = accepted = window_acc = 0
         cap = self.container.max_step()
-        for i in range(n_prop):
-            x, logd, ok = self._displace(x, j, rng, step, logd)
+        for _ in range(n_prop):
+            x, logd, ok = self._move(x, j, rng, step, logd)
+            if ok is None:
+                continue
+            moves += 1
             accepted += ok
             window_acc += ok
-            if (i + 1) % TUNE_INTERVAL == 0:
+            if moves % TUNE_INTERVAL == 0:
                 rate = window_acc / TUNE_INTERVAL
                 if rate < ACCEPT_LO:
                     step *= 0.7
                 elif rate > ACCEPT_HI:
                     step = min(step * 1.4, cap)
                 window_acc = 0
-        rate = accepted / n_prop
+        rate = accepted / moves
         # a high rate with the step at the container's cap is the size of
         # the container, not a badly tuned chain: there is no longer step
         at_cap = rate > WARN_HI and step >= cap
@@ -273,6 +277,18 @@ class GibbsSampler:
                           f"[{WARN_LO}, {WARN_HI}] after tuning",
                           RuntimeWarning)
         return x, logd, step
+
+    def _move(self, x, j, rng, step, logd):
+        """One proposal of the sampling mix, used by burn-in and sampling.
+
+        With gcmc a number move with probability 1/2, else a displacement;
+        fixed-N chains draw no extra random number.  The flag is the
+        displacement's acceptance, None after a number move.
+        """
+        if self.gcmc and rng.random() < 0.5:
+            x, logd, _ = self._number_move(x, j, rng, logd)
+            return x, logd, None
+        return self._displace(x, j, rng, step, logd)
 
     def _displace(self, x, j, rng, step, logd):
         prop = self.container.wrap(x + rng.normal(scale=step, size=x.shape))
@@ -327,10 +343,7 @@ class GibbsSampler:
         produced = 0
         while produced < n_samples:
             for _ in range(thin):
-                if self.gcmc and rng.random() < 0.5:
-                    x, logd, _ = self._number_move(x, j, rng, logd)
-                else:
-                    x, logd, _ = self._displace(x, j, rng, step, logd)
+                x, logd, _ = self._move(x, j, rng, step, logd)
             if collect is not None:
                 stats.append(collect(x))
             else:
@@ -491,18 +504,22 @@ def _estimate_rho_e(spec, surfaces, masses, container, mol, n_samples, seed):
 
 def match_thermo(rho0, rho_u0, e0, spec_template, surfaces, masses,
                  container, mol=None, n_samples=100_000, seed=0,
-                 rel_tol=0.02, max_iter=40, search_samples=None):
+                 rel_tol=0.02, max_iter=40):
     """Match (T, mu, u0) so the ensemble reproduces the target fields.
 
-    Outer bisection-secant on mu for the mass density, inner on T for the
-    internal energy; u0 is set directly from rho_u0 / rho0.  Estimates use
-    common random numbers (the same seed at every evaluation), which makes
-    the root-finds stable against Monte Carlo noise.
+    Damped Newton steps on (mu, T) for the mass and internal energy
+    densities, with the Jacobian from the chain's grand-canonical
+    fluctuations, starting at T = spec_template.T and the ideal-gas mu of
+    rho0 there; u0 is set directly from rho_u0 / rho0.  Every estimate runs
+    n_samples with common random numbers (the same seed at every
+    evaluation), which keeps the iteration stable against Monte Carlo noise.
 
     Raises
     ------
     UnattainableTargetError
-        If bracketing fails over mu in [-50 T, 50 T] or T in [1e-3, 1e3].
+        If the targets are not positive, the Jacobian is singular, a step
+        leaves T in [1e-3, 1e3], or rho and e are not within rel_tol after
+        max_iter steps.
     """
     if rho0 <= 0:
         raise UnattainableTargetError("target density must be positive")
@@ -510,95 +527,36 @@ def match_thermo(rho0, rho_u0, e0, spec_template, surfaces, masses,
     e_int_target = e0 - 0.5 * rho0 * float(u0 @ u0)
     if e_int_target <= 0:
         raise UnattainableTargetError("internal energy target must be > 0")
-    if search_samples is None:
-        search_samples = max(n_samples // 5, 1000)
-
-    def estimate(mu, t, count=search_samples):
+    m = float(masses[0])
+    t = float(spec_template.T)
+    # the ideal gas of log_x_density: rho / m = e^{m mu / T} (2 pi m T)^1.5
+    mu = t / m * (np.log(rho0 / m) - 1.5 * np.log(2.0 * np.pi * m * t))
+    target = np.array([rho0, e_int_target])
+    for it in range(max_iter + 1):
         spec = GibbsSpec(T=t, mu=mu, u0=u0, probe=spec_template.probe,
                          eta_floor=spec_template.eta_floor,
                          mode=spec_template.mode)
-        return spec, _estimate_rho_e(spec, surfaces, masses, container,
-                                     mol, count, seed)
-
-    def inner_t(mu):
-        # energy density is increasing in T at fixed mu for these models
-        def f(t):
-            _, (_, e, _) = estimate(mu, t)
-            return e - e_int_target
-        return _bracket_root(f, 1e-3, 1e3, e_int_target, rel_tol, max_iter,
-                             log_space=True)
-
-    t_ref = spec_template.T
-    lo, hi = -50.0 * t_ref, 50.0 * t_ref
-
-    def g(mu):
-        t = inner_t(mu)
-        _, (rho, _, _) = estimate(mu, t)
-        return rho - rho0
-
-    mu = _bracket_root(g, lo, hi, rho0, rel_tol, max_iter)
-    t = inner_t(mu)
-    # polish at the full sample count: damped Newton steps using the
-    # fluctuation Jacobian measured on the same chain
-    spec, (rho, e_int, jac) = estimate(mu, t, count=n_samples)
-    converged = False
-    for _ in range(10):
-        ok_rho = abs(rho - rho0) <= rel_tol * rho0
-        ok_e = abs(e_int - e_int_target) <= rel_tol * e_int_target
-        if ok_rho and ok_e:
-            converged = True
+        rho, e_int, jac = _estimate_rho_e(spec, surfaces, masses, container,
+                                          mol, n_samples, seed)
+        resid = np.array([rho, e_int]) - target
+        if np.all(np.abs(resid) <= rel_tol * target):
             break
-        resid = np.array([rho - rho0, e_int - e_int_target])
+        if it == max_iter:
+            raise UnattainableTargetError(
+                f"rho and e not within {rel_tol} after {max_iter} steps")
         try:
             step = np.linalg.solve(jac, resid)
-        except np.linalg.LinAlgError:
-            break
-        mu = mu - 0.7 * step[0]
-        t = float(np.clip(t - 0.7 * step[1], 1e-3, 1e3))
-        spec, (rho, e_int, jac) = estimate(mu, t, count=n_samples)
-    if not converged:
-        raise UnattainableTargetError(
-            "full-sample polish did not reach the requested tolerance")
+        except np.linalg.LinAlgError as exc:
+            raise UnattainableTargetError(
+                "singular fluctuation Jacobian") from exc
+        mu -= 0.7 * step[0]
+        t -= 0.7 * step[1]
+        if not 1e-3 <= t <= 1e3:
+            raise UnattainableTargetError(
+                f"temperature step to {t:.3g} leaves [1e-3, 1e3]")
     achieved = {"rho": rho, "rho_u": list(rho * u0),
                 "E": e_int + 0.5 * rho0 * float(u0 @ u0)}
     return spec, achieved
-
-
-class _Converged(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-def _bracket_root(f, lo, hi, scale, rel_tol, max_iter, log_space=False):
-    """Brent root-find, stopping once |f| <= rel_tol * scale."""
-    from scipy.optimize import brentq
-
-    if log_space:
-        lo, hi = np.log(lo), np.log(hi)
-
-    def fx(v):
-        arg = float(np.exp(v)) if log_space else float(v)
-        r = f(arg)
-        if abs(r) <= rel_tol * scale:
-            raise _Converged(arg)
-        return r
-
-    try:
-        flo, fhi = fx(lo), fx(hi)
-        if flo * fhi > 0:
-            raise UnattainableTargetError(
-                "target not bracketed by the search interval")
-        # xtol keeps the iteration count bounded when Monte Carlo noise
-        # prevents |f| from dipping below the early-exit tolerance; the
-        # full-sample polish afterwards owns the final accuracy
-        root = brentq(fx, lo, hi, maxiter=max(max_iter, 60),
-                      xtol=1e-4 * (hi - lo))
-        return float(np.exp(root)) if log_space else float(root)
-    except _Converged as c:
-        return c.value
-    except RuntimeError as exc:
-        raise UnattainableTargetError(
-            f"root search did not reach tolerance: {exc}") from exc
 
 
 def matched_spec_to_json(spec, weights, achieved, stderr=None):

@@ -62,4 +62,4 @@ class InsufficientOverlapError(PhysicsError):
 
 
 class UnattainableTargetError(PhysicsError):
-    """Thermodynamic matching could not bracket the requested target."""
+    """Thermodynamic matching could not reach the requested target."""

@@ -268,7 +268,7 @@ def test_criterion_8_gibbs_matching():
     spec, achieved = _quiet(
         ensemble.match_thermo, n0, np.zeros(3), e0, template,
         ensemble.ZeroSurfaces(), np.ones(1), box, n_samples=100_000,
-        seed=23, rel_tol=0.01, search_samples=10_000)
+        seed=23, rel_tol=0.01)
     ok = abs(spec.mu - mu_exact) <= 0.02 * abs(mu_exact)
     ok = ok and abs(achieved["E"] - e0) <= 0.02 * e0
     ok = ok and abs(achieved["rho"] - n0) <= 0.02 * n0

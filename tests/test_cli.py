@@ -150,9 +150,9 @@ class TestConserveCheck:
         assert code == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGibbsFit:
     def test_ideal_gas_fit(self, tmp_path):
-        import warnings
         cfg = {
             "container": {"lo": 0.0, "hi": 3.0},
             "targets": {"rho": 1.0, "rho_u": [0.0, 0.0, 0.0], "E": 1.2},
@@ -162,9 +162,7 @@ class TestGibbsFit:
             "seed": 5,
             "output_dir": str(tmp_path),
         }
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = cli.main(["gibbs-fit", write_config(tmp_path, cfg)])
+        code = cli.main(["gibbs-fit", write_config(tmp_path, cfg)])
         assert code == 0
         rec = json.loads((tmp_path / "gibbs.json").read_text())
         assert abs(rec["achieved"]["rho"] - 1.0) <= 0.02

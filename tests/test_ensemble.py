@@ -163,6 +163,21 @@ class TestSampling:
         expected = n_target * box.volume
         assert abs(mean_n - expected) <= 0.04 * expected
 
+    def test_gcmc_burn_in_equilibrates_count(self):
+        # criterion 8's state point, <N> = 32.4, from a one-particle start:
+        # the burn-in's number moves bring N to <N> before the first sample
+        temp, n_target = 0.75, 1.2
+        mu = temp * np.log(n_target * (2.0 * np.pi * temp) ** -1.5)
+        box = ensemble.BoxContainer(0.0, 3.0)
+        sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=temp, mu=mu),
+                                        ensemble.ZeroSurfaces(), np.ones(1),
+                                        box, gcmc=True)
+        expected = n_target * box.volume
+        for seed in range(1, 6):
+            first = sampler.run_chain(0, 1, seed,
+                                      collect=lambda x: x.shape[0])[0]
+            assert abs(first - expected) <= 5.0 * np.sqrt(expected), seed
+
     def test_gcmc_requires_uniform_mode(self):
         spec = ensemble.GibbsSpec(T=1.0, mode="local-mollified")
         box = ensemble.BoxContainer(0.0, 1.0)
@@ -277,8 +292,22 @@ class TestSurfaceWeights:
                                      np.ones(1), box, "guess")
 
 
+@pytest.fixture
+def chain_runs(monkeypatch):
+    """One entry per GibbsSampler.run_chain call: its arguments."""
+    calls = []
+    run_chain = ensemble.GibbsSampler.run_chain
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return run_chain(self, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble.GibbsSampler, "run_chain", counted)
+    return calls
+
+
 class TestMatchThermo:
-    def test_ideal_gas_targets(self):
+    def test_ideal_gas_targets(self, chain_runs):
         # closed forms: mu = T ln(n (2 pi T M)^{-3/2}), E = (3/2) n T
         n0, t0 = 1.2, 0.8
         u0 = np.array([0.3, 0.0, 0.0])
@@ -289,13 +318,33 @@ class TestMatchThermo:
         spec, achieved = quiet(
             ensemble.match_thermo, rho0, rho0 * u0, e0, template,
             ensemble.ZeroSurfaces(), np.ones(1), box,
-            n_samples=30_000, seed=23, search_samples=8000)
+            n_samples=30_000, seed=23)
         assert abs(achieved["rho"] - rho0) <= 0.02 * rho0
         assert abs(achieved["E"] - e0) <= 0.02 * e0
         np.testing.assert_allclose(spec.u0, u0, atol=1e-12)
         assert abs(spec.T - t0) <= 0.05 * t0
         mu_exact = t0 * np.log(n0 * (2.0 * np.pi * t0) ** -1.5)
         assert abs(spec.mu - mu_exact) <= 0.08 * abs(mu_exact)
+        assert len(chain_runs) <= 10
+
+    def test_temperature_out_of_range(self, chain_runs):
+        # e0 = 1.5e4 rho0 needs T near 1e4, beyond the [1e-3, 1e3] range
+        rho0 = 1.2
+        box = ensemble.BoxContainer(0.0, 3.0)
+        with pytest.raises(UnattainableTargetError, match="leaves"):
+            quiet(ensemble.match_thermo, rho0, np.zeros(3), 1.5e4 * rho0,
+                  ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(),
+                  np.ones(1), box, n_samples=30_000, seed=23)
+        assert 1 <= len(chain_runs) <= 2
+
+    def test_step_budget(self, chain_runs):
+        # T = 1 gives E = 1.5 n, 25 % above the T = 0.8 target; no steps
+        box = ensemble.BoxContainer(0.0, 3.0)
+        with pytest.raises(UnattainableTargetError, match="after 0 steps"):
+            quiet(ensemble.match_thermo, 1.2, np.zeros(3), 1.5 * 1.2 * 0.8,
+                  ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(),
+                  np.ones(1), box, n_samples=2000, seed=23, max_iter=0)
+        assert len(chain_runs) == 1
 
     def test_unattainable_target(self):
         template = ensemble.GibbsSpec(T=1.0)

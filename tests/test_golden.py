@@ -13,14 +13,16 @@ The files under ``tests/golden/`` hold:
   at tau - dt_check and tau + dt_check;
 - ``egorov.json`` and ``commutator.json``: the ``egorov`` and
   ``commutator-check`` CLI outputs on the configs of the cli-md-quantum
-  benchmark workload (``QUANTUM``).
+  benchmark workload (``QUANTUM``);
+- ``gibbs.json``: the ``gibbs-fit`` CLI output on the ideal-gas config of
+  acceptance criterion 9 (``GIBBS``).
 
 Tolerances:
 
 - field values match at rtol 1e-12, taken normwise per column:
   |new - golden| <= 1e-12 * max |golden column|;
-- every number of the quantum JSON outputs matches at rtol 1e-12, normwise
-  per list.  The commutator's ``abs_op_norm``, ``rel_op_norm`` and
+- every number of the quantum and gibbs-fit JSON outputs matches at rtol
+  1e-12, normwise per list.  The commutator's ``abs_op_norm``, ``rel_op_norm`` and
   ``rel_packet_norm`` are roundoff, so a change that reorders the
   split-step arithmetic regenerates them;
 - residuals are central differences over 2 dt_check, so they amplify the
@@ -91,6 +93,10 @@ QUANTUM = {
         "observable": [{"a0": 0.3, "cos": [[1, 0.4]]}, {"const": 0.2}],
         "mass": 1000.0, "seed": 5}),
 }
+GIBBS = {"container": {"lo": 0.0, "hi": 3.0},
+         "targets": {"rho": 1.0, "rho_u": [0.0, 0.0, 0.0], "E": 1.2},
+         "temperature_guess": 1.0, "mass": 1.0, "n_samples": 20_000,
+         "seed": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,10 @@ def run_md_csv(tmp_dir):
 def quantum_json(tmp_dir, sub):
     """``egorov.json`` or ``commutator.json`` of a QUANTUM config."""
     return _run_cli(tmp_dir, sub, QUANTUM[sub][0], QUANTUM[sub][1]).decode()
+
+
+def gibbs_json(tmp_dir):
+    return _run_cli(tmp_dir, "gibbs-fit", "gibbs.json", GIBBS).decode()
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +380,11 @@ def test_quantum_cli(tmp_path, sub):
                          _golden_json(name), name)
 
 
+def test_gibbs_fit(tmp_path):
+    assert_numbers_close(json.loads(gibbs_json(tmp_path)),
+                         _golden_json("gibbs.json"), "gibbs.json")
+
+
 # ---------------------------------------------------------------------------
 # regeneration
 
@@ -393,6 +408,8 @@ def regenerate():
         for sub, (name, _) in QUANTUM.items():
             with open(os.path.join(GOLDEN, name), "w") as fh:
                 fh.write(quantum_json(tmp, sub))
+        with open(os.path.join(GOLDEN, "gibbs.json"), "w") as fh:
+            fh.write(gibbs_json(tmp))
         with open(os.path.join(GOLDEN, "run_md_mass.csv"), "wb") as fh:
             fh.write(run_md_csv(tmp))
 
