@@ -8,8 +8,6 @@ identity, and samples Gibbs surface weights for a small cluster.
 Run:  python3 demos/corrected_surfaces.py
 """
 
-import warnings
-
 import numpy as np
 
 from mdfields import ensemble, geometry, nonlinear_eigen, potential
@@ -55,10 +53,8 @@ print(f"solver residual norm:        {cs.residual_norm:.3e}")
 box = ensemble.BoxContainer(0.0, 1.8)
 spec = ensemble.GibbsSpec(T=2.0)
 shares = ensemble.AdiabaticShares(v_pot)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    qw = ensemble.surface_weights(spec, shares, np.full(n, 1e3), box,
-                                  "reweighting", n_samples=2000, seed=2)
+qw = ensemble.surface_weights(spec, shares, np.full(n, 1e3), box,
+                              "reweighting", n_samples=2000, seed=2)
 print(f"\nsurface weights at T = {spec.T}: q = {np.round(qw.q, 4)} "
       f"(stderr {np.round(qw.stderr, 5)})")
 print("the upper surface sits one gap higher, so its weight is "

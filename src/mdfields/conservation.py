@@ -11,7 +11,6 @@ gradient of its surface data at tau +/- dt_check, which the fields read
 anyway; so every configuration is evaluated once.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -43,27 +42,19 @@ class ResidualReport:
     stderr_mom: np.ndarray = None
     stderr_energy: np.ndarray = None
 
-    def _active(self, arr):
-        return arr[~self.masked]
+    def _norms(self, norm):
+        if np.all(self.masked):
+            return {"mass": 0.0, "mom": 0.0, "energy": 0.0}
+        keep = ~self.masked
+        return {law: float(norm(r[keep])) for law, r in (
+            ("mass", self.r_mass), ("mom", self.r_mom),
+            ("energy", self.r_energy))}
 
     def max_norms(self):
-        if np.all(self.masked):
-            return {"mass": 0.0, "mom": 0.0, "energy": 0.0}
-        return {
-            "mass": float(np.max(np.abs(self._active(self.r_mass)))),
-            "mom": float(np.max(np.abs(self._active(self.r_mom)))),
-            "energy": float(np.max(np.abs(self._active(self.r_energy)))),
-        }
+        return self._norms(lambda r: np.max(np.abs(r)))
 
     def rms_norms(self):
-        if np.all(self.masked):
-            return {"mass": 0.0, "mom": 0.0, "energy": 0.0}
-        return {
-            "mass": float(np.sqrt(np.mean(self._active(self.r_mass) ** 2))),
-            "mom": float(np.sqrt(np.mean(self._active(self.r_mom) ** 2))),
-            "energy": float(
-                np.sqrt(np.mean(self._active(self.r_energy) ** 2))),
-        }
+        return self._norms(lambda r: np.sqrt(np.mean(r ** 2)))
 
     def relative_max(self):
         """Max residual of each law divided by its field scale."""
@@ -93,22 +84,13 @@ class ResidualReport:
     def to_csv(self, path):
         cols = ["y_1", "y_2", "y_3", "masked", "r_mass",
                 "r_mom_1", "r_mom_2", "r_mom_3", "r_energy"]
-        has_err = self.stderr_mass is not None
-        if has_err:
+        blocks = [self.probes, self.masked, self.r_mass, self.r_mom,
+                  self.r_energy]
+        if self.stderr_mass is not None:
             cols += ["stderr_mass", "stderr_mom_1", "stderr_mom_2",
                      "stderr_mom_3", "stderr_energy"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for i in range(len(self.probes)):
-                row = list(self.probes[i]) + [int(self.masked[i]),
-                                              self.r_mass[i]]
-                row += list(self.r_mom[i]) + [self.r_energy[i]]
-                if has_err:
-                    row += [self.stderr_mass[i]] + list(self.stderr_mom[i])
-                    row += [self.stderr_energy[i]]
-                writer.writerow([f"{v:.17g}" if isinstance(v, float)
-                                 else str(v) for v in row])
+            blocks += [self.stderr_mass, self.stderr_mom, self.stderr_energy]
+        fields.write_csv(path, cols, blocks)
 
 
 def _central(state, provider, model):
@@ -149,35 +131,27 @@ def _neighbours(state, model, f, dt_check):
 
 def _residuals(grid_m, grid_c, grid_p, dt):
     """Per-probe residuals of the three laws, and the vacuum mask."""
-    nq = len(grid_c.samples)
-    r_mass = np.empty(nq)
-    r_mom = np.empty((nq, 3))
-    r_energy = np.empty(nq)
-    masked = np.zeros(nq, dtype=bool)
-    for i, (a, c, b) in enumerate(zip(grid_m.samples, grid_c.samples,
-                                      grid_p.samples)):
-        masked[i] = a.vacuum or c.vacuum or b.vacuum
-        r_mass[i] = (b.rho - a.rho) / (2 * dt) + c.div_mom
-        r_mom[i] = (b.mom - a.mom) / (2 * dt) + c.div_mom_flux
-        r_energy[i] = (b.energy - a.energy) / (2 * dt) + c.div_energy_flux
-    return r_mass, r_mom, r_energy, masked
+    return ((grid_p.rho - grid_m.rho) / (2 * dt) + grid_c.div_mom,
+            (grid_p.mom - grid_m.mom) / (2 * dt) + grid_c.div_mom_flux,
+            (grid_p.energy - grid_m.energy) / (2 * dt)
+            + grid_c.div_energy_flux,
+            grid_m.vacuum | grid_c.vacuum | grid_p.vacuum)
 
 
 def _scales(grid_m, grid_c, grid_p, dt_check):
-    """Field scales: the largest magnitude among the two terms of each law."""
-    s_mass = s_mom = s_energy = 0.0
-    for sm, sc, sp in zip(grid_m.samples, grid_c.samples, grid_p.samples):
-        if getattr(sc, "vacuum", False):
-            continue
-        s_mass = max(s_mass, abs(sp.rho - sm.rho) / (2 * dt_check),
-                     abs(sc.div_mom))
-        s_mom = max(s_mom,
-                    np.max(np.abs(sp.mom - sm.mom)) / (2 * dt_check),
-                    np.max(np.abs(sc.div_mom_flux)))
-        s_energy = max(s_energy,
-                       abs(sp.energy - sm.energy) / (2 * dt_check),
-                       abs(sc.div_energy_flux))
-    return {"mass": s_mass, "mom": s_mom, "energy": s_energy}
+    """Field scales: the largest magnitude among the two terms of each law,
+    over the probes that are not vacuum at tau."""
+    ok = ~grid_c.vacuum
+
+    def peak(a):
+        return float(np.max(np.abs(a[ok]), initial=0.0))
+
+    return {"mass": max(peak(grid_p.rho - grid_m.rho) / (2 * dt_check),
+                        peak(grid_c.div_mom)),
+            "mom": max(peak(grid_p.mom - grid_m.mom) / (2 * dt_check),
+                       peak(grid_c.div_mom_flux)),
+            "energy": max(peak(grid_p.energy - grid_m.energy)
+                          / (2 * dt_check), peak(grid_c.div_energy_flux))}
 
 
 def per_trajectory_residuals(state, provider, model, mol, probes, dt_check,
@@ -188,38 +162,8 @@ def per_trajectory_residuals(state, provider, model, mol, probes, dt_check,
     momentum: d mom / dt + div (K - W)
     energy:   d E / dt + div (T1 + T2)
     """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    sc, f = _central(state, provider, model)
-    gc = fields.field_grid(sc, mol, probes, mode="per-trajectory")
-
-    def run(dt):
-        sm, sp = _neighbours(state, model, f, dt)
-        gm = fields.field_grid(sm, mol, probes, mode="per-trajectory")
-        gp = fields.field_grid(sp, mol, probes, mode="per-trajectory")
-        return _residuals(gm, gc, gp, dt) + (_scales(gm, gc, gp, dt),)
-
-    r_mass, r_mom, r_energy, masked, scales = run(dt_check)
-    order = None
-    if richardson:
-        h_mass, h_mom, h_energy, _, _ = run(dt_check / 2.0)
-        order = _richardson(
-            (r_mass, r_mom, r_energy), (h_mass, h_mom, h_energy))
-    return ResidualReport(probes=probes, r_mass=r_mass, r_mom=r_mom,
-                          r_energy=r_energy, masked=masked,
-                          dt_check=float(dt_check), mode="per-trajectory",
-                          scales=scales, richardson_order=order)
-
-
-def _richardson(coarse, fine):
-    out = {}
-    for name, rc, rf in zip(("mass", "mom", "energy"), coarse, fine):
-        a = np.max(np.abs(rc))
-        b = np.max(np.abs(rf))
-        if b == 0.0:
-            out[name] = float("nan")
-        else:
-            out[name] = float(np.log2(a / b))
-    return out
+    return _check([(1.0, [state], provider, model)], mol, probes, dt_check,
+                  richardson, "per-trajectory")
 
 
 def canonical_residuals(groups, mol, probes, dt_check, richardson=True):
@@ -231,74 +175,83 @@ def canonical_residuals(groups, mol, probes, dt_check, richardson=True):
     standard errors combine the Monte Carlo errors of the time-derivative
     and divergence estimators of each law.
     """
+    return _check(groups, mol, probes, dt_check, richardson, "ensemble")
+
+
+def _check(groups, mol, probes, dt_check, richardson, mode):
+    """Residual report of the field grids of ``mode`` on ``groups``."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    centres = []
-    for _, states, provider, model in groups:
-        if not states:
-            raise InvalidParameterError("empty ensemble group")
-        centres.append([_central(s, provider, model) for s in states])
+    centres = [[_central(s, provider, model) for s in states]
+               for _, states, provider, model in groups]
     gc = fields.field_grid(
         [(weight, [sd for sd, _ in cs])
          for (weight, *_), cs in zip(groups, centres)],
-        mol, probes, mode="ensemble")
+        mol, probes, mode=mode)
 
-    def run(dt):
+    def neighbours(dt):
+        """Field grids at tau - dt and tau + dt."""
         ens_m, ens_p = [], []
         for (weight, states, _, model), cs in zip(groups, centres):
             pairs = [_neighbours(s, model, f, dt)
                      for s, (_, f) in zip(states, cs)]
             ens_m.append((weight, [sm for sm, _ in pairs]))
             ens_p.append((weight, [sp for _, sp in pairs]))
-        gm = fields.field_grid(ens_m, mol, probes, mode="ensemble")
-        gp = fields.field_grid(ens_p, mol, probes, mode="ensemble")
-        r_mass, r_mom, r_energy, masked = _residuals(gm, gc, gp, dt)
-        err = _canonical_stderr(gm.raws, gc.raws, gp.raws, dt)
-        scales = _scales(gm, gc, gp, dt)
-        return r_mass, r_mom, r_energy, masked, err, scales
+        return (fields.field_grid(ens_m, mol, probes, mode=mode),
+                fields.field_grid(ens_p, mol, probes, mode=mode))
 
-    r_mass, r_mom, r_energy, masked, err, scales = run(dt_check)
+    gm, gp = neighbours(dt_check)
+    r_mass, r_mom, r_energy, masked = _residuals(gm, gc, gp, dt_check)
+    scales = _scales(gm, gc, gp, dt_check)
+    err = {}
+    if mode == "ensemble":
+        err = _canonical_stderr(gm.raws, gc.raws, gp.raws, dt_check)
     order = None
     if richardson:
-        h_mass, h_mom, h_energy, hmask, _, _ = run(dt_check / 2.0)
+        hm, hp = neighbours(dt_check / 2.0)
+        h_mass, h_mom, h_energy, hmask = _residuals(hm, gc, hp,
+                                                    dt_check / 2.0)
         keep = ~(masked | hmask)
         order = _richardson(
             (r_mass[keep], r_mom[keep], r_energy[keep]),
             (h_mass[keep], h_mom[keep], h_energy[keep]))
-    return ResidualReport(probes=probes, r_mass=r_mass, r_mom=r_mom,
-                          r_energy=r_energy, masked=masked,
-                          dt_check=float(dt_check), mode="canonical",
-                          scales=scales, richardson_order=order,
-                          stderr_mass=err["mass"], stderr_mom=err["mom"],
-                          stderr_energy=err["energy"])
+    return ResidualReport(
+        probes=probes, r_mass=r_mass, r_mom=r_mom, r_energy=r_energy,
+        masked=masked, dt_check=float(dt_check),
+        mode="canonical" if mode == "ensemble" else mode, scales=scales,
+        richardson_order=order,
+        **{f"stderr_{law}": v for law, v in err.items()})
+
+
+def _richardson(coarse, fine):
+    out = {}
+    for name, rc, rf in zip(("mass", "mom", "energy"), coarse, fine):
+        a = np.max(np.abs(rc), initial=0.0)
+        b = np.max(np.abs(rf), initial=0.0)
+        if b == 0.0:
+            out[name] = float("nan")
+        else:
+            out[name] = float(np.log2(a / b))
+    return out
 
 
 def _canonical_stderr(raws_m, raws_c, raws_p, dt):
     """Combined MC standard errors of each conservation law.
 
-    ``raws_*`` are the per-state raw moments of the three field grids, as
-    (weight, [moments, ...]) groups.  For every member trajectory the
-    central-difference time derivative and the pre-split divergence are
-    single-sample estimates; the canonical residual is exactly their
-    weighted mean, so the law's standard error is the quadrature sum of
-    both terms' standard errors.
+    ``raws_*`` are the per-state stacks (w, moments) of the three field
+    grids.  For every member trajectory the central-difference time
+    derivative and the pre-split divergence are single-sample estimates;
+    the canonical residual is exactly their weighted mean, so the law's
+    standard error is the quadrature sum of both terms' standard errors.
     """
-    dt_terms = {"mass": [], "mom": [], "energy": []}
-    dv_terms = {"mass": [], "mom": [], "energy": []}
-    wlist = []
-    for (wt, sm), (_, sc), (_, sp) in zip(raws_m, raws_c, raws_p):
-        nst = len(sc)
-        for ga, gc, gb in zip(sm, sc, sp):
-            dt_terms["mass"].append((gb["rho"] - ga["rho"]) / (2 * dt))
-            dt_terms["mom"].append((gb["mom"] - ga["mom"]) / (2 * dt))
-            dt_terms["energy"].append(
-                (gb["energy"] - ga["energy"]) / (2 * dt))
-            dv_terms["mass"].append(np.einsum("qcc->q", gc["grad_mom"]))
-            dv_terms["mom"].append(np.einsum(
-                "qccj->qj", gc["grad_kin"] - gc["grad_w"]))
-            dv_terms["energy"].append(np.einsum(
-                "qcc->q", gc["grad_t1"] + gc["grad_t2"]))
-            wlist.append(wt / nst)
-    w = np.asarray(wlist)
+    (_, mm), (w, mc), (_, mp) = raws_m, raws_c, raws_p
+    dt_terms = {"mass": (mp["rho"] - mm["rho"]) / (2 * dt),
+                "mom": (mp["mom"] - mm["mom"]) / (2 * dt),
+                "energy": (mp["energy"] - mm["energy"]) / (2 * dt)}
+    dv_terms = {"mass": np.einsum("...cc->...", mc["grad_mom"]),
+                "mom": np.einsum("...ccj->...j",
+                                 mc["grad_kin"] - mc["grad_w"]),
+                "energy": np.einsum("...cc->...",
+                                    mc["grad_t1"] + mc["grad_t2"])}
     return {key: np.sqrt(fields.weighted_mean_variance(w, dt_terms[key])
                          + fields.weighted_mean_variance(w, dv_terms[key]))
             for key in dt_terms}

@@ -231,8 +231,7 @@ class GibbsSampler:
             e = float(np.sum(self.surfaces.shares(x)[:, j])
                       + np.sum(self.container.particle_energy(x)))
             return -e / spec.T + x.shape[0] * self._per_particle_const
-        m = self.masses[:x.shape[0]] if x.shape[0] <= len(self.masses) \
-            else np.full(x.shape[0], self.masses[0])
+        m = self._masses(x.shape[0])
         w = particle_weights(spec, x, self.mol)
         lam = self.surfaces.shares(x)[:, j] + self.container.particle_energy(x)
         val = -np.sum(w * (lam - m * spec.mu)) / spec.T
@@ -240,9 +239,14 @@ class GibbsSampler:
         val += 1.5 * np.sum(np.log(2.0 * np.pi * m * spec.T / w))
         return float(val)
 
+    def _masses(self, n):
+        """The masses of n particles: the first n given, or the first mass
+        for all of them when particle-number moves have added particles."""
+        return self.masses[:n] if n <= len(self.masses) \
+            else np.full(n, self.masses[0])
+
     def draw_momenta(self, x, rng):
-        m = self.masses[:x.shape[0]] if x.shape[0] <= len(self.masses) \
-            else np.full(x.shape[0], self.masses[0])
+        m = self._masses(x.shape[0])
         w = particle_weights(self.spec, x, self.mol)
         scale = np.sqrt(m * self.spec.T / w)
         return m[:, None] * self.spec.u0[None, :] \
@@ -368,9 +372,9 @@ class GibbsSampler:
                                 thin=thin)
             for x in xs:
                 p = self.draw_momenta(x, rng)
-                m = self.masses[:x.shape[0]] if x.shape[0] <= len(self.masses) \
-                    else np.full(x.shape[0], self.masses[0])
-                out.append(PhaseState(x=x, p=p, masses=m, surface=j))
+                out.append(PhaseState(x=x, p=p,
+                                      masses=self._masses(x.shape[0]),
+                                      surface=j))
         return out
 
 

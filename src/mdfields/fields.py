@@ -24,6 +24,12 @@ The heat-flux bond term sums ordered pairs n != m for the power part
 (p^m/M_m).grad_{x^m} lambda^n; its u-part is a single unordered pair sum
 +sum_j W_{lj} u_j, the orientation that makes the canonical energy law an
 exact algebraic rearrangement of the pre-split one.
+
+Data are arrays with the probe index first.  The raw moments of all states
+are one stack (w, moments): w (S,) weights each state in the ensemble mean,
+moments[k] is (S, Q, ...), and the mean, sigma, q and their standard
+errors are array expressions over it.  ``field_grid`` returns a
+``ProbeGrid`` holding one (Q, ...) array per field.
 """
 
 import csv
@@ -174,26 +180,37 @@ def _raw_fields(sd, mol, probes):
 
 
 def _mean_raw(ensembles, mol, probes):
-    """Weighted ensemble mean of the raw moments.
+    """Weighted ensemble mean of the raw moments, and their per-state stack.
 
     ``ensembles`` is a list of (weight, [StateData, ...]) groups; the group
-    means are combined with the given weights (surface weights q_j*).
-    Accumulation order is fixed, so results are bit-reproducible.
+    means are combined with the given weights (surface weights q_j*).  The
+    stack is (w, moments): w (S,) is each state's weight in the mean, its
+    group weight over the group size, and moments[k] stacks moment k of
+    every state to (S, Q, ...).  Accumulation order is fixed, so results
+    are bit-reproducible.
     """
+    sizes = [len(states) for _, states in ensembles]
+    if not sizes or not all(sizes):
+        raise InvalidParameterError("empty ensemble or ensemble group")
+    states = [sd for _, group in ensembles for sd in group]
+    moments = {}
+    for i, sd in enumerate(states):
+        for k, v in _raw_fields(sd, mol, probes).items():
+            if i == 0:
+                moments[k] = np.empty((len(states),) + v.shape)
+            moments[k][i] = v
+    w = np.repeat([wt / n for (wt, _), n in zip(ensembles, sizes)], sizes)
     total = None
-    raws_by_group = []
-    for weight, states in ensembles:
-        if not states:
-            raise InvalidParameterError("empty ensemble group")
-        raws = [_raw_fields(sd, mol, probes) for sd in states]
-        raws_by_group.append((weight, raws))
-        group = {k: sum(r[k] for r in raws) / len(raws) for k in _RAW_KEYS}
+    start = 0
+    for (weight, _), n in zip(ensembles, sizes):
+        group = {k: sum(moments[k][start:start + n]) / n for k in _RAW_KEYS}
+        start += n
         if total is None:
             total = {k: weight * group[k] for k in _RAW_KEYS}
         else:
             for k in _RAW_KEYS:
                 total[k] = total[k] + weight * group[k]
-    return total, raws_by_group
+    return total, (w, moments)
 
 
 def _as_ensembles(source):
@@ -254,23 +271,23 @@ def _mean_and_u(source, mol, y, u=None):
 def _sigma_from_mean(mean, u):
     # sum_n M_n eta v (x) v = K - u (x) mom - mom (x) u + rho u (x) u
     mvv = mean["kin"] \
-        - u[:, :, None] * mean["mom"][:, None, :] \
-        - mean["mom"][:, :, None] * u[:, None, :] \
-        + mean["rho"][:, None, None] * u[:, :, None] * u[:, None, :]
+        - u[..., :, None] * mean["mom"][..., None, :] \
+        - mean["mom"][..., :, None] * u[..., None, :] \
+        + mean["rho"][..., None, None] * u[..., :, None] * u[..., None, :]
     return -mvv + mean["w"]
 
 
 def _q_from_mean(mean, u):
-    u2 = np.sum(u ** 2, axis=1)
-    mom_u = np.einsum("qj,qj->q", mean["mom"], u)
+    u2 = np.sum(u ** 2, axis=-1)
+    mom_u = np.einsum("...j,...j->...", mean["mom"], u)
     return (mean["t1"]
-            - np.einsum("qlj,qj->ql", mean["kin"], u)
-            - u * mean["energy"][:, None]
-            + u * mom_u[:, None]
-            + mean["mom"] * (0.5 * u2)[:, None]
-            - u * (0.5 * mean["rho"] * u2)[:, None]
+            - np.einsum("...lj,...j->...l", mean["kin"], u)
+            - u * mean["energy"][..., None]
+            + u * mom_u[..., None]
+            + mean["mom"] * (0.5 * u2)[..., None]
+            - u * (0.5 * mean["rho"] * u2)[..., None]
             + mean["t2"]
-            + np.einsum("qlj,qj->ql", mean["w"], u))
+            + np.einsum("...lj,...j->...l", mean["w"], u))
 
 
 def stress_tensor(source, mol, y, u=None):
@@ -291,68 +308,62 @@ def heat_flux(source, mol, y, u=None):
 # probe grids
 
 @dataclass
-class FieldSample:
-    """All fields and divergence data at one probe point."""
-
-    y: np.ndarray
-    rho: float
-    mom: np.ndarray
-    energy: float
-    sigma: np.ndarray
-    q: np.ndarray
-    grad_rho: np.ndarray
-    grad_mom: np.ndarray        # [c, j] = d mom_j / d y_c
-    grad_energy: np.ndarray
-    div_mom: float              # sum_c d mom_c / d y_c
-    div_mom_flux: np.ndarray    # canonical: div(rho u u - sigma); else K - W
-    div_energy_flux: float      # canonical: div(E u + q - sigma u); else T1+T2
-    u: np.ndarray = None
-    vacuum: bool = False
-    stderr: dict = field(default_factory=dict)
-
-
-@dataclass
 class ProbeGrid:
-    """Field samples at the probes.
+    """All fields at the probes, one array per field, probe index first.
 
-    ``raws`` keeps the per-state raw moments the grid was built from, as
-    (weight, [moments of each state]) groups, so callers can form per-state
-    statistics without evaluating them again.
+    Gradients carry the derivative index next: grad_mom[i, c, j] is
+    d mom_j / d y_c at probe i.  ``div_mom_flux`` and ``div_energy_flux``
+    are the canonical div(rho u u - sigma) and div(E u + q - sigma u) in
+    ensemble mode, the pre-split div(K - W) and div(T1 + T2) otherwise.
+    ``vacuum`` flags the probes below RHO_FLOOR (ensemble mode only); an
+    ensemble grid also holds the velocity ``u`` and a ``stderr`` dict of
+    arrays for rho, mom, energy, sigma and q.  ``raws`` keeps the per-state
+    stack (w, moments) the grid was built from, so callers can form
+    per-state statistics without evaluating the moments again.
     """
 
     points: np.ndarray
-    samples: list
     mode: str
+    rho: np.ndarray
+    mom: np.ndarray
+    energy: np.ndarray
+    sigma: np.ndarray
+    q: np.ndarray
+    grad_rho: np.ndarray
+    grad_mom: np.ndarray
+    grad_energy: np.ndarray
+    div_mom: np.ndarray
+    div_mom_flux: np.ndarray
+    div_energy_flux: np.ndarray
+    vacuum: np.ndarray
+    u: np.ndarray = None
+    stderr: dict = None
     time: float = 0.0
-    weights: tuple = (1.0,)
-    raws: list = field(default=None, repr=False)
+    raws: tuple = field(default=None, repr=False)
 
     def to_csv(self, path):
         cols = (["y_1", "y_2", "y_3", "rho", "mom_1", "mom_2", "mom_3", "E"]
                 + [f"sigma_{l + 1}{j + 1}" for l in range(3)
                    for j in range(3)]
                 + ["q_1", "q_2", "q_3"])
-        has_err = self.mode == "ensemble"
-        if has_err:
-            cols += ["rho_err", "mom_1_err", "mom_2_err", "mom_3_err",
-                     "E_err"]
-            cols += [f"sigma_{l + 1}{j + 1}_err" for l in range(3)
-                     for j in range(3)]
-            cols += ["q_1_err", "q_2_err", "q_3_err"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for s in self.samples:
-                row = list(s.y) + [s.rho] + list(s.mom) + [s.energy]
-                row += list(s.sigma.reshape(-1)) + list(s.q)
-                if has_err:
-                    row += [s.stderr.get("rho", 0.0)]
-                    row += list(s.stderr.get("mom", np.zeros(3)))
-                    row += [s.stderr.get("energy", 0.0)]
-                    row += list(s.stderr.get("sigma",
-                                             np.zeros((3, 3))).reshape(-1))
-                    row += list(s.stderr.get("q", np.zeros(3)))
-                writer.writerow([f"{v:.17g}" for v in row])
+        keys = ("rho", "mom", "energy", "sigma", "q")
+        n = len(self.points)
+        blocks = [self.points] + [getattr(self, k).reshape(n, -1)
+                                  for k in keys]
+        if self.mode == "ensemble":
+            cols += [f"{c}_err" for c in cols[3:]]
+            blocks += [self.stderr[k].reshape(n, -1) for k in keys]
+        write_csv(path, cols, blocks)
+
+
+def write_csv(path, header, blocks):
+    """Write the columns of ``blocks`` (arrays with the row index first)
+    under ``header``, every value as %.17g."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.column_stack(blocks):
+            writer.writerow([f"{v:.17g}" for v in row])
 
 
 def _grad_u(mean, u):
@@ -421,10 +432,9 @@ def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
     are flagged, not filled).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    ensembles = _as_ensembles(source)
-    mean, raws_by_group = _mean_raw(ensembles, mol, probes)
+    mean, raws = _mean_raw(_as_ensembles(source), mol, probes)
     nq = probes.shape[0]
-    extra = [{}] * nq
+    extra = {"vacuum": np.zeros(nq, dtype=bool)}
     if mode == "per-trajectory":
         div_mom_flux = np.einsum("qccj->qj",
                                  mean["grad_kin"] - mean["grad_w"])
@@ -443,52 +453,37 @@ def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
         safe["rho"] = np.where(vacuum, 1.0, mean["rho"])
         sigma, q, div_mom_flux, div_energy_flux = \
             _canonical_divergences(safe, u)
-        err = _stderr(raws_by_group, u)
-        extra = [{"u": u[i], "vacuum": bool(vacuum[i]),
-                  "stderr": {k: v[i] for k, v in err.items()}}
-                 for i in range(nq)]
+        extra = {"vacuum": vacuum, "u": u, "stderr": _stderr(raws, u)}
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    samples = [FieldSample(
-        y=probes[i], rho=float(mean["rho"][i]), mom=mean["mom"][i],
-        energy=float(mean["energy"][i]), sigma=sigma[i], q=q[i],
-        grad_rho=mean["grad_rho"][i], grad_mom=mean["grad_mom"][i],
-        grad_energy=mean["grad_energy"][i],
-        div_mom=float(np.trace(mean["grad_mom"][i])),
-        div_mom_flux=div_mom_flux[i],
-        div_energy_flux=float(div_energy_flux[i]), **extra[i])
-        for i in range(nq)]
-    weights = tuple(wt for wt, _ in ensembles)
-    return ProbeGrid(points=probes, samples=samples, mode=mode,
-                     time=float(time), weights=weights, raws=raws_by_group)
+    return ProbeGrid(
+        points=probes, mode=mode, rho=mean["rho"], mom=mean["mom"],
+        energy=mean["energy"], sigma=sigma, q=q, grad_rho=mean["grad_rho"],
+        grad_mom=mean["grad_mom"], grad_energy=mean["grad_energy"],
+        div_mom=np.trace(mean["grad_mom"], axis1=1, axis2=2),
+        div_mom_flux=div_mom_flux, div_energy_flux=div_energy_flux,
+        time=float(time), raws=raws, **extra)
 
 
-def _stderr(raws_by_group, u):
-    """Monte Carlo standard errors of the canonical fields.
+def _stderr(raws, u):
+    """Monte Carlo standard errors of the canonical fields from the
+    per-state stack (w, moments).
 
     Per-state sigma and q contributions are evaluated at the plug-in
     ensemble u; the variance of u itself is not propagated.
     """
-    per_state = {"rho": [], "mom": [], "energy": [], "sigma": [], "q": []}
-    weights = []
-    for wt, raws in raws_by_group:
-        nst = len(raws)
-        for raw in raws:
-            per_state["rho"].append(raw["rho"])
-            per_state["mom"].append(raw["mom"])
-            per_state["energy"].append(raw["energy"])
-            per_state["sigma"].append(_sigma_from_mean(raw, u))
-            per_state["q"].append(_q_from_mean(raw, u))
-            weights.append(wt / nst)
-    weights = np.asarray(weights)
-    return {key: np.sqrt(weighted_mean_variance(weights, vals))
+    w, moments = raws
+    per_state = {"rho": moments["rho"], "mom": moments["mom"],
+                 "energy": moments["energy"],
+                 "sigma": _sigma_from_mean(moments, u),
+                 "q": _q_from_mean(moments, u)}
+    return {key: np.sqrt(weighted_mean_variance(w, vals))
             for key, vals in per_state.items()}
 
 
 def weighted_mean_variance(weights, vals):
     """sum_i w_i^2 (x_i - mean)^2, the variance of the weighted mean of the
-    per-state values ``vals`` (a list of S arrays) with weights (S,)."""
-    vals = np.stack(vals)                      # (S, Q, ...)
-    wview = weights.reshape((len(weights),) + (1,) * (vals.ndim - 1))
+    per-state values ``vals`` (S, Q, ...) with weights (S,)."""
+    wview = weights.reshape(weights.shape + (1,) * (vals.ndim - 1))
     mean = np.sum(wview * vals, axis=0)
     return np.sum(wview ** 2 * (vals - mean) ** 2, axis=0)

@@ -133,12 +133,9 @@ def propagate(psi, v_values, grid, hbar, dt, steps):
 
 def adiabatic_populations(psi, v_values):
     """Populations on the pointwise eigenstates of a 2x2 potential field."""
-    n = v_values.shape[0]
-    pops = np.zeros(2)
-    for i in range(n):
-        _, vec = np.linalg.eigh(v_values[i])
-        amp = vec.conj().T @ psi[i]
-        pops += np.abs(amp) ** 2
+    _, vec = np.linalg.eigh(v_values)
+    amp = np.einsum("nab,na->nb", vec.conj(), psi)
+    pops = np.sum(np.abs(amp) ** 2, axis=0)
     return pops / pops.sum()
 
 
@@ -379,10 +376,8 @@ def off_surface_population(v11, v22, v12, grid, mass, x0_packet, p0_packet,
     v[:, 1, 0] = v[:, 0, 1]
     packet = gaussian_packet(grid, x0_packet, p0_packet,
                              np.sqrt(hbar / 2.0), hbar)
-    psi = np.zeros((grid.n, 2), dtype=complex)
-    for i in range(grid.n):
-        _, vec = np.linalg.eigh(v[i])
-        psi[i] = packet[i] * vec[:, surface]
+    _, vec = np.linalg.eigh(v)
+    psi = packet[:, None] * vec[:, :, surface]
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
     dt = 0.01 * hbar
     steps = int(np.ceil(t_final / dt))

@@ -7,13 +7,15 @@ a shared record list; criterion 4 replays the partition identities over it.
 
 import json
 import time
-import warnings
 
 import numpy as np
+import pytest
 
 from mdfields import (cli, conservation, dynamics, ensemble, fields,
                       geometry, nonlinear_eigen, potential, quantum)
 from mdfields.mollifier import Mollifier
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 L = 4.0 * np.pi
 
@@ -24,14 +26,6 @@ RECORDS = []
 def _report(label, ok):
     print(f"criterion {label}: {'PASS' if ok else 'FAIL'}", flush=True)
     assert ok, f"criterion {label} failed"
-
-
-def _quiet(fn, *args, **kwargs):
-    # ideal-gas chains accept almost every proposal; silence the tuning
-    # warning, which is informational there
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return fn(*args, **kwargs)
 
 
 def _two_state_model(n):
@@ -89,10 +83,10 @@ def test_criterion_2_canonical_conservation():
     spec = ensemble.GibbsSpec(T=2.0)
     shares = ensemble.AdiabaticShares(v_pot)
     masses = np.full(n, mass)
-    qw = _quiet(ensemble.surface_weights, spec, shares, masses, box,
-                "reweighting", n_samples=2000, seed=2)
+    qw = ensemble.surface_weights(spec, shares, masses, box, "reweighting",
+                                  n_samples=2000, seed=2)
     sampler = ensemble.GibbsSampler(spec, shares, masses, box)
-    states = _quiet(sampler.sample, 256, seed=9, weights=qw)
+    states = sampler.sample(256, seed=9, weights=qw)
     for s in states:
         RECORDS.append((v_pot, s.x, mass))
     provider = dynamics.CorrectedSurface(v_pot, mass)
@@ -265,10 +259,9 @@ def test_criterion_8_gibbs_matching():
     mu_exact = t0 * np.log(n0 * (2.0 * np.pi * t0) ** -1.5)
     template = ensemble.GibbsSpec(T=1.0)
     box = ensemble.BoxContainer(0.0, 3.0)
-    spec, achieved = _quiet(
-        ensemble.match_thermo, n0, np.zeros(3), e0, template,
-        ensemble.ZeroSurfaces(), np.ones(1), box, n_samples=100_000,
-        seed=23, rel_tol=0.01)
+    spec, achieved = ensemble.match_thermo(
+        n0, np.zeros(3), e0, template, ensemble.ZeroSurfaces(), np.ones(1),
+        box, n_samples=100_000, seed=23, rel_tol=0.01)
     ok = abs(spec.mu - mu_exact) <= 0.02 * abs(mu_exact)
     ok = ok and abs(achieved["E"] - e0) <= 0.02 * e0
     ok = ok and abs(achieved["rho"] - n0) <= 0.02 * n0
@@ -278,8 +271,8 @@ def test_criterion_8_gibbs_matching():
     unit_box = ensemble.BoxContainer(0.0, 1.0)
     surf = ensemble.ConstantShiftSurfaces([0.0, delta])
     expected = np.exp(-n * delta / temp)
-    wr = _quiet(ensemble.surface_weights, gap_spec, surf, np.ones(n),
-                unit_box, "reweighting", n_samples=5000, seed=29)
+    wr = ensemble.surface_weights(gap_spec, surf, np.ones(n), unit_box,
+                                  "reweighting", n_samples=5000, seed=29)
     ok = ok and abs(wr.q[1] / wr.q[0] - expected) <= 0.02 * expected
     # N = 1 cross-check of the two weight constructions
     h_spec = ensemble.GibbsSpec(T=1.0)
@@ -300,10 +293,10 @@ def test_criterion_9_cli_determinism(tmp_path):
         cfg["output_dir"] = str(out)
         path = tmp_path / f"{subcommand}.json"
         path.write_text(json.dumps(cfg, indent=2))
-        if _quiet(cli.main, [subcommand, str(path)]) != 0:
+        if cli.main([subcommand, str(path)]) != 0:
             return False
         first = {name: (out / name).read_bytes() for name in outputs}
-        if _quiet(cli.main, [subcommand, str(path)]) != 0:
+        if cli.main([subcommand, str(path)]) != 0:
             return False
         return all((out / name).read_bytes() == first[name]
                    for name in outputs)

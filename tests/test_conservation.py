@@ -212,6 +212,32 @@ class TestCanonical:
         assert not rep.masked[0]
         assert rep.masked[1]
 
+    def test_empty_ensemble_rejected(self):
+        _, provider, model = harmonic_setup(2)
+        st = pair_states(1, np.random.default_rng(7))[0]
+        for groups in ([], [(0.5, [st], provider, model),
+                            (0.5, [], provider, model)]):
+            with pytest.raises(InvalidParameterError):
+                conservation.canonical_residuals(
+                    groups, Mollifier(0.8), np.array([[0.5, 0.0, 0.0]]),
+                    1e-4, richardson=False)
+
+    def test_all_vacuum_richardson(self):
+        # with every probe masked there is nothing to extrapolate: the
+        # orders are nan, as for zero residuals, and the norms are zero
+        rng = np.random.default_rng(5)
+        _, provider, model = harmonic_setup(2)
+        st = dynamics.PhaseState(
+            x=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+            p=rng.normal(scale=0.1, size=(2, 3)), masses=np.ones(2))
+        probes = np.array([[30.0, 0.0, 0.0], [0.0, 30.0, 0.0]])
+        rep = conservation.canonical_residuals(
+            [(1.0, [st], provider, model)], Mollifier(0.7), probes, 1e-4,
+            richardson=True)
+        assert np.all(rep.masked)
+        assert rep.max_norms() == {"mass": 0.0, "mom": 0.0, "energy": 0.0}
+        assert all(np.isnan(v) for v in rep.richardson_order.values())
+
     def test_raw_moments_computed_once_per_state(self, monkeypatch):
         # the field grids and the stderr pass share one set of per-state
         # raw moments: 3 evaluations per state (tau - dt, tau, tau + dt);

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,12 +7,7 @@ from mdfields.errors import (InsufficientOverlapError, InvalidParameterError,
                              UnattainableTargetError)
 from mdfields.mollifier import Mollifier
 
-
-def quiet(fn, *args, **kwargs):
-    # ideal-gas chains accept every move; silence the tuning-rate warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return fn(*args, **kwargs)
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestSpecValidation:
@@ -86,7 +79,7 @@ class TestSampling:
         box = ensemble.BoxContainer(0.0, 2.0)
         sampler = ensemble.GibbsSampler(spec, ensemble.ZeroSurfaces(),
                                         np.ones(1), box)
-        xs = quiet(sampler.run_chain, 0, 4000, seed=7)
+        xs = sampler.run_chain(0, 4000, seed=7)
         coords = np.stack(xs).reshape(-1, 3)
         for c in range(3):
             _, p = stats.kstest(coords[:, c], "uniform", args=(0.0, 2.0))
@@ -129,7 +122,7 @@ class TestSampling:
         cont = ensemble.HarmonicContainer(kappa)
         sampler = ensemble.GibbsSampler(spec, ensemble.ZeroSurfaces(),
                                         np.ones(1), cont)
-        xs = quiet(sampler.run_chain, 0, 8000, seed=11, thin=5)
+        xs = sampler.run_chain(0, 8000, seed=11, thin=5)
         coords = np.stack(xs).reshape(-1, 3)
         var = coords.var(axis=0).mean()
         assert abs(var - temp / kappa) <= 0.06 * temp / kappa
@@ -141,7 +134,7 @@ class TestSampling:
             spec, ensemble.ZeroSurfaces(d=2), np.ones(2), box)
         w = ensemble.SurfaceWeights(q=np.array([0.8, 0.2]),
                                     stderr=np.zeros(2))
-        states = quiet(sampler.sample, 400, seed=5, weights=w)
+        states = sampler.sample(400, seed=5, weights=w)
         labels = np.array([s.surface for s in states])
         assert set(labels) == {0, 1}
         frac = (labels == 0).mean()
@@ -157,8 +150,8 @@ class TestSampling:
         box = ensemble.BoxContainer(0.0, vol_side)
         sampler = ensemble.GibbsSampler(spec, ensemble.ZeroSurfaces(),
                                         np.ones(1), box, gcmc=True)
-        counts = quiet(sampler.run_chain, 0, 40_000, seed=13, thin=1,
-                       collect=lambda x: x.shape[0])
+        counts = sampler.run_chain(0, 40_000, seed=13, thin=1,
+                                   collect=lambda x: x.shape[0])
         mean_n = np.mean(counts)
         expected = n_target * box.volume
         assert abs(mean_n - expected) <= 0.04 * expected
@@ -213,9 +206,7 @@ class TestTuneWarning:
             potential.GaussianCoupling(0.15, 1.3, 0.6), 2)
         box = ensemble.BoxContainer(0.0, 1.8)
         x0 = box.draw(np.random.default_rng(0), 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            step = self.tune(ensemble.AdiabaticShares(v), x0, box)
+        step = self.tune(ensemble.AdiabaticShares(v), x0, box)
         assert step == box.max_step()
 
     def test_high_rate_below_cap_warns(self):
@@ -239,8 +230,8 @@ class TestSurfaceWeights:
         box = ensemble.BoxContainer(-1.0, 1.0)
         surf = ensemble.ConstantShiftSurfaces([0.3, 0.3, 0.3])
         for method in ("direct-quadrature", "reweighting"):
-            w = quiet(ensemble.surface_weights, spec, surf, np.ones(1),
-                      box, method, n_samples=2000, n_quad=6)
+            w = ensemble.surface_weights(spec, surf, np.ones(1), box,
+                                         method, n_samples=2000, n_quad=6)
             np.testing.assert_allclose(w.q, 1.0 / 3.0, atol=1e-12)
 
     def test_constant_gap_boltzmann_ratio(self):
@@ -253,8 +244,8 @@ class TestSurfaceWeights:
         wq = ensemble.surface_weights(spec, surf, np.ones(n), box,
                                       "direct-quadrature", n_quad=4)
         assert abs(wq.q[1] / wq.q[0] - expected) <= 0.02 * expected
-        wr = quiet(ensemble.surface_weights, spec, surf, np.ones(n), box,
-                   "reweighting", n_samples=3000)
+        wr = ensemble.surface_weights(spec, surf, np.ones(n), box,
+                                      "reweighting", n_samples=3000)
         assert abs(wr.q[1] / wr.q[0] - expected) <= 0.02 * expected
 
     def test_quadrature_vs_reweighting(self):
@@ -315,10 +306,9 @@ class TestMatchThermo:
         e0 = 1.5 * n0 * t0 + 0.5 * rho0 * float(u0 @ u0)
         template = ensemble.GibbsSpec(T=1.0)
         box = ensemble.BoxContainer(0.0, 3.0)
-        spec, achieved = quiet(
-            ensemble.match_thermo, rho0, rho0 * u0, e0, template,
-            ensemble.ZeroSurfaces(), np.ones(1), box,
-            n_samples=30_000, seed=23)
+        spec, achieved = ensemble.match_thermo(
+            rho0, rho0 * u0, e0, template, ensemble.ZeroSurfaces(),
+            np.ones(1), box, n_samples=30_000, seed=23)
         assert abs(achieved["rho"] - rho0) <= 0.02 * rho0
         assert abs(achieved["E"] - e0) <= 0.02 * e0
         np.testing.assert_allclose(spec.u0, u0, atol=1e-12)
@@ -332,18 +322,20 @@ class TestMatchThermo:
         rho0 = 1.2
         box = ensemble.BoxContainer(0.0, 3.0)
         with pytest.raises(UnattainableTargetError, match="leaves"):
-            quiet(ensemble.match_thermo, rho0, np.zeros(3), 1.5e4 * rho0,
-                  ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(),
-                  np.ones(1), box, n_samples=30_000, seed=23)
+            ensemble.match_thermo(rho0, np.zeros(3), 1.5e4 * rho0,
+                                  ensemble.GibbsSpec(T=1.0),
+                                  ensemble.ZeroSurfaces(), np.ones(1), box,
+                                  n_samples=30_000, seed=23)
         assert 1 <= len(chain_runs) <= 2
 
     def test_step_budget(self, chain_runs):
         # T = 1 gives E = 1.5 n, 25 % above the T = 0.8 target; no steps
         box = ensemble.BoxContainer(0.0, 3.0)
         with pytest.raises(UnattainableTargetError, match="after 0 steps"):
-            quiet(ensemble.match_thermo, 1.2, np.zeros(3), 1.5 * 1.2 * 0.8,
-                  ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(),
-                  np.ones(1), box, n_samples=2000, seed=23, max_iter=0)
+            ensemble.match_thermo(1.2, np.zeros(3), 1.5 * 1.2 * 0.8,
+                                  ensemble.GibbsSpec(T=1.0),
+                                  ensemble.ZeroSurfaces(), np.ones(1), box,
+                                  n_samples=2000, seed=23, max_iter=0)
         assert len(chain_runs) == 1
 
     def test_unattainable_target(self):

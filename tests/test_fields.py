@@ -216,9 +216,8 @@ class TestFieldGrid:
         probes = np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.1]])
         g1 = fields.field_grid(states, mol, probes, mode="ensemble")
         g2 = fields.field_grid([(1.0, states)], mol, probes, mode="ensemble")
-        for a, b in zip(g1.samples, g2.samples):
-            np.testing.assert_array_equal(a.sigma, b.sigma)
-            np.testing.assert_array_equal(a.q, b.q)
+        np.testing.assert_array_equal(g1.sigma, g2.sigma)
+        np.testing.assert_array_equal(g1.q, g2.q)
 
     def test_degenerate_half_half_weighting(self):
         mol = Mollifier(0.8)
@@ -229,10 +228,8 @@ class TestFieldGrid:
                                 mode="ensemble")
         half = fields.field_grid([(0.5, states), (0.5, states)], mol,
                                  probes, mode="ensemble")
-        np.testing.assert_allclose(half.samples[0].sigma,
-                                   one.samples[0].sigma, atol=1e-14)
-        np.testing.assert_allclose(half.samples[0].q, one.samples[0].q,
-                                   atol=1e-14)
+        np.testing.assert_allclose(half.sigma[0], one.sigma[0], atol=1e-14)
+        np.testing.assert_allclose(half.q[0], one.q[0], atol=1e-14)
 
     def test_canonical_equals_presplit_single_state(self):
         # with a one-state ensemble, u = mom/rho pointwise, so the canonical
@@ -245,12 +242,14 @@ class TestFieldGrid:
                                      [-0.2, 0.15, 0.0]])
         pre = fields.field_grid(sd, mol, probes, mode="per-trajectory")
         can = fields.field_grid([sd], mol, probes, mode="ensemble")
-        for a, b in zip(pre.samples, can.samples):
-            scale = max(1.0, np.abs(a.div_mom_flux).max())
-            np.testing.assert_allclose(b.div_mom_flux, a.div_mom_flux,
+        for i in range(len(probes)):
+            scale = max(1.0, np.abs(pre.div_mom_flux[i]).max())
+            np.testing.assert_allclose(can.div_mom_flux[i],
+                                       pre.div_mom_flux[i],
                                        atol=1e-10 * scale)
-            scale = max(1.0, abs(a.div_energy_flux))
-            np.testing.assert_allclose(b.div_energy_flux, a.div_energy_flux,
+            scale = max(1.0, abs(pre.div_energy_flux[i]))
+            np.testing.assert_allclose(can.div_energy_flux[i],
+                                       pre.div_energy_flux[i],
                                        atol=1e-10 * scale)
 
     def test_divergences_match_fd(self):
@@ -261,14 +260,13 @@ class TestFieldGrid:
         h = 1e-5
 
         grid = fields.field_grid(states, mol, [y], mode="ensemble")
-        s = grid.samples[0]
 
         def canonical_fluxes(yy):
             g = fields.field_grid(states, mol, [yy], mode="ensemble")
-            smp = g.samples[0]
-            mom_flux = smp.rho * np.outer(smp.u, smp.u) - smp.sigma
-            en_flux = smp.energy * smp.u + smp.q - smp.sigma.T @ smp.u
-            return smp.rho, smp.mom, mom_flux, en_flux
+            rho, u, sigma = g.rho[0], g.u[0], g.sigma[0]
+            mom_flux = rho * np.outer(u, u) - sigma
+            en_flux = g.energy[0] * u + g.q[0] - sigma.T @ u
+            return rho, g.mom[0], mom_flux, en_flux
 
         div_mom = 0.0
         div_mom_flux = np.zeros(3)
@@ -282,10 +280,12 @@ class TestFieldGrid:
             div_mom += (mp[c] - mm[c]) / (2 * h)
             div_mom_flux += (fp[c] - fm[c]) / (2 * h)
             div_en_flux += (gp_[c] - gm_[c]) / (2 * h)
-        np.testing.assert_allclose(s.grad_rho, grad_rho, atol=1e-6)
-        np.testing.assert_allclose(s.div_mom, div_mom, atol=1e-6)
-        np.testing.assert_allclose(s.div_mom_flux, div_mom_flux, atol=1e-6)
-        np.testing.assert_allclose(s.div_energy_flux, div_en_flux, atol=1e-6)
+        np.testing.assert_allclose(grid.grad_rho[0], grad_rho, atol=1e-6)
+        np.testing.assert_allclose(grid.div_mom[0], div_mom, atol=1e-6)
+        np.testing.assert_allclose(grid.div_mom_flux[0], div_mom_flux,
+                                   atol=1e-6)
+        np.testing.assert_allclose(grid.div_energy_flux[0], div_en_flux,
+                                   atol=1e-6)
 
     def test_vacuum_probe_flagged(self):
         mol = Mollifier(0.4)
@@ -293,9 +293,9 @@ class TestFieldGrid:
         states = random_states(2, 2, rng)
         probes = np.array([[0.0, 0.0, 0.0], [40.0, 40.0, 40.0]])
         grid = fields.field_grid(states, mol, probes, mode="ensemble")
-        assert not grid.samples[0].vacuum
-        assert grid.samples[1].vacuum
-        assert grid.samples[1].rho == 0.0
+        assert not grid.vacuum[0]
+        assert grid.vacuum[1]
+        assert grid.rho[1] == 0.0
 
     def test_support_locality(self):
         mol = Mollifier(0.5)
@@ -303,12 +303,11 @@ class TestFieldGrid:
         sd = random_states(3, 1, rng)[0]
         far = sd.x.mean(axis=0) + np.array([20.0, 0.0, 0.0])
         grid = fields.field_grid(sd, mol, [far], mode="per-trajectory")
-        s = grid.samples[0]
-        assert s.rho == 0.0 and s.energy == 0.0
-        np.testing.assert_array_equal(s.sigma, 0.0)
-        np.testing.assert_array_equal(s.q, 0.0)
-        np.testing.assert_array_equal(s.grad_rho, 0.0)
-        np.testing.assert_array_equal(s.div_mom_flux, 0.0)
+        assert grid.rho[0] == 0.0 and grid.energy[0] == 0.0
+        np.testing.assert_array_equal(grid.sigma[0], 0.0)
+        np.testing.assert_array_equal(grid.q[0], 0.0)
+        np.testing.assert_array_equal(grid.grad_rho[0], 0.0)
+        np.testing.assert_array_equal(grid.div_mom_flux[0], 0.0)
 
     def test_csv_export(self, tmp_path):
         mol = Mollifier(0.8)
@@ -321,8 +320,7 @@ class TestFieldGrid:
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert "sigma_12" in data.dtype.names
         assert "q_3_err" in data.dtype.names
-        np.testing.assert_allclose(
-            data["rho"], [s.rho for s in grid.samples], rtol=1e-15)
+        np.testing.assert_allclose(data["rho"], grid.rho, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +362,6 @@ def assert_field_close(new, old, what):
     assert np.max(np.abs(new - old)) <= RTOL * scale, what
 
 
-def stacked(grid, key):
-    return np.array([getattr(s, key) for s in grid.samples])
-
-
 @pytest.mark.parametrize("kind", sorted(INVARIANCE_MODELS))
 class TestInvariance:
     def test_permutation(self, kind):
@@ -379,12 +373,11 @@ class TestInvariance:
         grid = ensemble_grid(model, configs)
         moved = ensemble_grid(model, [(x[perm], p[perm])
                                       for x, p in configs], MASSES[perm])
-        assert not any(s.vacuum for s in grid.samples)
+        assert not np.any(grid.vacuum)
         for key in SAMPLE_FIELDS:
-            assert_field_close(stacked(moved, key), stacked(grid, key), key)
-        for key in grid.samples[0].stderr:
-            assert_field_close([s.stderr[key] for s in moved.samples],
-                               [s.stderr[key] for s in grid.samples],
+            assert_field_close(getattr(moved, key), getattr(grid, key), key)
+        for key in grid.stderr:
+            assert_field_close(moved.stderr[key], grid.stderr[key],
                                f"stderr {key}")
 
     def test_galilean_boost(self, kind):
@@ -400,9 +393,7 @@ class TestInvariance:
         grid = ensemble_grid(model, configs)
         moved = ensemble_grid(model, [(x, p + MASSES[:, None] * boost)
                                       for x, p in configs])
-        assert_field_close(stacked(moved, "u"), stacked(grid, "u") + boost,
-                           "u")
-        assert_field_close(stacked(moved, "sigma"), stacked(grid, "sigma"),
-                           "sigma")
+        assert_field_close(moved.u, grid.u + boost, "u")
+        assert_field_close(moved.sigma, grid.sigma, "sigma")
         if kind == "harmonic":
-            assert_field_close(stacked(moved, "q"), stacked(grid, "q"), "q")
+            assert_field_close(moved.q, grid.q, "q")
