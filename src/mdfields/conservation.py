@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, fields
+from . import dynamics, fields, geometry
 from .errors import InvalidParameterError
 
 
@@ -97,19 +97,18 @@ def _central(state, provider, model):
     """StateData and force at tau, shared by every dt_check.
 
     Raises ``InvalidParameterError`` if the model's gradient differs from
-    the provider's force beyond the model's lift tolerance: the fields and
-    the dynamics would describe different surfaces.
+    the provider's force beyond ``geometry.LIFT_RESIDUAL_TOL``: the fields
+    and the dynamics would describe different surfaces.
     """
     data = model.surface_data(state.x)
     f = dynamics.force(provider, state.x, state.surface)
-    tol = fields.lift_tol(model)
     miss = np.linalg.norm(data[1] + f)
-    limit = tol * max(1.0, np.linalg.norm(f))
+    limit = geometry.LIFT_RESIDUAL_TOL * max(1.0, np.linalg.norm(f))
     if miss > limit:
         raise InvalidParameterError(
             f"model gradient and provider force differ by {miss:.3e} "
             f"(limit {limit:.1e}) on surface {state.surface}")
-    return fields.state_data(state.x, state.p, state.masses, data, tol), f
+    return fields.state_data(state.x, state.p, state.masses, data), f
 
 
 def _neighbours(state, model, f, dt_check):
@@ -120,13 +119,12 @@ def _neighbours(state, model, f, dt_check):
     step runs forward from the reversed momenta.
     """
     m = state.masses[:, None]
-    tol = fields.lift_tol(model)
     xm, pm, dm = dynamics.verlet_step(model.surface_data, state.x, -state.p,
                                       m, f, dt_check)
     xp, pp, dp = dynamics.verlet_step(model.surface_data, state.x, state.p,
                                       m, f, dt_check)
-    return (fields.state_data(xm, -pm, state.masses, dm, tol),
-            fields.state_data(xp, pp, state.masses, dp, tol))
+    return (fields.state_data(xm, -pm, state.masses, dm),
+            fields.state_data(xp, pp, state.masses, dp))
 
 
 def _residuals(grid_m, grid_c, grid_p, dt):

@@ -5,10 +5,11 @@ scaled units all masses are one.  Velocity Verlet with one force evaluation
 per step keeps the energy drift bounded without secular growth.
 
 One class models each kind of surface: ``AdiabaticSurface`` (bare, analytic)
-and ``CorrectedSurface`` (mass-corrected, from the nonlinear eigen solve).
-A surface is evaluated once per configuration: ``at(x, j)`` returns one
-``SurfacePoint`` record (value, gradient, shares, share gradients) that
-Verlet and the fields both read.  The Gibbs sampler reads ``shares``.
+and ``CorrectedSurface`` (mass-corrected: one nonlinear eigen solve and the
+exact derivatives of its fixed point).  A surface is evaluated once per
+configuration: ``at(x, j)`` returns one ``SurfacePoint`` record (value,
+gradient, shares, share gradients) that Verlet and the fields both read.
+The Gibbs sampler reads ``shares``.
 """
 
 import csv
@@ -20,7 +21,6 @@ import numpy as np
 from . import nonlinear_eigen, potential
 from .errors import BlowUpError, InvalidParameterError
 
-FD_STEP = 1e-5
 BLOWUP_LIMIT = 1e9
 
 
@@ -115,24 +115,6 @@ class SurfacePoint(NamedTuple):
     value: float        # lambda_j
 
 
-def _central_difference(f, x):
-    """Central differences of ``f`` along every coordinate of ``x``.
-
-    ``f`` maps an (N, 3) configuration to a scalar or an array; the result
-    has shape (N, 3) + f's shape, with
-    out[n, a] = (f(x + h e_na) - f(x - h e_na)) / 2h and h = ``FD_STEP``.
-    """
-    x = np.asarray(x, dtype=float)
-    diffs = []
-    for n in range(x.shape[0]):
-        for a in range(3):
-            xp = x.copy(); xp[n, a] += FD_STEP
-            xm = x.copy(); xm[n, a] -= FD_STEP
-            diffs.append(np.asarray(f(xp)) - np.asarray(f(xm)))
-    diffs = np.array(diffs) / (2.0 * FD_STEP)
-    return diffs.reshape(x.shape + diffs.shape[1:])
-
-
 class AdiabaticSurface:
     """Bare surfaces lambda_j of a matrix potential, analytic gradients."""
 
@@ -167,25 +149,14 @@ class AdiabaticSurface:
         eig = potential.eigendecompose(v, self.gap_tol)
         return potential.shares_from_parts(parts, eig.psi)
 
-    def field_data(self, x, j):
-        """(lam_n, grad, pp) of surface j: the shares lambda_j^n (N,), the
-        gradient (N, 3) and the per-particle gradients [n, m, :] (N, N, 3)."""
-        return self.at(x, j)[:3]
-
 
 class CorrectedSurface:
     """Mass-corrected surfaces lambda_bar_j, from the nonlinear eigen solve.
 
-    The gradient is the analytic Hellmann-Feynman gradient of the bare
-    surface plus a central difference of the O(1/M) correction
-    lambda_bar_j - lambda_j (6N solves); the correction is smooth and small,
-    so the hybrid keeps full accuracy.  ``at`` takes the correction and the
-    per-particle gradients of the shares from the same 6N solves.
+    ``at`` makes one solve and differentiates its fixed point exactly
+    (``nonlinear_eigen.fixed_point_derivatives``) for the gradient and the
+    share gradients; ``value`` and ``shares`` read the solve alone.
     """
-
-    # FD noise in the correction breaks exact rigid invariance of the
-    # gradient at the 1e-10 scale; the lift check gets headroom for it
-    lift_tol = 1e-8
 
     def __init__(self, v_pot, mass, gap_tol=potential.GAP_TOL):
         self.v_pot = v_pot
@@ -197,69 +168,22 @@ class CorrectedSurface:
         return nonlinear_eigen.solve_nonlinear_eigen(
             self.v_pot, x, self.mass, gap_tol=self.gap_tol)
 
-    @staticmethod
-    def _correction(cs, j):
-        return float(cs.lambdas_bar[j]) - float(cs.bare.lambdas[j])
-
-    @classmethod
-    def _value(cls, cs, j):
-        return float(cs.bare.lambdas[j]) + cls._correction(cs, j)
-
-    def _differences(self, x, j):
-        """Central differences of the correction of surface j (entry 0)
-        and of its shares (entries 1..N), (N, 3, 1 + N); 6N solves."""
-        def correction_and_shares(xx):
-            c = self._solve(xx)
-            return np.concatenate(([self._correction(c, j)],
-                                   c.per_particle_bar[:, j]))
-
-        return _central_difference(correction_and_shares, x)
-
     def at(self, x, j, fields=True):
-        """Surface j at x from 1 + 6N solves, ``fields`` or not."""
-        x = np.asarray(x, dtype=float)
+        """Surface j at x from one solve, share gradients always."""
         cs = self._solve(x)
-        diff = self._differences(x, j)
-        grad = potential.surface_gradient(self.v_pot.deriv(x), cs.bare, j) \
-            + diff[..., 0]
-        return SurfacePoint(cs.per_particle_bar[:, j], grad,
-                            np.moveaxis(diff[..., 1:], 2, 0),  # [n, m, a]
-                            self._value(cs, j))
+        grad, pp = nonlinear_eigen.fixed_point_derivatives(self.v_pot, x, cs)
+        return SurfacePoint(cs.per_particle_bar[:, j], grad[..., j],
+                            pp[..., j], float(cs.lambdas_bar[j]))
 
     def value(self, x, j):
-        return self._value(self._solve(x), j)
+        return float(self._solve(x).lambdas_bar[j])
 
     def gradient(self, x, j):
-        """The gradient of ``at(x, j)``, bit for bit, from 6N solves."""
-        x = np.asarray(x, dtype=float)
-        eig = potential.eigendecompose(self.v_pot.evaluate(x), self.gap_tol)
-        return potential.surface_gradient(self.v_pot.deriv(x), eig, j) \
-            + self._differences(x, j)[..., 0]
+        return self.at(x, j, fields=False).grad
 
     def shares(self, x):
         """Per-particle shares of every corrected surface, (N, d)."""
         return self._solve(x).per_particle_bar
-
-    def field_data(self, x, j):
-        """(lam_n, grad, pp), as ``AdiabaticSurface.field_data``."""
-        return self.at(x, j)[:3]
-
-
-class FiniteDifferenceSurface:
-    """Black-box surface from a callable ``f(x, j) -> float``."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def value(self, x, j):
-        return float(self.f(np.asarray(x, dtype=float), j))
-
-    def gradient(self, x, j):
-        return _central_difference(lambda xx: self.f(xx, j), x)
-
-    def at(self, x, j, fields=False):
-        """Value and gradient of surface j at x; a black box has no shares."""
-        return SurfacePoint(None, self.gradient(x, j), None, self.value(x, j))
 
 
 def force(surface_provider, x, j):

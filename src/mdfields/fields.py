@@ -33,6 +33,7 @@ errors are array expressions over it.  ``field_grid`` returns a
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +72,7 @@ class AdiabaticFieldModel(dynamics.AdiabaticSurface):
         self.j = int(j)
 
     def surface_data(self, x):
-        return self.field_data(x, self.j)
+        return self.at(x, self.j)[:3]
 
 
 class CorrectedFieldModel(dynamics.CorrectedSurface):
@@ -83,12 +84,7 @@ class CorrectedFieldModel(dynamics.CorrectedSurface):
         self.j = int(j)
 
     def surface_data(self, x):
-        return self.field_data(x, self.j)
-
-
-def lift_tol(model):
-    """``model.lift_tol``, else ``geometry.LIFT_RESIDUAL_TOL``."""
-    return getattr(model, "lift_tol", geometry.LIFT_RESIDUAL_TOL)
+        return self.at(x, self.j)[:3]
 
 
 def prepare_state(x, p, masses, model):
@@ -99,16 +95,16 @@ def prepare_state(x, p, masses, model):
     ``dynamics`` surface to its index.
     """
     x = np.asarray(x, dtype=float)
-    return state_data(x, p, masses, model.surface_data(x), lift_tol(model))
+    return state_data(x, p, masses, model.surface_data(x))
 
 
-def state_data(x, p, masses, data, tol):
+def state_data(x, p, masses, data):
     """StateData from surface data (lam_n, grad, pp) evaluated at x."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     masses = np.asarray(masses, dtype=float)
     lam_n, grad, pp = data
-    pair_derivs = geometry.lift_gradient_to_distances(x, grad, tol_factor=tol)
+    pair_derivs = geometry.lift_gradient_to_distances(x, grad)
     return StateData(x=x, p=p, masses=masses, lam_n=np.asarray(lam_n),
                      pair_derivs=pair_derivs, pp_grads=pp)
 
@@ -316,10 +312,9 @@ class ProbeGrid:
     are the canonical div(rho u u - sigma) and div(E u + q - sigma u) in
     ensemble mode, the pre-split div(K - W) and div(T1 + T2) otherwise.
     ``vacuum`` flags the probes below RHO_FLOOR (ensemble mode only); an
-    ensemble grid also holds the velocity ``u`` and a ``stderr`` dict of
-    arrays for rho, mom, energy, sigma and q.  ``raws`` keeps the per-state
-    stack (w, moments) the grid was built from, so callers can form
-    per-state statistics without evaluating the moments again.
+    ensemble grid also holds the velocity ``u``.  ``raws`` keeps the
+    per-state stack (w, moments) the grid was built from, so callers can
+    form per-state statistics without evaluating the moments again.
     """
 
     points: np.ndarray
@@ -337,9 +332,14 @@ class ProbeGrid:
     div_energy_flux: np.ndarray
     vacuum: np.ndarray
     u: np.ndarray = None
-    stderr: dict = None
     time: float = 0.0
     raws: tuple = field(default=None, repr=False)
+
+    @functools.cached_property
+    def stderr(self):
+        """Ensemble mode: the standard errors of rho, mom, energy, sigma, q."""
+        return _stderr(self.raws, self.u) if self.mode == "ensemble" \
+            else None
 
     def to_csv(self, path):
         cols = (["y_1", "y_2", "y_3", "rho", "mom_1", "mom_2", "mom_3", "E"]
@@ -453,7 +453,7 @@ def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
         safe["rho"] = np.where(vacuum, 1.0, mean["rho"])
         sigma, q, div_mom_flux, div_energy_flux = \
             _canonical_divergences(safe, u)
-        extra = {"vacuum": vacuum, "u": u, "stderr": _stderr(raws, u)}
+        extra = {"vacuum": vacuum, "u": u}
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
     return ProbeGrid(

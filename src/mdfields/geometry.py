@@ -73,25 +73,25 @@ def distance_jacobian(x):
     return jac
 
 
-def lift_gradient_to_distances(x, g, tol_factor=LIFT_RESIDUAL_TOL):
+def lift_gradient_to_distances(x, g):
     """Minimal-norm v with (dr/dx)^T v = g, i.e. the pair derivatives of an
     invariant potential whose configuration gradient is ``g``.
 
     ``g`` may be shaped (N, 3) or (3N,).  Uses an SVD pseudoinverse with
-    relative cutoff ``SVD_CUTOFF``.  ``tol_factor`` loosens the residual
-    check for gradients carrying finite-difference noise.
+    relative cutoff ``SVD_CUTOFF``.
 
     Raises
     ------
     ResidualTooLargeError
-        If the reconstruction residual exceeds the tolerance, which signals a
-        non-invariant gradient or a geometry degenerate beyond the cutoff.
+        If the residual exceeds ``LIFT_RESIDUAL_TOL`` max(1, |g|), which
+        signals a non-invariant gradient or a geometry degenerate beyond the
+        cutoff.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     a = distance_jacobian(x).T  # (3N, P)
     v, *_ = np.linalg.lstsq(a, g, rcond=SVD_CUTOFF)
     resid = np.linalg.norm(a @ v - g)
-    tol = tol_factor * max(1.0, np.linalg.norm(g))
+    tol = LIFT_RESIDUAL_TOL * max(1.0, np.linalg.norm(g))
     if resid > tol:
         raise ResidualTooLargeError(
             f"chain-rule residual {resid:.3e} exceeds {tol:.3e}")

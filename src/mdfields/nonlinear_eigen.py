@@ -4,7 +4,8 @@ Solves ``(V + (1/4M) Psi grad(Psi)^T . grad(Psi) Psi^T) Psi = Psi LambdaBar``
 for the unitary ``Psi`` and diagonal ``LambdaBar``.  The correction term is
 O(1/M), so a fixed-point iteration starting from the eigenvectors of V(x)
 contracts rapidly; an epsilon-continuation ODE integrated by RK4 is kept as
-an independent cross-check mode.
+an independent cross-check mode.  ``fixed_point_derivatives`` differentiates
+the solved fixed point exactly, for gradients without further solves.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from .errors import (InvalidParameterError, NoConvergenceError,
 
 M_MIN = 10.0
 RESIDUAL_TOL = 1e-10
-PARTITION_TOL = 1e-10
 _EPS_STEPS = 8
 
 
@@ -27,8 +27,7 @@ class CorrectedSurfaces:
 
     ``per_particle_bar[n, k]`` is the share of surface k carried by particle
     n; the shares sum over n to ``lambdas_bar[k]`` exactly at the fixed
-    point.  ``bare`` is the eigendecomposition of V(x) the solve started
-    from.
+    point.
     """
 
     lambdas_bar: np.ndarray
@@ -36,7 +35,6 @@ class CorrectedSurfaces:
     per_particle_bar: np.ndarray
     mass: float
     residual_norm: float
-    bare: potential.EigenData
 
 
 def _gram(dpsi):
@@ -102,7 +100,7 @@ def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
     shares = _partition(parts, psi, dpsi, mass)
     return CorrectedSurfaces(lambdas_bar=lam, psi_bar=psi,
                              per_particle_bar=shares, mass=float(mass),
-                             residual_norm=resid, bare=eig)
+                             residual_norm=resid)
 
 
 def _solve_fixed_point(v, dv, eig, mass, max_iter, tol):
@@ -136,11 +134,7 @@ def _solve_continuation(v, dv, eig, mass):
     def rate(lam, psi):
         dpsi = potential.eigenvector_derivatives(dv, lam, psi)
         g = _gram(dpsi)
-        d = len(lam)
-        denom = lam[None, :] - lam[:, None]  # lam_k - lam_l at (l, k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(np.eye(d, dtype=bool), 0.0, 1.0 / denom)
-        return np.diag(g).copy(), psi @ (g * w)
+        return np.diag(g).copy(), psi @ (g * potential.inverse_gaps(lam))
 
     lam = eig.lambdas.copy()
     psi = eig.psi.copy()
@@ -158,13 +152,54 @@ def _solve_continuation(v, dv, eig, mass):
     return lam, psi
 
 
-def corrected_partition(cs, v_pot, x):
-    """Recompute the per-particle shares of ``cs`` at configuration ``x``.
+def fixed_point_derivatives(v_pot, x, cs):
+    """Exact derivatives of the surfaces ``cs`` solved at ``x``.
 
-    Returns an (N, d) array; row sums reproduce ``cs.lambdas_bar`` to
-    ``PARTITION_TOL`` when ``cs`` was solved at ``x``.
+    Returns grad[n, c, k] = d lambda_bar_k / d x^n_c, (N, 3, d), and the
+    share gradients pp[n, m, c, k] = d lambda_bar_k^n / d x^m_c,
+    (N, N, 3, d), which sum over n to grad.  The fixed point is
+    S + G/4M = diag(lambda_bar), S = Psi^T V Psi and G = sum_i E_i^T E_i,
+    where E_i = C_i o W, C_i = Psi^T d_i V Psi and W the inverse gaps
+    (d_i Psi = Psi E_i).  With d Psi = Psi Omega, Omega antisymmetric, its
+    derivative is linear in (d lambda_bar, Omega) with one operator for
+    all 3N coordinates: one d(d+1)/2 system with 3N right-hand sides.
     """
-    x = np.asarray(x, dtype=float)
-    dv = v_pot.deriv(x)
-    dpsi = potential.eigenvector_derivatives(dv, cs.lambdas_bar, cs.psi_bar)
-    return _partition(v_pot.evaluate_parts(x)[1], cs.psi_bar, dpsi, cs.mass)
+    n, d = v_pot.n_particles, v_pot.d
+    psi, quarter = cs.psi_bar, 0.25 / cs.mass
+    p_n = psi.T @ v_pot.evaluate_parts(x)[1] @ psi           # (N, d, d)
+    s = p_n.sum(axis=0)
+    c = psi.T @ v_pot.deriv(x).reshape(3 * n, d, d) @ psi
+    h = psi.T @ v_pot.hessian(x).reshape(3 * n, 3 * n, d, d) @ psi
+    w = potential.inverse_gaps(cs.lambdas_bar)
+    e = c * w
+
+    def gram_change(de):
+        """d(G/4M) for changes de (K, 3N, d, d) of the E_i."""
+        eg = np.einsum("ila,kilb->kab", e, de)
+        return quarter * (eg + eg.transpose(0, 2, 1))
+
+    # unknown t is d lambda_bar_a at (a, a) and Omega_ab at (a, b), a < b,
+    # the same positions as the equations, the upper triangle
+    rows, cols = np.triu_indices(d)
+    unit = np.eye(len(rows))
+    omega = np.zeros((len(rows), d, d))
+    omega[:, rows, cols] = unit * (rows != cols)
+    omega -= omega.transpose(0, 2, 1)
+    dlam = unit[:, rows == cols]
+    # E_i moves with Psi and lambda_bar (de_basis) and with x (de_direct)
+    de_basis = (c @ omega[:, None] - omega[:, None] @ c) * w \
+        - c * ((dlam[:, None, :] - dlam[:, :, None]) * w * w)[:, None]
+    de_direct = h * w                    # h is symmetric: h[m, i] = d_m C_i
+    op = s @ omega - omega @ s + gram_change(de_basis) \
+        - dlam[:, :, None] * np.eye(d)
+    rhs = c + gram_change(de_direct)
+    z = np.linalg.solve(op[:, rows, cols].T, -rhs[:, rows, cols].T).T
+    omega = np.einsum("mt,tab->mab", z, omega)
+    de = np.einsum("mt,tiab->miab", z, de_basis) + de_direct
+    # d lambda_bar_k^n = 2 (P^n Omega)_kk + (Psi^T d V^n Psi)_kk
+    #                    + 2 sum_{i of particle n} (E_i^T dE_i)_kk / 4M
+    pp = np.einsum("ik,nmcij,jk->nmck", psi, v_pot.part_deriv_all(x), psi)
+    pp += 2.0 * np.einsum("nkl,mlk->nmk", p_n, omega).reshape(n, n, 3, d)
+    pp += 2.0 * quarter * np.einsum("ilk,milk->imk", e, de).reshape(
+        n, 3, n, 3, d).sum(axis=1)
+    return z[:, rows == cols].reshape(n, 3, d), pp

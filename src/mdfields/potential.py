@@ -16,7 +16,9 @@ at once:
   unsigned incidence;
 - ``deriv``: dV/dx^m through the signed incidence, (N, 3, d, d);
 - ``part_deriv_all``: all dV^n/dx^m, (N, N, 3, d, d): half of ``deriv``
-  on the diagonal, and off it the single pair term that couples n and m.
+  on the diagonal, and off it the single pair term that couples n and m;
+- ``hessian``: all d^2V/dx^n dx^m, (N, 3, N, 3, d, d), from the pair
+  functions' ``curv`` through both signed incidences at once.
 
 ``part`` is a view of one row of ``evaluate_parts``.  The share partition
 and the per-particle gradients are single einsums over the stacked parts,
@@ -38,12 +40,15 @@ GAP_TOL = 1e-10
 # scalar pair functions
 
 class PairFunction:
-    """Scalar function of a pair distance with an analytic derivative."""
+    """Scalar function of a pair distance with analytic derivatives."""
 
     def value(self, r):
         raise NotImplementedError
 
     def deriv(self, r):
+        raise NotImplementedError
+
+    def curv(self, r):
         raise NotImplementedError
 
 
@@ -56,6 +61,8 @@ class Constant(PairFunction):
 
     def deriv(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
+
+    curv = deriv
 
 
 class Harmonic(PairFunction):
@@ -72,6 +79,9 @@ class Harmonic(PairFunction):
 
     def deriv(self, r):
         return self.kappa * (np.asarray(r, dtype=float) - self.r0)
+
+    def curv(self, r):
+        return np.full_like(np.asarray(r, dtype=float), self.kappa)
 
 
 class Morse(PairFunction):
@@ -91,6 +101,10 @@ class Morse(PairFunction):
     def deriv(self, r):
         e = np.exp(-self.a * (np.asarray(r, dtype=float) - self.r0))
         return 2.0 * self.d * self.a * e * (1.0 - e)
+
+    def curv(self, r):
+        e = np.exp(-self.a * (np.asarray(r, dtype=float) - self.r0))
+        return 2.0 * self.d * self.a ** 2 * e * (2.0 * e - 1.0)
 
 
 class LennardJones(PairFunction):
@@ -141,6 +155,11 @@ class LennardJones(PairFunction):
         out[~lo] = self._raw_deriv(r[~lo])
         return out
 
+    def curv(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < self.r_inner, self._c0,
+                        self._raw_curv(np.maximum(r, self.r_inner)))
+
 
 class GaussianCoupling(PairFunction):
     """c0 exp(-((r - rc)/w)^2), the off-diagonal coupling profile."""
@@ -161,6 +180,10 @@ class GaussianCoupling(PairFunction):
         z = (r - self.rc) / self.w
         return -2.0 * z / self.w * self.c0 * np.exp(-z ** 2)
 
+    def curv(self, r):
+        z = (np.asarray(r, dtype=float) - self.rc) / self.w
+        return (4.0 * z ** 2 - 2.0) / self.w ** 2 * self.c0 * np.exp(-z ** 2)
+
 
 class SumPair(PairFunction):
     def __init__(self, *terms):
@@ -171,6 +194,9 @@ class SumPair(PairFunction):
 
     def deriv(self, r):
         return sum(t.deriv(r) for t in self.terms)
+
+    def curv(self, r):
+        return sum(t.curv(r) for t in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +270,8 @@ class PairSumPotential:
         # what np.linalg.norm(diff, axis=1) computes, without its overhead
         return diff, np.sqrt(np.add.reduce(diff * diff, axis=1))
 
-    def _deriv_terms(self, x):
-        """Per-pair e^p dphi_p, flattened to (P, 3 d d).
+    def _unit_vectors(self, x):
+        """Unit pair vectors e^p (P, 3) and distances r (P,).
 
         Raises
         ------
@@ -257,8 +283,13 @@ class PairSumPotential:
             bad = int(np.argmin(r))
             raise CoincidentPointsError(
                 f"particles {self._iu[bad]} and {self._ju[bad]} coincide")
+        return diff / r[:, None], r
+
+    def _deriv_terms(self, x):
+        """Per-pair e^p dphi_p, flattened to (P, 3 d d)."""
+        e, r = self._unit_vectors(x)
         dvals = self._table(r, "deriv").transpose(2, 0, 1)   # (P, d, d)
-        terms = (diff / r[:, None])[:, :, None, None] * dvals[:, None]
+        terms = e[:, :, None, None] * dvals[:, None]
         return terms.reshape(len(r), -1)
 
     def evaluate(self, x):
@@ -279,6 +310,16 @@ class PairSumPotential:
     def deriv(self, x):
         n, d = self.n_particles, self.d
         return (self._sign @ self._deriv_terms(x)).reshape(n, 3, d, d)
+
+    def hessian(self, x):
+        """All d^2 V / dx^n_a dx^m_b, (N, 3, N, 3, d, d): pair p adds
+        e e^T phi'' + (I - e e^T) phi' / r times sign[n, p] sign[m, p]."""
+        e, r = self._unit_vectors(x)
+        ee = (e[:, :, None] * e[:, None, :])[..., None, None]   # (P,3,3,1,1)
+        curv = self._table(r, "curv").transpose(2, 0, 1)[:, None, None]
+        slope = (self._table(r, "deriv") / r).transpose(2, 0, 1)[:, None, None]
+        terms = ee * (curv - slope) + np.eye(3)[:, :, None, None] * slope
+        return np.einsum("np,mp,pabij->nambij", self._sign, self._sign, terms)
 
     def part_deriv_all(self, x):
         """All d V^n / d x^m, shape (N, N, 3, d, d) indexed [n, m, c].
@@ -365,6 +406,13 @@ def surface_partition(v_pot, x, eig):
     return shares_from_parts(v_pot.evaluate_parts(x)[1], eig.psi)
 
 
+def inverse_gaps(lam):
+    """W[l, k] = 1 / (lam_k - lam_l) off the diagonal and 0 on it, (d, d)."""
+    denom = lam[None, :] - lam[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.eye(len(lam), dtype=bool), 0.0, 1.0 / denom)
+
+
 def eigenvector_derivatives(dv, lam, psi):
     """First-order eigenvector derivatives for derivative matrices ``dv``.
 
@@ -374,15 +422,10 @@ def eigenvector_derivatives(dv, lam, psi):
     slice is the derivative of psi_k with the psi_k-component removed (the
     normalization gauge).
     """
-    d = len(lam)
-    if d == 1:
+    if len(lam) == 1:
         return np.zeros(dv.shape, dtype=psi.dtype)
     c = np.einsum("il,...ij,jk->...lk", psi.conj(), dv, psi)
-    denom = lam[None, :] - lam[:, None]  # lambda_k - lambda_l at (l, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(np.eye(d, dtype=bool), 0.0, 1.0 / denom)
-    coef = c * w
-    return np.einsum("il,...lk->...ik", psi, coef)
+    return np.einsum("il,...lk->...ik", psi, c * inverse_gaps(lam))
 
 
 def surface_gradient(dv, eig, k):

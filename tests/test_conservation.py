@@ -8,8 +8,13 @@ from mdfields.mollifier import Mollifier
 
 
 class ZeroModel:
+    """The zero surface: provider and model at once."""
+
     def __init__(self, n):
         self.n = n
+
+    def gradient(self, x, j):
+        return np.zeros((self.n, 3))
 
     def surface_data(self, x):
         return np.zeros(self.n), np.zeros((self.n, 3)), \
@@ -68,8 +73,7 @@ class TestPerTrajectory:
         assert norms["energy"] <= 1e-12
 
     def test_free_particles(self):
-        provider = dynamics.FiniteDifferenceSurface(lambda x, j: 0.0)
-        model = ZeroModel(2)
+        provider = model = ZeroModel(2)
         rng = np.random.default_rng(0)
         st = dynamics.PhaseState(x=rng.normal(scale=0.3, size=(2, 3)),
                                  p=rng.normal(scale=0.4, size=(2, 3)),
@@ -257,6 +261,18 @@ class TestCanonical:
         assert len(grads) == len(states)
         assert len(data) == 3 * len(states)
 
+    def test_field_stderr_not_computed(self, monkeypatch):
+        # the report's standard errors come from the raw stacks; the five
+        # ensemble grids (with Richardson) never compute their own
+        _, provider, model = harmonic_setup(2)
+        states = pair_states(3, np.random.default_rng(10))
+        calls = count_calls(monkeypatch, fields, "_stderr")
+        rep = conservation.canonical_residuals(
+            [(1.0, states, provider, model)], Mollifier(0.8),
+            np.array([[0.5, 0.0, 0.0]]), 1e-4, richardson=True)
+        assert np.all(np.isfinite(rep.stderr_mass))
+        assert len(calls) == 0
+
 
 MASS = 1.0e3
 
@@ -277,8 +293,8 @@ def two_state_states(n, count, rng, masses=1.0):
 
 class TestCorrectedCanonical:
     def test_solves_per_state(self, monkeypatch):
-        # N = 4: one provider gradient at tau (6N = 24 solves) and the
-        # model's surface data at tau and tau -/+ dt (3 x (1 + 6N) = 75)
+        # one solve per evaluated configuration: the provider gradient at
+        # tau and the model's surface data at tau and tau -/+ dt
         n = 4
         v, states = two_state_states(n, 2, np.random.default_rng(7), MASS)
         provider = dynamics.CorrectedSurface(v, MASS)
@@ -292,7 +308,7 @@ class TestCorrectedCanonical:
             np.array([[0.6, 0.6, 0.4]]), 1e-4, richardson=False)
         assert len(grads) == len(states)
         assert len(data) == 3 * len(states)
-        assert len(solves) == 99 * len(states)
+        assert len(solves) == 4 * len(states)
 
 
 class TestSurfaceMismatch:

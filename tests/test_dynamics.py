@@ -10,6 +10,40 @@ def harmonic_pair_surface(kappa=1.0, r0=1.0, n=2):
     return v, dynamics.AdiabaticSurface(v)
 
 
+class FunctionSurface:
+    """Surface f(x), the same for every j, with analytic gradient g(x)."""
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+
+    def value(self, x, j):
+        return float(self.f(x))
+
+    def gradient(self, x, j):
+        return self.g(x)
+
+    def at(self, x, j, fields=False):
+        return dynamics.SurfacePoint(None, self.gradient(x, j), None,
+                                     self.value(x, j))
+
+
+def constant_surface(c):
+    return FunctionSurface(lambda x: c, np.zeros_like)
+
+
+def central_difference(f, x, h=1e-5):
+    """(f(x + h e_na) - f(x - h e_na)) / 2h along every coordinate of x,
+    shape (N, 3) + f's shape."""
+    out = []
+    for n in range(x.shape[0]):
+        for a in range(3):
+            xp = x.copy(); xp[n, a] += h
+            xm = x.copy(); xm[n, a] -= h
+            out.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
+    out = np.array(out)
+    return out.reshape(x.shape + out.shape[1:])
+
+
 def two_state_surface(n):
     v = potential.make_two_state_model(
         phi1=potential.Morse(d=1.0, a=1.2, r0=1.0),
@@ -21,7 +55,7 @@ def two_state_surface(n):
 
 class TestForce:
     def test_constant_surface_zero_force(self):
-        provider = dynamics.FiniteDifferenceSurface(lambda x, j: 2.5)
+        provider = constant_surface(2.5)
         x = np.random.default_rng(0).normal(size=(3, 3))
         np.testing.assert_allclose(dynamics.force(provider, x, 0), 0.0)
 
@@ -43,12 +77,11 @@ class TestForce:
             if r.min() > 0.5 and r.max() < 2.5:
                 break
         v, provider = two_state_surface(3)
-        fd = dynamics.FiniteDifferenceSurface(
-            lambda xx, j: np.linalg.eigvalsh(v.evaluate(xx))[j])
         for j in range(2):
+            fd = central_difference(
+                lambda xx: np.linalg.eigvalsh(v.evaluate(xx))[j], x)
             np.testing.assert_allclose(
-                dynamics.force(provider, x, j),
-                dynamics.force(fd, x, j), atol=1e-6)
+                dynamics.force(provider, x, j), -fd, atol=1e-6)
 
 
 class TestIntegrate:
@@ -60,7 +93,7 @@ class TestIntegrate:
             dynamics.integrate(st, -0.1, 10, provider)
 
     def test_free_flight(self):
-        provider = dynamics.FiniteDifferenceSurface(lambda x, j: 0.0)
+        provider = constant_surface(0.0)
         rng = np.random.default_rng(2)
         x0 = rng.normal(size=(3, 3))
         p0 = rng.normal(size=(3, 3))
@@ -112,8 +145,9 @@ class TestIntegrate:
 
     def test_blowup(self):
         # strong repulsive linear surface drives coordinates out fast
-        provider = dynamics.FiniteDifferenceSurface(
-            lambda x, j: -1e6 * float(np.sum(x[:, 0])))
+        provider = FunctionSurface(
+            lambda x: -1e6 * float(np.sum(x[:, 0])),
+            lambda x: np.tile([-1e6, 0.0, 0.0], (len(x), 1)))
         st = dynamics.PhaseState(x=np.zeros((2, 3)) + [[0, 0, 0], [1, 0, 0]],
                                  p=np.zeros((2, 3)), masses=np.ones(2))
         with pytest.raises(BlowUpError):
@@ -170,6 +204,22 @@ class TestCorrectedSurface:
         val = cp.value(x, 0)
         assert val >= bare - 1e-14
         # gradient against a full finite difference of the corrected value
-        fd = dynamics.FiniteDifferenceSurface(lambda xx, j: cp.value(xx, j))
-        np.testing.assert_allclose(cp.gradient(x, 0), fd.gradient(x, 0),
-                                   atol=1e-6)
+        fd = central_difference(lambda xx: cp.value(xx, 0), x)
+        np.testing.assert_allclose(cp.gradient(x, 0), fd, atol=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("mass", [100.0, 1000.0])
+    def test_exact_derivatives_match_central_differences(self, n, mass):
+        v, _ = two_state_surface(n)
+        cp = dynamics.CorrectedSurface(v, mass)
+        x = np.array([[0.0, 0.0, 0.0], [1.1, 0.1, 0.0], [0.2, 1.0, 0.2],
+                      [1.0, 1.1, 0.9]])[:n] \
+            + np.random.default_rng(n).normal(scale=0.05, size=(n, 3))
+        for j in range(2):
+            _, grad, pp, _ = cp.at(x, j)
+            fd = central_difference(lambda xx: cp.value(xx, j), x)
+            np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
+            # shares differenced to [m, a, n], the share gradients [n, m, a]
+            fd = central_difference(lambda xx: cp.shares(xx)[:, j], x)
+            np.testing.assert_allclose(pp, np.moveaxis(fd, 2, 0), rtol=0,
+                                       atol=1e-8)

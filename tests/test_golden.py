@@ -35,7 +35,9 @@ After an intended change, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and report the before/after differences.
+which prints, for each file it rewrites, the largest normwise move against
+the file it replaces (per column, as the comparisons measure it); report
+those before/after differences.
 """
 
 import csv
@@ -240,17 +242,27 @@ def _golden_json(name):
     return json.loads(_golden(name))
 
 
-def assert_field_close(new, old, what):
+def _column_errors(new, old):
+    """|new - old| and max |old| per column, the last axes indexing the
+    field's components."""
     new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
-    assert new.shape == old.shape, what
-    # normwise per column: the last axes index the field's components
     cols = old.reshape(old.shape[0], -1)
-    scale = np.max(np.abs(cols), axis=0)
-    err = np.abs(new.reshape(cols.shape) - cols)
+    return (np.abs(new.reshape(cols.shape) - cols),
+            np.max(np.abs(cols), axis=0))
+
+
+def normwise_move(new, old):
+    """max |new - old| / max |old column| (a zero column scales by 1)."""
+    err, scale = _column_errors(new, old)
+    return float(np.max(err / np.where(scale > 0, scale, 1.0)))
+
+
+def assert_field_close(new, old, what):
+    assert np.shape(new) == np.shape(old), what
+    err, scale = _column_errors(new, old)
     bad = err > RTOL * scale
     assert not np.any(bad), (
-        f"{what}: max normwise difference "
-        f"{float(np.max(err / np.where(scale > 0, scale, 1.0))):.3e}")
+        f"{what}: max normwise difference {normwise_move(new, old):.3e}")
 
 
 def _ulp(v):
@@ -385,28 +397,70 @@ def test_gibbs_fit(tmp_path):
 # ---------------------------------------------------------------------------
 # regeneration
 
+def _moves(new, old, scale=None):
+    """Normwise moves of every number list of two parsed JSON goldens.
+
+    A report's residual r_<law> cancels two terms of the size of its law's
+    scale, so, as in ``assert_report_close``, its move is measured against
+    that scale rather than against the residual itself.
+    """
+    if isinstance(old, dict):
+        scales = old.get("scales", {})
+        return [m for k in old for m in _moves(
+            new[k], old[k], scales.get(k[2:]) if k.startswith("r_") else None)]
+    if isinstance(old, list) and old and isinstance(old[0], dict):
+        return [m for n, o in zip(new, old) for m in _moves(n, o)]
+    if isinstance(old, str):
+        return []
+    if scale is not None:
+        return [float(np.max(np.abs(np.subtract(new, old)))) / scale]
+    return [normwise_move(np.atleast_1d(new), np.atleast_1d(old))]
+
+
+def largest_move(name, new, old):
+    """Largest normwise move of golden ``name`` from bytes ``old`` to
+    ``new``."""
+    if name.endswith(".json"):
+        moves = _moves(json.loads(new), json.loads(old))
+    else:
+        moves = [normwise_move(_parse_csv(new.decode())[2],
+                               _parse_csv(old.decode())[2])]
+    return max(moves, default=0.0)
+
+
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
 
-    def dump(name, payload):
-        with open(os.path.join(GOLDEN, name), "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    def write(name, payload):
+        """Rewrite golden ``name`` and print its move."""
+        path = os.path.join(GOLDEN, name)
+        old = None
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                old = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        if old is None:
+            print(f"{name}: new file")
+        elif old == payload:
+            print(f"{name}: byte-identical")
+        else:
+            print(f"{name}: largest normwise move "
+                  f"{largest_move(name, payload, old):.3e}")
+
+    def dump(name, data):
+        write(name, (json.dumps(data, indent=1, sort_keys=True)
+                     + "\n").encode())
 
     dump("traj_conserve.json", traj_conserve())
     dump("canonical.json", canonical())
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in (("fields_bare.csv", fields_csv(tmp)),
-                           ("fields_mass.csv", fields_csv(tmp, MASS))):
-            with open(os.path.join(GOLDEN, name), "w") as fh:
-                fh.write(text)
+        write("fields_bare.csv", fields_csv(tmp).encode())
+        write("fields_mass.csv", fields_csv(tmp, MASS).encode())
         for sub, (name, _) in QUANTUM.items():
-            with open(os.path.join(GOLDEN, name), "w") as fh:
-                fh.write(quantum_json(tmp, sub))
-        with open(os.path.join(GOLDEN, "gibbs.json"), "w") as fh:
-            fh.write(gibbs_json(tmp))
-        with open(os.path.join(GOLDEN, "run_md_mass.csv"), "wb") as fh:
-            fh.write(run_md_csv(tmp))
+            write(name, quantum_json(tmp, sub).encode())
+        write("gibbs.json", gibbs_json(tmp).encode())
+        write("run_md_mass.csv", run_md_csv(tmp))
 
 
 if __name__ == "__main__":

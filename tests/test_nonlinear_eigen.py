@@ -109,14 +109,6 @@ class TestPartition:
             np.testing.assert_allclose(cs.per_particle_bar.sum(axis=0),
                                        cs.lambdas_bar, atol=1e-10)
 
-    def test_corrected_partition_matches_stored(self):
-        rng = np.random.default_rng(8)
-        x = random_config(3, rng)
-        v = two_state(3)
-        cs = nonlinear_eigen.solve_nonlinear_eigen(v, x, mass=200.0)
-        again = nonlinear_eigen.corrected_partition(cs, v, x)
-        np.testing.assert_allclose(again, cs.per_particle_bar, atol=1e-13)
-
     def test_large_mass_limit_is_bare_partition(self):
         rng = np.random.default_rng(9)
         x = random_config(3, rng)

@@ -61,6 +61,15 @@ def per_pair_reference(v_pot, x):
     return v, parts, dv, dparts
 
 
+# LJ's inner switch sits at 0.8 sigma, inside the tested distance range
+PAIR_FUNCTIONS = [potential.Harmonic(1.3, 1.1),
+                  potential.Morse(2.0, 0.9, 1.4),
+                  potential.LennardJones(0.7, 1.0),
+                  potential.GaussianCoupling(0.4, 1.2, 0.5),
+                  potential.SumPair(potential.Harmonic(1.0, 1.0),
+                                    potential.Constant(0.3))]
+
+
 def fd_matrix(v_pot, x, n, a, h=1e-6):
     xp = x.copy(); xp[n, a] += h
     xm = x.copy(); xm[n, a] -= h
@@ -97,17 +106,20 @@ class TestPairFunctions:
         assert np.isfinite(f.value(np.array([1e-3]))[0])
 
     def test_derivs_match_fd(self):
-        fns = [potential.Harmonic(1.3, 1.1),
-               potential.Morse(2.0, 0.9, 1.4),
-               potential.LennardJones(0.7, 1.0),
-               potential.GaussianCoupling(0.4, 1.2, 0.5),
-               potential.SumPair(potential.Harmonic(1.0, 1.0),
-                                 potential.Constant(0.3))]
         r = np.linspace(0.5, 3.0, 40)
         h = 1e-6
-        for f in fns:
+        for f in PAIR_FUNCTIONS:
             fd = (f.value(r + h) - f.value(r - h)) / (2 * h)
             np.testing.assert_allclose(f.deriv(r), fd, atol=1e-6, rtol=1e-6)
+
+    def test_curvs_match_fd(self):
+        r = np.concatenate([np.linspace(0.5, 3.0, 40), [0.799, 0.801]])
+        lj = PAIR_FUNCTIONS[2]
+        assert np.any(r < lj.r_inner) and np.any(r > lj.r_inner)
+        h = 1e-6
+        for f in PAIR_FUNCTIONS:
+            fd = (f.deriv(r + h) - f.deriv(r - h)) / (2 * h)
+            np.testing.assert_allclose(f.curv(r), fd, atol=1e-6, rtol=1e-6)
 
     def test_constant_gap_required(self):
         with pytest.raises(InvalidParameterError):
@@ -159,6 +171,23 @@ class TestPairSumPotential:
             for a in range(3):
                 np.testing.assert_allclose(
                     dv[n, a], fd_matrix(v, x, n, a), atol=1e-7)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_hessian_matches_fd(self, model):
+        rng = np.random.default_rng(8)
+        x = random_config(4, rng)
+        v = MODELS[model](4)
+        hess = v.hessian(x)
+        assert hess.shape == (4, 3, 4, 3, v.d, v.d)
+        np.testing.assert_array_equal(hess, hess.transpose(2, 3, 0, 1, 4, 5))
+        h = 1e-6
+        for n in range(4):
+            for a in range(3):
+                xp = x.copy(); xp[n, a] += h
+                xm = x.copy(); xm[n, a] -= h
+                fd = (v.deriv(xp) - v.deriv(xm)) / (2 * h)
+                np.testing.assert_allclose(hess[:, :, n, a], fd, atol=1e-6,
+                                           rtol=1e-6)
 
     def test_part_deriv_matches_fd(self):
         rng = np.random.default_rng(6)

@@ -33,9 +33,9 @@ def rotation(seed):
     return q if np.linalg.det(q) > 0 else -q
 
 
-# the corrected gradient carries central-difference noise (h = FD_STEP) on
-# the O(1/M) correction; the bare one is analytic
-ATOL = {"bare": 1e-12, "corrected": 1e-9}
+# both gradients are analytic: the corrected one differentiates the solved
+# fixed point exactly, so only the solve's convergence and roundoff remain
+ATOL = {"bare": 1e-12, "corrected": 1e-12}
 
 
 @pytest.mark.parametrize("kind", ["bare", "corrected"])
@@ -44,9 +44,9 @@ class TestProperties:
         surf = make_surface(kind)
         x = config(1)
         perm = np.array([2, 0, 3, 1])
-        sh, (lam, grad, pp) = surf.shares(x), surf.field_data(x, 1)
+        sh, (lam, grad, pp) = surf.shares(x), surf.at(x, 1)[:3]
         sh_p, (lam_p, grad_p, pp_p) = (surf.shares(x[perm]),
-                                       surf.field_data(x[perm], 1))
+                                       surf.at(x[perm], 1)[:3])
         atol = ATOL[kind]
         np.testing.assert_allclose(sh_p, sh[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(lam_p, lam[perm], rtol=0, atol=1e-12)
@@ -59,8 +59,8 @@ class TestProperties:
         x = config(2)
         rot = rotation(3)
         moved = x @ rot.T + np.array([0.3, -1.2, 0.7])
-        lam, grad, pp = surf.field_data(x, 0)
-        lam_m, grad_m, pp_m = surf.field_data(moved, 0)
+        lam, grad, pp = surf.at(x, 0)[:3]
+        lam_m, grad_m, pp_m = surf.at(moved, 0)[:3]
         atol = ATOL[kind]
         np.testing.assert_allclose(lam_m, lam, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad_m, grad @ rot.T, rtol=0, atol=atol)
@@ -72,7 +72,7 @@ class TestProperties:
         surf = make_surface(kind)
         x = config(4)
         for j in range(2):
-            lam, grad, _ = surf.field_data(x, j)
+            lam, grad, _ = surf.at(x, j)[:3]
             np.testing.assert_array_equal(lam, surf.shares(x)[:, j])
             np.testing.assert_array_equal(grad, surf.gradient(x, j))
             assert abs(lam.sum() - surf.value(x, j)) <= 1e-10
@@ -83,9 +83,9 @@ class TestCorrected:
         surf = make_surface("corrected")
         for seed in range(3):
             for j in range(2):
-                _, grad, pp = surf.field_data(config(seed), j)
+                _, grad, pp = surf.at(config(seed), j)[:3]
                 np.testing.assert_allclose(pp.sum(axis=0), grad, rtol=0,
-                                           atol=1e-9)
+                                           atol=1e-12)
 
     def count_solves(self, monkeypatch):
         calls = []
@@ -101,21 +101,18 @@ class TestCorrected:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_solve_counts(self, monkeypatch, n):
-        # one solve at x plus one per central-difference point: field data
-        # built as gradient() followed by a second difference pass for the
-        # shares would make 12N + 1
+        # one solve per call: the gradient and the share gradients are
+        # exact derivatives of that solve's fixed point
         surf = make_surface("corrected", n)
         x = config(5)[:n]
         calls = self.count_solves(monkeypatch)
-        surf.field_data(x, 0)
-        assert len(calls) == 1 + 6 * n
-        calls.clear()
-        surf.gradient(x, 0)
-        assert len(calls) == 6 * n
+        for call in (surf.at, surf.gradient, surf.value):
+            calls.clear()
+            call(x, 0)
+            assert len(calls) == 1
         calls.clear()
         surf.shares(x)
-        surf.value(x, 0)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def count_calls(monkeypatch, targets):
@@ -171,7 +168,7 @@ def test_field_data_one_pass(monkeypatch):
     eigendecompose, shared by the gradient and the share gradients."""
     surf = make_surface("bare")
     counts = count_calls(monkeypatch, pair_sums(surf.v_pot))
-    surf.field_data(config(7), 1)
+    surf.at(config(7), 1)
     assert counts == {"evaluate_parts": 1, "deriv": 1, "eigendecompose": 1}
 
 
@@ -193,11 +190,11 @@ def test_bare_integrate_one_evaluation_per_step(monkeypatch):
 
 
 def test_corrected_integrate_only_solves(monkeypatch):
-    # 1 + 6N solves per configuration and nothing besides them: the bare
-    # gradient reads the eigendata of the solve at x
+    # one solve per configuration, and the parts and derivatives its fixed
+    # point is differentiated with; no bare eigendecomposition
     n, steps = 2, 2
     surf = make_surface("corrected", n)
     counts = count_calls(monkeypatch, pair_sums(surf.v_pot))
     dynamics.integrate(moving_state(n, 9), 1e-3, steps, surf)
-    assert counts == {"solve": (1 + 6 * n) * (steps + 1),
+    assert counts == {"solve": steps + 1, "evaluate_parts": steps + 1,
                       "deriv": steps + 1}
