@@ -169,11 +169,13 @@ class CorrectedSurface:
             self.v_pot, x, self.mass, gap_tol=self.gap_tol)
 
     def at(self, x, j, fields=True):
-        """Surface j at x from one solve, share gradients always."""
+        """Surface j at x from one solve; pp is None unless ``fields``."""
         cs = self._solve(x)
-        grad, pp = nonlinear_eigen.fixed_point_derivatives(self.v_pot, x, cs)
+        grad, pp = nonlinear_eigen.fixed_point_derivatives(
+            self.v_pot, x, cs, shares=fields)
         return SurfacePoint(cs.per_particle_bar[:, j], grad[..., j],
-                            pp[..., j], float(cs.lambdas_bar[j]))
+                            None if pp is None else pp[..., j],
+                            float(cs.lambdas_bar[j]))
 
     def value(self, x, j):
         return float(self._solve(x).lambdas_bar[j])

@@ -6,7 +6,9 @@ weights w_n = 1 (uniform mode) or max(eta(y - x^n), eta_floor)
 (local-mollified mode).  Positions are sampled by Metropolis random walks on
 the exact x-marginal; momenta are exact Gaussian draws with mean M_n u0 and
 per-coordinate variance M_n T / w_n.  Uniform mode supports grand-canonical
-insert/delete moves tied to the chemical potential.
+insert/delete moves tied to the chemical potential.  Each chain's burn-in
+tunes its step and then stops at detected equilibration (Chodera's t0 on a
+scalar trace), with ``BURN_IN_FACTOR`` * N proposals as a hard cap.
 
 A surface set is any object with ``d`` and ``shares(x)`` -> (N, d); the
 matrix-potential surfaces are the ``dynamics`` surface objects themselves.
@@ -22,7 +24,8 @@ from .dynamics import AdiabaticSurface, PhaseState
 from .errors import (InsufficientOverlapError, InvalidParameterError,
                      UnattainableTargetError)
 
-BURN_IN_FACTOR = 10_000     # proposals discarded: factor * N
+# the burn-in stops at detected equilibration, at most factor * N proposals
+BURN_IN_FACTOR = 10_000
 TUNE_INTERVAL = 200
 ACCEPT_LO, ACCEPT_HI = 0.20, 0.50
 WARN_LO, WARN_HI = 0.05, 0.80
@@ -47,6 +50,25 @@ class GibbsSpec:
             raise InvalidParameterError("temperature must be positive")
         if self.mode not in ("uniform", "local-mollified"):
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
+
+
+@dataclass
+class BurnIn:
+    """The record of one chain's burn-in (``GibbsSampler.burn_ins``)."""
+
+    proposals: int      # proposals spent, at most BURN_IN_FACTOR * N
+    t0: int             # Chodera's equilibration time, in proposals
+    tau_int: float      # integrated autocorrelation time of the tail after t0
+    ess: float          # effective size of that tail, (proposals - t0) / tau
+    accept: float       # displacement acceptance rate over the burn-in
+    step: float         # the tuned displacement step
+    step_at_cap: bool   # rate warning skipped: high rate, step at max_step
+    hit_cap: bool       # ran to BURN_IN_FACTOR * N proposals
+
+    @property
+    def equilibrated(self):
+        """t0 lies in the first half of the trace."""
+        return 2 * self.t0 < self.proposals
 
 
 @dataclass
@@ -189,6 +211,46 @@ def metropolis_accept(log_ratio, rng):
     return log_ratio >= 0.0 or rng.random() < np.exp(log_ratio)
 
 
+def autocorrelation_time(y):
+    """Integrated autocorrelation time of a scalar series, at least 1.
+
+    Geyer's initial monotone sequence estimator (Stat. Sci. 7 (1992) 473):
+    the sums of adjacent autocovariances are kept while positive and made
+    non-increasing.  Lags are summed directly and only as far as that
+    sequence runs.  A constant series has tau = 1.
+    """
+    n = len(y)
+    if n < 2 or np.ptp(y) == 0.0:
+        return 1.0
+    y = y - y.mean()
+    c0 = y @ y
+    sigma2, pair = -c0, np.inf
+    for t in range(0, n - 1, 2):
+        pair = min(pair, y[:n - t] @ y[t:] + y[:n - t - 1] @ y[t + 1:])
+        if pair <= 0.0:
+            break
+        sigma2 += 2.0 * pair
+    return max(1.0, sigma2 / c0)
+
+
+def equilibration(trace):
+    """Equilibration time t0 of a (K, n) trace, and tau_int after it.
+
+    Per row, t0 maximizes the effective size (n - t0) / g of the tail after
+    it, g its integrated autocorrelation time (Chodera, J. Chem. Theory
+    Comput. 12 (2016) 1799), over 64 evenly spaced starts.  The trace's t0
+    is the largest of the rows', and tau_int the largest of their tails' g.
+    """
+    n = trace.shape[1]
+    starts = np.array(sorted({k * n // 64 for k in range(64)}))
+    t0, tau = 0, 1.0
+    for row in trace:
+        g = np.array([autocorrelation_time(row[s:]) for s in starts])
+        best = int(np.argmax((n - starts) / g))
+        t0, tau = max(t0, int(starts[best])), max(tau, float(g[best]))
+    return t0, tau
+
+
 class GibbsSampler:
     """Metropolis sampler of the local Gibbs density at one probe.
 
@@ -221,6 +283,8 @@ class GibbsSampler:
         m0 = float(self.masses[0])
         self._per_particle_const = m0 * spec.mu / spec.T \
             + 1.5 * np.log(2.0 * np.pi * m0 * spec.T)
+        # one BurnIn record per chain run, in run order
+        self.burn_ins = []
 
     def log_x_density(self, x, j):
         """Log of the x-marginal density (unnormalized) on surface j."""
@@ -253,25 +317,56 @@ class GibbsSampler:
             + rng.normal(size=(x.shape[0], 3)) * scale[:, None]
 
     def _tune_step(self, x, j, rng, step):
-        n_prop = BURN_IN_FACTOR * x.shape[0]
+        """Burn-in: tune the step, then run until the chain has equilibrated.
+
+        The step is tuned in windows of ``TUNE_INTERVAL`` displacements
+        until it settles: two windows in a row with a rate in [ACCEPT_LO,
+        ACCEPT_HI], or with the step held at the container's cap.  The
+        scalar trace (the log density, and N with number moves) covers
+        every proposal; once the step has settled, at trace lengths
+        TUNE_INTERVAL * N times a power of two, the burn-in stops when the
+        trace's equilibration time t0 lies in its first half.  A chain that
+        reaches the cap of BURN_IN_FACTOR * N proposals is judged once on
+        its whole trace and warns if t0 still lies in the second half.
+        Appends a ``BurnIn`` record to ``burn_ins``.
+        """
+        limit = BURN_IN_FACTOR * x.shape[0]
+        check = TUNE_INTERVAL * x.shape[0]
+        trace = []
         logd = self.log_x_density(x, j)
         # the step is tuned on displacement proposals only
-        moves = accepted = window_acc = 0
+        moves = accepted = window_acc = streak = 0
         cap = self.container.max_step()
-        for _ in range(n_prop):
+        settled = hit_cap = False
+        for n in range(1, limit + 1):
             x, logd, ok = self._move(x, j, rng, step, logd)
-            if ok is None:
-                continue
-            moves += 1
-            accepted += ok
-            window_acc += ok
-            if moves % TUNE_INTERVAL == 0:
-                rate = window_acc / TUNE_INTERVAL
-                if rate < ACCEPT_LO:
-                    step *= 0.7
-                elif rate > ACCEPT_HI:
-                    step = min(step * 1.4, cap)
-                window_acc = 0
+            trace.append((logd, x.shape[0]) if self.gcmc else (logd,))
+            if ok is not None:
+                moves += 1
+                accepted += ok
+                window_acc += ok
+                if not settled and moves % TUNE_INTERVAL == 0:
+                    rate = window_acc / TUNE_INTERVAL
+                    if rate < ACCEPT_LO:
+                        step *= 0.7
+                    elif rate > ACCEPT_HI:
+                        step = min(step * 1.4, cap)
+                    good = ACCEPT_LO <= rate <= ACCEPT_HI or step >= cap
+                    streak = streak + 1 if good else 0
+                    settled = streak == 2
+                    window_acc = 0
+            if n == check:
+                check *= 2
+                if settled:
+                    t0, tau = equilibration(np.array(trace).T)
+                    if 2 * t0 < n:
+                        break
+        else:
+            hit_cap = True
+            t0, tau = equilibration(np.array(trace).T)
+            if 2 * t0 >= limit:
+                warnings.warn(f"burn-in not equilibrated after {limit} "
+                              f"proposals: t0 = {t0}", RuntimeWarning)
         rate = accepted / moves
         # a high rate with the step at the container's cap is the size of
         # the container, not a badly tuned chain: there is no longer step
@@ -280,6 +375,9 @@ class GibbsSampler:
             warnings.warn(f"acceptance rate {rate:.2f} outside "
                           f"[{WARN_LO}, {WARN_HI}] after tuning",
                           RuntimeWarning)
+        self.burn_ins.append(BurnIn(
+            proposals=n, t0=t0, tau_int=tau, ess=(n - t0) / tau,
+            accept=rate, step=step, step_at_cap=at_cap, hit_cap=hit_cap))
         return x, logd, step
 
     def _move(self, x, j, rng, step, logd):
@@ -514,7 +612,8 @@ def match_thermo(rho0, rho_u0, e0, spec_template, surfaces, masses,
     Damped Newton steps on (mu, T) for the mass and internal energy
     densities, with the Jacobian from the chain's grand-canonical
     fluctuations, starting at T = spec_template.T and the ideal-gas mu of
-    rho0 there; u0 is set directly from rho_u0 / rho0.  Every estimate runs
+    rho0 there; u0 is set directly from rho_u0 / rho0.  Each chain starts
+    from round(rho0 V / m) particles of mass masses[0].  Every estimate runs
     n_samples with common random numbers (the same seed at every
     evaluation), which keeps the iteration stable against Monte Carlo noise.
 
@@ -532,6 +631,9 @@ def match_thermo(rho0, rho_u0, e0, spec_template, surfaces, masses,
     if e_int_target <= 0:
         raise UnattainableTargetError("internal energy target must be > 0")
     m = float(masses[0])
+    # every chain starts from the target's particle count, a typical N
+    n0 = max(1, round(rho0 * container.volume / m))
+    masses = np.full(n0, m)
     t = float(spec_template.T)
     # the ideal gas of log_x_density: rho / m = e^{m mu / T} (2 pi m T)^1.5
     mu = t / m * (np.log(rho0 / m) - 1.5 * np.log(2.0 * np.pi * m * t))

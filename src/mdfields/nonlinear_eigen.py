@@ -152,17 +152,18 @@ def _solve_continuation(v, dv, eig, mass):
     return lam, psi
 
 
-def fixed_point_derivatives(v_pot, x, cs):
+def fixed_point_derivatives(v_pot, x, cs, shares=True):
     """Exact derivatives of the surfaces ``cs`` solved at ``x``.
 
     Returns grad[n, c, k] = d lambda_bar_k / d x^n_c, (N, 3, d), and the
     share gradients pp[n, m, c, k] = d lambda_bar_k^n / d x^m_c,
-    (N, N, 3, d), which sum over n to grad.  The fixed point is
-    S + G/4M = diag(lambda_bar), S = Psi^T V Psi and G = sum_i E_i^T E_i,
-    where E_i = C_i o W, C_i = Psi^T d_i V Psi and W the inverse gaps
-    (d_i Psi = Psi E_i).  With d Psi = Psi Omega, Omega antisymmetric, its
-    derivative is linear in (d lambda_bar, Omega) with one operator for
-    all 3N coordinates: one d(d+1)/2 system with 3N right-hand sides.
+    (N, N, 3, d), which sum over n to grad; pp is None unless ``shares``.
+    The fixed point is S + G/4M = diag(lambda_bar), S = Psi^T V Psi and
+    G = sum_i E_i^T E_i, where E_i = C_i o W, C_i = Psi^T d_i V Psi and W
+    the inverse gaps (d_i Psi = Psi E_i).  With d Psi = Psi Omega, Omega
+    antisymmetric, its derivative is linear in (d lambda_bar, Omega) with
+    one operator for all 3N coordinates: one d(d+1)/2 system with 3N
+    right-hand sides.
     """
     n, d = v_pot.n_particles, v_pot.d
     psi, quarter = cs.psi_bar, 0.25 / cs.mass
@@ -194,6 +195,9 @@ def fixed_point_derivatives(v_pot, x, cs):
         - dlam[:, :, None] * np.eye(d)
     rhs = c + gram_change(de_direct)
     z = np.linalg.solve(op[:, rows, cols].T, -rhs[:, rows, cols].T).T
+    grad = z[:, rows == cols].reshape(n, 3, d)
+    if not shares:
+        return grad, None
     omega = np.einsum("mt,tab->mab", z, omega)
     de = np.einsum("mt,tiab->miab", z, de_basis) + de_direct
     # d lambda_bar_k^n = 2 (P^n Omega)_kk + (Psi^T d V^n Psi)_kk
@@ -202,4 +206,4 @@ def fixed_point_derivatives(v_pot, x, cs):
     pp += 2.0 * np.einsum("nkl,mlk->nmk", p_n, omega).reshape(n, n, 3, d)
     pp += 2.0 * quarter * np.einsum("ilk,milk->imk", e, de).reshape(
         n, 3, n, 3, d).sum(axis=1)
-    return z[:, rows == cols].reshape(n, 3, d), pp
+    return grad, pp

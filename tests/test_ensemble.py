@@ -224,6 +224,111 @@ class TestTuneWarning:
             self.tune(OnlyStart(x0), x0, box)
 
 
+def corner_chain():
+    """Four free particles in a harmonic well, started at one far corner:
+    96 T of energy each, against 1.5 T typical."""
+    sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=1.0),
+                                    ensemble.ZeroSurfaces(), np.ones(4),
+                                    ensemble.HarmonicContainer(1.0))
+    return sampler, np.full((4, 3), 8.0)
+
+
+class TestBurnIn:
+    def test_autocorrelation_time_ar1(self):
+        # AR(1) with coefficient phi: tau_int = (1 + phi) / (1 - phi)
+        rng = np.random.default_rng(2)
+        for phi in (0.0, 0.5, 0.8):
+            e = rng.normal(size=50_000)
+            y = np.empty_like(e)
+            y[0] = e[0]
+            for i in range(1, len(e)):
+                y[i] = phi * y[i - 1] + e[i]
+            tau = (1.0 + phi) / (1.0 - phi)
+            assert abs(ensemble.autocorrelation_time(y) - tau) <= 0.1 * tau
+        assert ensemble.autocorrelation_time(np.full(100, 0.3)) == 1.0
+
+    def test_equilibration_cuts_transient(self):
+        # a decaying offset on white noise: t0 lands past the offset
+        rng = np.random.default_rng(3)
+        t = np.arange(4000)
+        trace = (50.0 * np.exp(-t / 100.0) + rng.normal(size=t.size))[None]
+        t0, tau = ensemble.equilibration(trace)
+        assert 300 <= t0 <= 1000
+        assert tau < 2.0
+        assert ensemble.equilibration(trace[:, 1000:])[0] == 0
+
+    def test_fast_chain_stops_early(self):
+        # the canonical-corrected surfaces: two-state, N = 2, box 1.8, T = 2
+        v = potential.make_two_state_model(
+            potential.Morse(1.0, 1.2, 1.0), 0.8,
+            potential.GaussianCoupling(0.15, 1.3, 0.6), 2)
+        box = ensemble.BoxContainer(0.0, 1.8)
+        sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=2.0),
+                                        ensemble.AdiabaticShares(v),
+                                        np.full(2, 1e3), box)
+        for seed in range(3):
+            sampler.run_chain(seed % 2, 1, seed)
+        assert len(sampler.burn_ins) == 3
+        for rec in sampler.burn_ins:
+            assert rec.proposals <= 0.1 * ensemble.BURN_IN_FACTOR * 2
+            assert rec.equilibrated and not rec.hit_cap
+            assert rec.step == box.max_step() and rec.tau_int < 3.0
+            assert rec.ess == (rec.proposals - rec.t0) / rec.tau_int
+
+    def test_far_start_is_cut(self):
+        # negative control: a start far from typical gives t0 > 0, and the
+        # first retained state is typical
+        sampler, x0 = corner_chain()
+        for seed in range(1, 6):
+            x = sampler.run_chain(0, 1, seed, x0=x0)[0]
+            rec = sampler.burn_ins[-1]
+            assert rec.t0 > 0 and rec.equilibrated, seed
+            assert 0.5 * np.sum(x ** 2) / 4 <= 6.0, seed
+
+    def test_gcmc_one_particle_start(self):
+        # negative control at criterion 8's state point, <N> = 32.4: from
+        # one particle N relaxes over about one tau_int (~150 proposals),
+        # so the detector cuts a transient on most seeds, and records the
+        # slow chain's tau_int; the first retained N is typical
+        temp, n_target = 0.75, 1.2
+        mu = temp * np.log(n_target * (2.0 * np.pi * temp) ** -1.5)
+        box = ensemble.BoxContainer(0.0, 3.0)
+        sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=temp, mu=mu),
+                                        ensemble.ZeroSurfaces(), np.ones(1),
+                                        box, gcmc=True)
+        expected = n_target * box.volume
+        for seed in range(1, 6):
+            first = sampler.run_chain(0, 1, seed,
+                                      collect=lambda x: x.shape[0])[0]
+            assert abs(first - expected) <= 5.0 * np.sqrt(expected), seed
+        recs = sampler.burn_ins
+        assert sum(r.t0 > 0 for r in recs) >= 3
+        assert all(r.tau_int >= 50.0 and r.equilibrated for r in recs)
+
+    def test_cap_warns_and_is_recorded(self, monkeypatch):
+        # a cap too short for the corner start's descent: the chain stops
+        # at the cap, warns and records it
+        monkeypatch.setattr(ensemble, "BURN_IN_FACTOR", 50)
+        sampler, x0 = corner_chain()
+        with pytest.warns(RuntimeWarning, match="not equilibrated"):
+            sampler.run_chain(0, 1, 1, x0=x0)
+        rec = sampler.burn_ins[-1]
+        assert rec.proposals == 200 and rec.hit_cap
+        assert not rec.equilibrated
+
+    def test_unsettled_chain_runs_to_cap(self):
+        # a step that never settles spends the whole cap, and no more
+        box = ensemble.BoxContainer(0.0, 1.8)
+        x0 = np.full((1, 3), 0.9)
+        sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=2.0),
+                                        OnlyStart(x0), np.ones(1), box)
+        with pytest.warns(RuntimeWarning, match="acceptance rate 0.00"):
+            sampler.run_chain(0, 1, 1, x0=x0)
+        rec = sampler.burn_ins[-1]
+        assert rec.proposals == ensemble.BURN_IN_FACTOR and rec.hit_cap
+        assert rec.accept == 0.0 and not rec.step_at_cap
+
+
 class TestSurfaceWeights:
     def test_identical_surfaces_equal_weights(self):
         spec = ensemble.GibbsSpec(T=1.0)

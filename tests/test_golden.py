@@ -35,8 +35,11 @@ After an intended change, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints, for each file it rewrites, the largest normwise move against
-the file it replaces (per column, as the comparisons measure it); report
+which rewrites only the files whose new payload fails its test's comparison
+with the stored one, and prints, for each file, the largest normwise move
+against the stored file (per column, as the comparisons measure it); for
+``canonical.json`` it also prints each central field's largest move in
+combined standard errors, from the stored and new ``grid.stderr``.  Report
 those before/after differences.
 """
 
@@ -362,8 +365,7 @@ def test_run_md_mass_bytes(tmp_path):
         assert run_md_csv(tmp_path) == fh.read()
 
 
-def test_canonical_corrected():
-    got, want = canonical(), _golden_json("canonical.json")
+def compare_canonical(got, want):
     assert got["q_weights"] == want["q_weights"]
     for k in FIELD_KEYS:
         assert_field_close(got["grid"][k], want["grid"][k], f"central {k}")
@@ -380,6 +382,10 @@ def test_canonical_corrected():
                                          ("minus", "plus")):
         for k in FIELD_KEYS:
             assert_field_close(got_grid[k], want_grid[k], f"{when} {k}")
+
+
+def test_canonical_corrected():
+    compare_canonical(canonical(), _golden_json("canonical.json"))
 
 
 @pytest.mark.parametrize("sub", sorted(QUANTUM))
@@ -428,38 +434,83 @@ def largest_move(name, new, old):
     return max(moves, default=0.0)
 
 
+def stderr_moves(new, old):
+    """Largest move of each central field of two canonical goldens, in
+    combined standard errors sqrt(se_new^2 + se_old^2) per value."""
+    out = {}
+    for k, se_old in old["grid"]["stderr"].items():
+        diff = np.abs(np.subtract(new["grid"][k], old["grid"][k]))
+        se = np.hypot(new["grid"]["stderr"][k], se_old)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[k] = float(np.max(np.where(diff > 0, diff / se, 0.0)))
+    return out
+
+
+def _parsed(compare, parse=json.loads):
+    """``compare`` applied to two golden payloads (bytes) after ``parse``."""
+    return lambda new, old: compare(parse(new), parse(old))
+
+
+def _passes(compare, new, old):
+    try:
+        compare(new, old)
+    except AssertionError:
+        return False
+    return True
+
+
 def regenerate():
+    """Rewrite every golden whose new payload fails its test's comparison
+    with the stored one; print each file's fate and move."""
     os.makedirs(GOLDEN, exist_ok=True)
 
-    def write(name, payload):
-        """Rewrite golden ``name`` and print its move."""
+    def write(name, payload, compare=None):
+        """Write ``payload`` unless it passes ``compare`` (None: only equal
+        bytes pass) against the stored file."""
         path = os.path.join(GOLDEN, name)
         old = None
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 old = fh.read()
+        if old == payload:
+            print(f"{name}: byte-identical")
+            return
+        if old is not None:
+            move = largest_move(name, payload, old)
+            if compare is not None and _passes(compare, payload, old):
+                print(f"{name}: kept, the new payload passes its "
+                      f"comparison (largest normwise move {move:.3e})")
+                return
         with open(path, "wb") as fh:
             fh.write(payload)
         if old is None:
             print(f"{name}: new file")
-        elif old == payload:
-            print(f"{name}: byte-identical")
-        else:
-            print(f"{name}: largest normwise move "
-                  f"{largest_move(name, payload, old):.3e}")
+            return
+        print(f"{name}: largest normwise move {move:.3e}")
+        if name == "canonical.json":
+            moves = stderr_moves(json.loads(payload), json.loads(old))
+            print(f"{name}: largest central move in combined standard "
+                  "errors: " + ", ".join(f"{k} {v:.2f}"
+                                         for k, v in moves.items()))
 
-    def dump(name, data):
+    def dump(name, data, compare):
         write(name, (json.dumps(data, indent=1, sort_keys=True)
-                     + "\n").encode())
+                     + "\n").encode(), _parsed(compare))
 
-    dump("traj_conserve.json", traj_conserve())
-    dump("canonical.json", canonical())
+    def numbers(name):
+        return _parsed(lambda new, old: assert_numbers_close(new, old, name))
+
+    dump("traj_conserve.json", traj_conserve(), compare_traj)
+    dump("canonical.json", canonical(), compare_canonical)
     with tempfile.TemporaryDirectory() as tmp:
-        write("fields_bare.csv", fields_csv(tmp).encode())
-        write("fields_mass.csv", fields_csv(tmp, MASS).encode())
+        for name, mass in (("fields_bare.csv", None),
+                           ("fields_mass.csv", MASS)):
+            write(name, fields_csv(tmp, mass).encode(), _parsed(
+                lambda new, old, name=name: assert_csv_close(new, old, name),
+                bytes.decode))
         for sub, (name, _) in QUANTUM.items():
-            write(name, quantum_json(tmp, sub).encode())
-        write("gibbs.json", gibbs_json(tmp).encode())
+            write(name, quantum_json(tmp, sub).encode(), numbers(name))
+        write("gibbs.json", gibbs_json(tmp).encode(), numbers("gibbs.json"))
         write("run_md_mass.csv", run_md_csv(tmp))
 
 
