@@ -9,7 +9,8 @@ and ``CorrectedSurface`` (mass-corrected: one nonlinear eigen solve and the
 exact derivatives of its fixed point).  A surface is evaluated once per
 configuration: ``at(x, j)`` returns one ``SurfacePoint`` record (value,
 gradient, shares, share gradients) that Verlet and the fields both read.
-The Gibbs sampler reads ``shares``.
+The Gibbs sampler reads ``shares``, which also takes a stack of
+configurations.
 """
 
 import csv
@@ -144,7 +145,8 @@ class AdiabaticSurface:
         return self.at(x, j, fields=False).grad
 
     def shares(self, x):
-        """Per-particle shares lambda_k^n of every surface, (N, d)."""
+        """Per-particle shares lambda_k^n of every surface, (N, d); a stack
+        x (K, N, 3) gives (K, N, d) from one call per layer."""
         v, parts = self.v_pot.evaluate_parts(x)
         eig = potential.eigendecompose(v, self.gap_tol)
         return potential.shares_from_parts(parts, eig.psi)
@@ -184,8 +186,12 @@ class CorrectedSurface:
         return self.at(x, j, fields=False).grad
 
     def shares(self, x):
-        """Per-particle shares of every corrected surface, (N, d)."""
-        return self._solve(x).per_particle_bar
+        """Per-particle shares of every corrected surface, (N, d); a stack
+        x (K, N, 3) is solved item by item."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return self._solve(x).per_particle_bar
+        return np.stack([self.shares(xk) for xk in x])
 
 
 def force(surface_provider, x, j):

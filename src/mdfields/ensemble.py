@@ -6,12 +6,25 @@ weights w_n = 1 (uniform mode) or max(eta(y - x^n), eta_floor)
 (local-mollified mode).  Positions are sampled by Metropolis random walks on
 the exact x-marginal; momenta are exact Gaussian draws with mean M_n u0 and
 per-coordinate variance M_n T / w_n.  Uniform mode supports grand-canonical
-insert/delete moves tied to the chemical potential.  Each chain's burn-in
-tunes its step and then stops at detected equilibration (Chodera's t0 on a
-scalar trace), with ``BURN_IN_FACTOR`` * N proposals as a hard cap.
+insert/delete moves tied to the chemical potential.
 
-A surface set is any object with ``d`` and ``shares(x)`` -> (N, d); the
-matrix-potential surfaces are the ``dynamics`` surface objects themselves.
+A fixed-N run advances ``CHAINS`` chains in lockstep (fewer when fewer
+samples are asked for): each proposal step draws one move per chain from
+the chain's own generator and evaluates all proposals in one stacked
+``log_x_density`` call.  Chain 0 draws from ``PCG64(seed)``, chain c >= 1
+from child c - 1 of ``SeedSequence(seed).spawn``, so a chain's states do not
+depend on how many chains run beside it, and a one-chain run consumes its
+stream as a single chain always has.  A run with number moves changes N, so
+it is one chain through the same loop.  The burn-in tunes one shared step
+on windows of displacement proposals pooled over the chains, then stops at
+detected equilibration (Chodera's t0 on the stacked scalar trace), with
+``BURN_IN_FACTOR`` * N proposals per chain as a hard cap.
+
+A surface set is any object with ``d`` and ``shares(x)``, mapping one
+configuration (N, 3) to (N, d) and a stack (K, N, 3) to (K, N, d), item k
+equal to the single call on item k; containers' ``particle_energy`` takes
+stacks the same way.  The matrix-potential surfaces are the ``dynamics``
+surface objects themselves.
 """
 
 import json
@@ -25,11 +38,16 @@ from .errors import (InsufficientOverlapError, InvalidParameterError,
                      UnattainableTargetError)
 
 # the burn-in stops at detected equilibration, at most factor * N proposals
+# per chain
 BURN_IN_FACTOR = 10_000
+# chains a fixed-N run advances in lockstep
+CHAINS = 8
 TUNE_INTERVAL = 200
 ACCEPT_LO, ACCEPT_HI = 0.20, 0.50
 WARN_LO, WARN_HI = 0.05, 0.80
 ESS_MIN = 100.0
+# configurations per stacked surface call of the quadrature
+QUAD_CHUNK = 4096
 
 
 @dataclass
@@ -54,14 +72,18 @@ class GibbsSpec:
 
 @dataclass
 class BurnIn:
-    """The record of one chain's burn-in (``GibbsSampler.burn_ins``)."""
+    """The record of one run's burn-in (``GibbsSampler.burn_ins``).
 
-    proposals: int      # proposals spent, at most BURN_IN_FACTOR * N
+    Proposals, t0, tau_int and ESS count per chain: the largest t0 and
+    tau_int over the lockstep chains' traces, and the ESS of one chain.
+    """
+
+    proposals: int      # proposals per chain, at most BURN_IN_FACTOR * N
     t0: int             # Chodera's equilibration time, in proposals
     tau_int: float      # integrated autocorrelation time of the tail after t0
     ess: float          # effective size of that tail, (proposals - t0) / tau
-    accept: float       # displacement acceptance rate over the burn-in
-    step: float         # the tuned displacement step
+    accept: float       # displacement acceptance rate, pooled over chains
+    step: float         # the tuned displacement step, shared by the chains
     step_at_cap: bool   # rate warning skipped: high rate, step at max_step
     hit_cap: bool       # ran to BURN_IN_FACTOR * N proposals
 
@@ -107,7 +129,7 @@ class BoxContainer:
         return self.lo + np.mod(x - self.lo, self.side)
 
     def particle_energy(self, x):
-        return np.zeros(x.shape[0])
+        return np.zeros(x.shape[:-1])
 
     def draw(self, rng, n):
         return rng.uniform(self.lo, self.hi, size=(n, 3))
@@ -130,7 +152,7 @@ class HarmonicContainer:
         return x
 
     def particle_energy(self, x):
-        return 0.5 * self.kappa * np.sum((x - self.center) ** 2, axis=1)
+        return 0.5 * self.kappa * np.sum((x - self.center) ** 2, axis=-1)
 
     def draw(self, rng, n):
         return self.center + rng.normal(scale=1.0 / np.sqrt(self.kappa),
@@ -147,7 +169,7 @@ class ZeroSurfaces:
         self.d = int(d)
 
     def shares(self, x):
-        return np.zeros((x.shape[0], self.d))
+        return np.zeros(x.shape[:-1] + (self.d,))
 
 
 class ConstantShiftSurfaces:
@@ -158,7 +180,7 @@ class ConstantShiftSurfaces:
         self.d = len(self.deltas)
 
     def shares(self, x):
-        return np.broadcast_to(self.deltas, (x.shape[0], self.d)).copy()
+        return np.broadcast_to(self.deltas, x.shape[:-1] + (self.d,)).copy()
 
 
 class HarmonicSurfaces:
@@ -170,8 +192,8 @@ class HarmonicSurfaces:
         self.d = len(self.kappas)
 
     def shares(self, x):
-        r2 = np.sum((x - self.center) ** 2, axis=1)
-        return 0.5 * r2[:, None] * self.kappas[None, :]
+        r2 = np.sum((x - self.center) ** 2, axis=-1)
+        return 0.5 * r2[..., None] * self.kappas
 
 
 # the bare shares of a matrix potential: the surface object Verlet and the
@@ -183,9 +205,10 @@ AdiabaticShares = AdiabaticSurface
 # Gibbs energy and sampling
 
 def particle_weights(spec, x, mol=None):
-    """Per-particle weights w_n: ones, or the floored mollifier values."""
+    """Per-particle weights w_n: ones, or the floored mollifier values;
+    (N,) for one configuration, (K, N) for a stack."""
     if spec.mode == "uniform":
-        return np.ones(x.shape[0])
+        return np.ones(x.shape[:-1])
     if mol is None:
         raise InvalidParameterError("local-mollified mode needs a mollifier")
     floor = spec.eta_floor
@@ -287,21 +310,29 @@ class GibbsSampler:
         self.burn_ins = []
 
     def log_x_density(self, x, j):
-        """Log of the x-marginal density (unnormalized) on surface j."""
+        """Log of the x-marginal density (unnormalized) on surface j, and
+        the shares (N, d) of every surface it read.
+
+        A stack x (K, N, 3) gives (K,) log densities and (K, N, d) shares
+        from one ``shares`` call; item k equals the single call on x[k]
+        bit for bit.
+        """
         spec = self.spec
+        sh = self.surfaces.shares(x)
+        n = x.shape[-2]
         if spec.mode == "uniform":
             # w = 1: the mu and thermal-wavelength terms are a constant
             # per particle, precomputed once
-            e = float(np.sum(self.surfaces.shares(x)[:, j])
-                      + np.sum(self.container.particle_energy(x)))
-            return -e / spec.T + x.shape[0] * self._per_particle_const
-        m = self._masses(x.shape[0])
+            e = sh[..., j].sum(axis=-1) \
+                + self.container.particle_energy(x).sum(axis=-1)
+            return -e / spec.T + n * self._per_particle_const, sh
+        m = self._masses(n)
         w = particle_weights(spec, x, self.mol)
-        lam = self.surfaces.shares(x)[:, j] + self.container.particle_energy(x)
-        val = -np.sum(w * (lam - m * spec.mu)) / spec.T
+        lam = sh[..., j] + self.container.particle_energy(x)
+        val = -(w * (lam - m * spec.mu)).sum(axis=-1) / spec.T
         # momentum marginal (2 pi M T / w)^{3/2} per particle
-        val += 1.5 * np.sum(np.log(2.0 * np.pi * m * spec.T / w))
-        return float(val)
+        val = val + 1.5 * np.log(2.0 * np.pi * m * spec.T / w).sum(axis=-1)
+        return val, sh
 
     def _masses(self, n):
         """The masses of n particles: the first n given, or the first mass
@@ -316,37 +347,41 @@ class GibbsSampler:
         return m[:, None] * self.spec.u0[None, :] \
             + rng.normal(size=(x.shape[0], 3)) * scale[:, None]
 
-    def _tune_step(self, x, j, rng, step):
-        """Burn-in: tune the step, then run until the chain has equilibrated.
+    def _tune_step(self, x, j, rngs, step):
+        """Burn-in of lockstep chains x (C, N, 3), one generator per chain:
+        tune the shared step, then run until the chains have equilibrated.
 
-        The step is tuned in windows of ``TUNE_INTERVAL`` displacements
-        until it settles: two windows in a row with a rate in [ACCEPT_LO,
-        ACCEPT_HI], or with the step held at the container's cap.  The
-        scalar trace (the log density, and N with number moves) covers
-        every proposal; once the step has settled, at trace lengths
-        TUNE_INTERVAL * N times a power of two, the burn-in stops when the
-        trace's equilibration time t0 lies in its first half.  A chain that
-        reaches the cap of BURN_IN_FACTOR * N proposals is judged once on
-        its whole trace and warns if t0 still lies in the second half.
-        Appends a ``BurnIn`` record to ``burn_ins``.
+        The step is tuned in windows of ``TUNE_INTERVAL`` displacement
+        proposals pooled over the chains until it settles: two windows in a
+        row with a rate in [ACCEPT_LO, ACCEPT_HI], or with the step held at
+        the container's cap.  The scalar trace (each chain's log density,
+        and N with number moves) covers every proposal; once the step has
+        settled, at TUNE_INTERVAL * N proposals per chain times a power of
+        two, the burn-in stops when the stacked trace's equilibration time
+        t0 lies in its first half.  Chains that reach the cap of
+        BURN_IN_FACTOR * N proposals each are judged once on their whole
+        trace and warn if t0 still lies in the second half.  Appends a
+        ``BurnIn`` record to ``burn_ins``; returns the chains' states, log
+        densities and shares, and the step.
         """
-        limit = BURN_IN_FACTOR * x.shape[0]
-        check = TUNE_INTERVAL * x.shape[0]
+        limit = BURN_IN_FACTOR * x.shape[1]
+        check = TUNE_INTERVAL * x.shape[1]
         trace = []
-        logd = self.log_x_density(x, j)
+        logd, sh = self.log_x_density(x, j)
         # the step is tuned on displacement proposals only
-        moves = accepted = window_acc = streak = 0
+        moves = accepted = window = window_acc = streak = 0
         cap = self.container.max_step()
         settled = hit_cap = False
         for n in range(1, limit + 1):
-            x, logd, ok = self._move(x, j, rng, step, logd)
-            trace.append((logd, x.shape[0]) if self.gcmc else (logd,))
+            x, logd, sh, ok = self._move(x, j, rngs, step, logd, sh)
+            trace.append((logd[0], x.shape[1]) if self.gcmc else logd)
             if ok is not None:
-                moves += 1
-                accepted += ok
-                window_acc += ok
-                if not settled and moves % TUNE_INTERVAL == 0:
-                    rate = window_acc / TUNE_INTERVAL
+                moves += len(ok)
+                window += len(ok)
+                accepted += sum(ok)
+                window_acc += sum(ok)
+                if not settled and window >= TUNE_INTERVAL:
+                    rate = window_acc / window
                     if rate < ACCEPT_LO:
                         step *= 0.7
                     elif rate > ACCEPT_HI:
@@ -354,7 +389,7 @@ class GibbsSampler:
                     good = ACCEPT_LO <= rate <= ACCEPT_HI or step >= cap
                     streak = streak + 1 if good else 0
                     settled = streak == 2
-                    window_acc = 0
+                    window = window_acc = 0
             if n == check:
                 check *= 2
                 if settled:
@@ -378,80 +413,90 @@ class GibbsSampler:
         self.burn_ins.append(BurnIn(
             proposals=n, t0=t0, tau_int=tau, ess=(n - t0) / tau,
             accept=rate, step=step, step_at_cap=at_cap, hit_cap=hit_cap))
-        return x, logd, step
+        return x, logd, sh, step
 
-    def _move(self, x, j, rng, step, logd):
-        """One proposal of the sampling mix, used by burn-in and sampling.
+    def _move(self, x, j, rngs, step, logd, sh):
+        """One proposal per chain, used by burn-in and sampling.
 
-        With gcmc a number move with probability 1/2, else a displacement;
-        fixed-N chains draw no extra random number.  The flag is the
-        displacement's acceptance, None after a number move.
+        With gcmc (one chain) a number move with probability 1/2, else a
+        displacement of every chain, evaluated in one stacked call; fixed-N
+        chains draw no extra random number.  Returns the new states, log
+        densities and shares, and the list of the displacements'
+        acceptances, None after a number move.
         """
-        if self.gcmc and rng.random() < 0.5:
-            x, logd, _ = self._number_move(x, j, rng, logd)
-            return x, logd, None
-        return self._displace(x, j, rng, step, logd)
+        if self.gcmc and rngs[0].random() < 0.5:
+            return self._number_move(x, j, rngs[0], logd, sh) + (None,)
+        # rng.normal(scale=step) is step times rng.standard_normal()
+        noise = np.empty(x.shape)
+        for rng, out in zip(rngs, noise):
+            rng.standard_normal(out=out)
+        prop = self.container.wrap(x + step * noise)
+        logp, shp = self.log_x_density(prop, j)
+        ok = [metropolis_accept(r, rng)
+              for r, rng in zip((logp - logd).tolist(), rngs)]
+        if all(ok):
+            return prop, logp, shp, ok
+        if any(ok):
+            take = np.array(ok)
+            x = np.where(take[:, None, None], prop, x)
+            logd = np.where(take, logp, logd)
+            sh = np.where(take[:, None, None], shp, sh)
+        return x, logd, sh, ok
 
-    def _displace(self, x, j, rng, step, logd):
-        prop = self.container.wrap(x + rng.normal(scale=step, size=x.shape))
-        logp = self.log_x_density(prop, j)
-        if metropolis_accept(logp - logd, rng):
-            return prop, logp, True
-        return x, logd, False
-
-    def _number_move(self, x, j, rng, logd):
-        spec = self.spec
-        m = float(self.masses[0])
+    def _number_move(self, x, j, rng, logd, sh):
+        """An insertion or a deletion on a one-chain stack x (1, N, 3)."""
         vol = self.container.volume
-        lam_th = (2.0 * np.pi * m * spec.T) ** 1.5
-        n = x.shape[0]
+        n = x.shape[1]
         if rng.random() < 0.5:
-            xin = self.container.draw(rng, 1)
-            prop = np.vstack([x, xin])
-            logp = self.log_x_density(prop, j)
-            log_ratio = logp - logd + np.log(vol / (n + 1.0))
-            # the thermal factor and e^{M mu / T} are inside log_x_density
-            # through the per-particle marginal and mu terms
-            if metropolis_accept(log_ratio, rng):
-                return prop, logp, True
-            return x, logd, False
-        if n == 0:
-            return x, logd, False
-        k = rng.integers(n)
-        prop = np.delete(x, k, axis=0)
-        logp = self.log_x_density(prop, j)
-        log_ratio = logp - logd + np.log(n / vol)
-        if metropolis_accept(log_ratio, rng):
-            return prop, logp, True
-        return x, logd, False
+            prop = np.concatenate([x, self.container.draw(rng, 1)[None]],
+                                  axis=1)
+            extra = np.log(vol / (n + 1.0))
+        elif n == 0:
+            return x, logd, sh
+        else:
+            prop = np.delete(x, rng.integers(n), axis=1)
+            extra = np.log(n / vol)
+        logp, shp = self.log_x_density(prop, j)
+        # the thermal factor and e^{M mu / T} are inside log_x_density
+        # through the per-particle marginal and mu terms
+        if metropolis_accept(logp[0] - logd[0] + extra, rng):
+            return prop, logp, shp
+        return x, logd, sh
 
     def run_chain(self, j, n_samples, seed, thin=None, x0=None,
                   collect=None):
         """Retained x-samples on surface j after burn-in and tuning.
 
-        ``collect`` may be a callable applied to every post-burn-in chain
-        state (for scalar statistics cheaper than storing samples).
+        A fixed-N run advances min(CHAINS, n_samples) chains in lockstep,
+        each from ``x0`` or its own draw of the container; a run with
+        number moves is one chain.  Every chain retains
+        ceil(n_samples / chains) states, one each ``thin`` proposals, and
+        the first n_samples are returned chain by chain.  ``collect`` may be
+        a callable ``collect(x, shares)`` applied to every retained state
+        and its shares (N, d), which the chain already holds (for scalar
+        statistics cheaper than storing samples).
         """
-        rng = np.random.default_rng(np.random.PCG64(seed))
+        n_chains = 1 if self.gcmc else max(1, min(CHAINS, n_samples))
+        rngs = [np.random.default_rng(np.random.PCG64(seed))]
+        rngs += [np.random.default_rng(child) for child in
+                 np.random.SeedSequence(seed).spawn(n_chains - 1)]
         if x0 is None:
-            x0 = self.container.draw(rng, len(self.masses))
-        x = np.asarray(x0, dtype=float)
-        step = 0.5
-        x, logd, step = self._tune_step(x, j, rng, step)
+            x = np.stack([self.container.draw(rng, len(self.masses))
+                          for rng in rngs])
+        else:
+            x0 = np.asarray(x0, dtype=float)
+            x = np.broadcast_to(x0, (n_chains,) + x0.shape).copy()
+        x, logd, sh, step = self._tune_step(x, j, rngs, 0.5)
         if thin is None:
-            thin = max(5, x.shape[0])
-        samples = []
-        stats = []
-        produced = 0
-        while produced < n_samples:
+            thin = max(5, x.shape[1])
+        kept = [[] for _ in rngs]
+        for _ in range(-(-n_samples // n_chains)):
             for _ in range(thin):
-                x, logd, _ = self._move(x, j, rng, step, logd)
-            if collect is not None:
-                stats.append(collect(x))
-            else:
-                samples.append(x.copy())
-            produced += 1
-        return stats if collect is not None else samples
+                x, logd, sh, _ = self._move(x, j, rngs, step, logd, sh)
+            for c, out in enumerate(kept):
+                out.append(x[c].copy() if collect is None
+                           else collect(x[c], sh[c]))
+        return [s for out in kept for s in out][:n_samples]
 
     def sample(self, n_samples, seed, weights=None, thin=None):
         """PhaseStates with surface labels drawn from ``weights``."""
@@ -499,8 +544,7 @@ def surface_weights(spec, surfaces, masses, container, method,
     if method == "reweighting":
         sampler = GibbsSampler(spec, surfaces, masses, container, mol)
 
-        def collect(x):
-            sh = surfaces.shares(x)
+        def collect(x, sh):
             w = particle_weights(spec, x, mol)
             delta = np.sum(w[:, None] * (sh - sh[:, :1]), axis=0)
             return np.exp(-delta / spec.T)
@@ -545,19 +589,16 @@ def _quadrature_weights(spec, surfaces, container, mol, n, n_quad):
     coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     wmesh = np.meshgrid(*([wts] * dim), indexing="ij")
     wprod = np.prod(np.stack([w.reshape(-1) for w in wmesh]), axis=0)
-    d = surfaces.d
-    vals = np.zeros(d)
-    for idx in range(coords.shape[0]):
-        x = coords[idx].reshape(n, 3)
+    vals = np.zeros(surfaces.d)
+    for lo in range(0, len(coords), QUAD_CHUNK):
+        x = coords[lo:lo + QUAD_CHUNK].reshape(-1, n, 3)
         w = particle_weights(spec, x, mol)
         sh = surfaces.shares(x)
         if isinstance(container, BoxContainer):
-            pe = container.particle_energy(x)
-        else:
-            pe = np.zeros(n)  # the Gaussian weight carries the container
-        boltz = np.exp(-np.sum(w[:, None] * (sh + pe[:, None]), axis=0)
-                       / spec.T)
-        vals += wprod[idx] * boltz
+            # a harmonic container is carried by the Gauss-Hermite weights
+            sh = sh + container.particle_energy(x)[..., None]
+        boltz = np.exp(-np.sum(w[..., None] * sh, axis=1) / spec.T)
+        vals += wprod[lo:lo + QUAD_CHUNK] @ boltz
     return vals
 
 
@@ -573,9 +614,8 @@ def _estimate_rho_e(spec, surfaces, masses, container, mol, n_samples, seed):
     """
     sampler = GibbsSampler(spec, surfaces, masses, container, mol, gcmc=True)
 
-    def collect(x):
-        lam = np.sum(surfaces.shares(x)[:, 0]
-                     + container.particle_energy(x))
+    def collect(x, sh):
+        lam = np.sum(sh[:, 0] + container.particle_energy(x))
         return (x.shape[0], lam)
 
     stats = sampler.run_chain(0, n_samples, seed, thin=1, collect=collect)

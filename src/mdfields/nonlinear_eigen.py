@@ -8,6 +8,7 @@ an independent cross-check mode.  ``fixed_point_derivatives`` differentiates
 the solved fixed point exactly, for gradients without further solves.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import (InvalidParameterError, NoConvergenceError,
 M_MIN = 10.0
 RESIDUAL_TOL = 1e-10
 _EPS_STEPS = 8
+# a solve converging after more than this share of max_iter warns
+NEAR_CAP = 0.8
 
 
 @dataclass
@@ -72,7 +75,9 @@ def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
         If ``mass < m_min``; the problem is only guaranteed solvable for
         large mass.
     NoConvergenceError
-        If the fixed-point iteration does not settle within ``max_iter``.
+        If the fixed-point iteration does not settle within ``max_iter``;
+        a ``RuntimeWarning`` names the count when it settles after more
+        than ``NEAR_CAP`` * ``max_iter`` iterations.
     ResidualTooLargeError
         If the converged fixed point violates the residual bound
         ``RESIDUAL_TOL * ||V||``.
@@ -104,9 +109,11 @@ def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
 
 
 def _solve_fixed_point(v, dv, eig, mass, max_iter, tol):
+    """Iterate to the fixed point; warns when it takes more than
+    NEAR_CAP * max_iter iterations."""
     lam = eig.lambdas.copy()
     psi = eig.psi.copy()
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         # grad Psi from the perturbation formula against the current
         # effective matrix; the x-derivative of the O(1/M) part is dropped,
         # consistent to the order of the correction
@@ -116,6 +123,10 @@ def _solve_fixed_point(v, dv, eig, mass, max_iter, tol):
         delta = np.max(np.abs(new.lambdas - lam))
         lam, psi = new.lambdas, new.psi
         if delta <= tol:
+            if it > NEAR_CAP * max_iter:
+                warnings.warn(f"fixed point converged after {it} "
+                              f"iterations, near max_iter = {max_iter}",
+                              RuntimeWarning)
             dpsi = potential.eigenvector_derivatives(dv, lam, psi)
             return lam, psi, dpsi
     raise NoConvergenceError(

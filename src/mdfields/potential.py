@@ -23,6 +23,11 @@ at once:
 ``part`` is a view of one row of ``evaluate_parts``.  The share partition
 and the per-particle gradients are single einsums over the stacked parts,
 with no loop over particles.
+
+``evaluate_parts``, ``eigendecompose`` and ``shares_from_parts`` also take
+a stack of configurations (a leading axis of K items) in one call.  Each
+item's arithmetic is that of a single call, so item k of a stacked call
+equals the single call on item k bit for bit.
 """
 
 from dataclasses import dataclass
@@ -251,27 +256,30 @@ class PairSumPotential:
         return [len(self._funcs) - 1]
 
     def _table(self, r, method):
-        """(d, d, P) array of entry values or derivatives at distances r,
-        calling each distinct pair function once."""
+        """(..., d, d, P) array of entry values or derivatives at distances
+        r (..., P), calling each distinct pair function once."""
         vals = [getattr(f, method)(r) for f in self._funcs]
-        out = np.zeros((self.d, self.d, len(r)))
+        out = np.zeros(r.shape[:-1] + (self.d, self.d, r.shape[-1]))
         for a, b, ids in self._slots:
-            out[a, b] = vals[ids[0]] if len(ids) == 1 \
+            out[..., a, b, :] = vals[ids[0]] if len(ids) == 1 \
                 else sum(vals[i] for i in ids)
         return out
 
     def _pair_vectors(self, x):
+        """Pair vectors (..., P, 3) and distances (..., P) of one
+        configuration or a stack of them."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_particles, 3):
+        if x.shape[-2:] != (self.n_particles, 3):
             raise InvalidParameterError(
                 f"expected a ({self.n_particles}, 3) configuration, "
                 f"got {x.shape}")
-        diff = x[self._iu] - x[self._ju]
-        # what np.linalg.norm(diff, axis=1) computes, without its overhead
-        return diff, np.sqrt(np.add.reduce(diff * diff, axis=1))
+        diff = x[..., self._iu, :] - x[..., self._ju, :]
+        # what np.linalg.norm(diff, axis=-1) computes, without its overhead
+        return diff, np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
     def _unit_vectors(self, x):
-        """Unit pair vectors e^p (P, 3) and distances r (P,).
+        """Unit pair vectors e^p (P, 3) and distances r (P,) of one
+        configuration.
 
         Raises
         ------
@@ -279,6 +287,10 @@ class PairSumPotential:
             If two particles coincide.
         """
         diff, r = self._pair_vectors(x)
+        if r.ndim != 1:
+            raise InvalidParameterError(
+                f"expected a ({self.n_particles}, 3) configuration, "
+                f"got {np.shape(x)}")
         if np.any(r == 0.0):
             bad = int(np.argmin(r))
             raise CoincidentPointsError(
@@ -294,15 +306,17 @@ class PairSumPotential:
 
     def evaluate(self, x):
         _, r = self._pair_vectors(x)
-        return self._table(r, "value").sum(axis=2)
+        return self._table(r, "value").sum(axis=-1)
 
     def evaluate_parts(self, x):
-        """V and all per-particle parts V^n, shapes (d, d) and (N, d, d)."""
+        """V and all per-particle parts V^n, shapes (d, d) and (N, d, d);
+        a stack x (K, N, 3) gives (K, d, d) and (K, N, d, d)."""
         _, r = self._pair_vectors(x)
         vals = self._table(r, "value")
-        d = self.d
-        parts = 0.5 * (self._touch @ vals.reshape(d * d, -1).T)
-        return vals.sum(axis=2), parts.reshape(-1, d, d)
+        lead, d = r.shape[:-1], self.d
+        flat = vals.reshape(lead + (d * d, -1))
+        parts = 0.5 * (self._touch @ np.swapaxes(flat, -1, -2))
+        return vals.sum(axis=-1), parts.reshape(lead + (-1, d, d))
 
     def part(self, x, n):
         return self.evaluate_parts(x)[1][n]
@@ -360,7 +374,11 @@ def make_two_state_model(phi1, gap, coupling, n_particles):
 
 @dataclass
 class EigenData:
-    """Ascending eigenvalues, sign-fixed unitary eigenvectors, smallest gap."""
+    """Ascending eigenvalues, sign-fixed unitary eigenvectors, smallest gap.
+
+    For a stack of K matrices: lambdas (K, d), psi (K, d, d) and gap_min
+    (K,), one entry per item.
+    """
 
     lambdas: np.ndarray
     psi: np.ndarray
@@ -368,9 +386,14 @@ class EigenData:
 
 
 def _fix_signs(psi):
-    """Make each column's largest-magnitude entry real-positive."""
-    lead = psi[np.argmax(np.abs(psi), axis=0), np.arange(psi.shape[1])]
-    psi = psi / (lead / np.abs(lead))
+    """Make each column's largest-magnitude entry real-positive, per item
+    of a stack (..., d, d); a complex stack is made real only when every
+    item is real."""
+    d = psi.shape[-1]
+    items = psi.reshape(-1, d, d)
+    rows = np.argmax(np.abs(items), axis=1)
+    lead = items[np.arange(len(items))[:, None], rows, np.arange(d)]
+    psi = psi / (lead / np.abs(lead)).reshape(psi.shape[:-2] + (1, d))
     if np.isrealobj(psi) or np.allclose(psi.imag, 0.0):
         psi = psi.real.astype(float, copy=False)
     return psi
@@ -379,26 +402,38 @@ def _fix_signs(psi):
 def eigendecompose(v, gap_tol=GAP_TOL):
     """Eigenpairs of a Hermitian matrix with deterministic sign fixing.
 
+    ``v`` is one (d, d) matrix or a stack (K, d, d); the sign fix and the
+    gap check apply per item.
+
     Raises
     ------
     DegenerateSpectrumError
-        If an adjacent eigenvalue gap falls below ``gap_tol``.
+        If an adjacent eigenvalue gap falls below ``gap_tol``; for a stack,
+        the message names the first such item's (flat) index.
     """
     v = np.asarray(v)
     lam, psi = np.linalg.eigh(v)
-    if len(lam) > 1:
-        gap_min = float(np.min(lam[1:] - lam[:-1]))
-        if gap_min < gap_tol:
+    if lam.shape[-1] > 1:
+        gap_min = (lam[..., 1:] - lam[..., :-1]).min(axis=-1)
+        low = gap_min < gap_tol
+        if low.any():
+            k = int(np.flatnonzero(low)[0])
+            item = f"item {k}: " if v.ndim > 2 else ""
             raise DegenerateSpectrumError(
-                f"adjacent eigenvalue gap {gap_min:.3e} below {gap_tol:.1e}")
+                f"{item}adjacent eigenvalue gap {gap_min.flat[k]:.3e} "
+                f"below {gap_tol:.1e}")
     else:
-        gap_min = np.inf
+        gap_min = np.full(lam.shape[:-1], np.inf)
+    if v.ndim == 2:
+        gap_min = float(gap_min)
     return EigenData(lambdas=lam, psi=_fix_signs(psi), gap_min=gap_min)
 
 
 def shares_from_parts(parts, psi):
-    """Shares <psi_k, V^n psi_k> of per-particle parts (N, d, d), (N, d)."""
-    return np.real(np.einsum("ik,nij,jk->nk", psi.conj(), parts, psi))
+    """Shares <psi_k, V^n psi_k> of per-particle parts (N, d, d), (N, d);
+    stacks (K, N, d, d) and (K, d, d) give (K, N, d)."""
+    return np.real(np.einsum("...ik,...nij,...jk->...nk", psi.conj(), parts,
+                             psi))
 
 
 def surface_partition(v_pot, x, eig):

@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from mdfields import ensemble, potential
-from mdfields.errors import (InsufficientOverlapError, InvalidParameterError,
+from mdfields.errors import (DegenerateSpectrumError,
+                             InsufficientOverlapError, InvalidParameterError,
                              UnattainableTargetError)
 from mdfields.mollifier import Mollifier
 
@@ -151,7 +152,7 @@ class TestSampling:
         sampler = ensemble.GibbsSampler(spec, ensemble.ZeroSurfaces(),
                                         np.ones(1), box, gcmc=True)
         counts = sampler.run_chain(0, 40_000, seed=13, thin=1,
-                                   collect=lambda x: x.shape[0])
+                                   collect=lambda x, sh: x.shape[0])
         mean_n = np.mean(counts)
         expected = n_target * box.volume
         assert abs(mean_n - expected) <= 0.04 * expected
@@ -168,7 +169,7 @@ class TestSampling:
         expected = n_target * box.volume
         for seed in range(1, 6):
             first = sampler.run_chain(0, 1, seed,
-                                      collect=lambda x: x.shape[0])[0]
+                                      collect=lambda x, sh: x.shape[0])[0]
             assert abs(first - expected) <= 5.0 * np.sqrt(expected), seed
 
     def test_gcmc_requires_uniform_mode(self):
@@ -189,15 +190,18 @@ class OnlyStart:
         self.x0 = x0
 
     def shares(self, x):
-        return np.full((x.shape[0], 1),
-                       0.0 if np.array_equal(x, self.x0) else 1e6)
+        # per item of a stack: flat only where the whole item is x0
+        flat = np.all(x == self.x0, axis=(-2, -1))
+        return np.broadcast_to(np.where(flat, 0.0, 1e6)[..., None, None],
+                               x.shape[:-1] + (1,)).copy()
 
 
 class TestTuneWarning:
     def tune(self, surfaces, x0, box):
         sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=2.0), surfaces,
                                         np.ones(x0.shape[0]), box)
-        return sampler._tune_step(x0, 0, np.random.default_rng(1), 0.5)[2]
+        return sampler._tune_step(x0[None], 0, [np.random.default_rng(1)],
+                                  0.5)[3]
 
     def test_high_rate_at_cap_is_silent(self):
         # the canonical-corrected box: side 1.8, T = 2, two-state N = 2
@@ -299,7 +303,7 @@ class TestBurnIn:
         expected = n_target * box.volume
         for seed in range(1, 6):
             first = sampler.run_chain(0, 1, seed,
-                                      collect=lambda x: x.shape[0])[0]
+                                      collect=lambda x, sh: x.shape[0])[0]
             assert abs(first - expected) <= 5.0 * np.sqrt(expected), seed
         recs = sampler.burn_ins
         assert sum(r.t0 > 0 for r in recs) >= 3
@@ -386,6 +390,129 @@ class TestSurfaceWeights:
         with pytest.raises(InvalidParameterError):
             ensemble.surface_weights(spec, ensemble.ZeroSurfaces(),
                                      np.ones(1), box, "guess")
+
+
+def canonical_surfaces(n=4):
+    """The canonical-corrected surfaces: two-state, box 1.8, T = 2."""
+    v = potential.make_two_state_model(
+        potential.Morse(1.0, 1.2, 1.0), 0.8,
+        potential.GaussianCoupling(0.15, 1.3, 0.6), n)
+    return ensemble.AdiabaticShares(v), ensemble.BoxContainer(0.0, 1.8)
+
+
+class TestStack:
+    """A stacked call equals the per-item calls bit for bit."""
+
+    K = 1000
+
+    def configs(self, seed, n=4):
+        return np.random.default_rng(seed).uniform(0.0, 1.8,
+                                                   size=(self.K, n, 3))
+
+    def test_eigendecompose_and_shares(self):
+        surf, _ = canonical_surfaces()
+        x = self.configs(1)
+        v, parts = surf.v_pot.evaluate_parts(x)
+        eig = potential.eigendecompose(v)
+        sh = surf.shares(x)
+        assert sh.shape == (self.K, 4, 2)
+        for k in range(self.K):
+            vk, parts_k = surf.v_pot.evaluate_parts(x[k])
+            one = potential.eigendecompose(vk)
+            np.testing.assert_array_equal(v[k], vk)
+            np.testing.assert_array_equal(parts[k], parts_k)
+            np.testing.assert_array_equal(eig.lambdas[k], one.lambdas)
+            np.testing.assert_array_equal(eig.psi[k], one.psi)
+            assert eig.gap_min[k] == one.gap_min
+            np.testing.assert_array_equal(sh[k], surf.shares(x[k]))
+
+    @pytest.mark.parametrize("mode", ["uniform", "local-mollified"])
+    def test_log_x_density(self, mode):
+        surf, box = canonical_surfaces()
+        spec = ensemble.GibbsSpec(T=2.0, mu=0.3, mode=mode,
+                                  probe=np.full(3, 0.9))
+        sampler = ensemble.GibbsSampler(spec, surf, np.full(4, 2.0), box,
+                                        mol=Mollifier(0.9))
+        x = self.configs(2)
+        for j in range(2):
+            logd, sh = sampler.log_x_density(x, j)
+            assert logd.shape == (self.K,)
+            for k in range(self.K):
+                one, sh_k = sampler.log_x_density(x[k], j)
+                assert logd[k] == one
+                np.testing.assert_array_equal(sh[k], sh_k)
+
+    def test_degenerate_item_named(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 2, 2))
+        v = a + a.transpose(0, 2, 1)
+        v[4] = np.eye(2)
+        with pytest.raises(DegenerateSpectrumError, match="item 4:"):
+            potential.eigendecompose(v)
+
+
+class CountingShares:
+    """A surface set that counts its shares calls."""
+
+    def __init__(self, surfaces):
+        self.surfaces = surfaces
+        self.d = surfaces.d
+        self.calls = 0
+
+    def shares(self, x):
+        self.calls += 1
+        return self.surfaces.shares(x)
+
+
+@pytest.fixture
+def density_calls(monkeypatch):
+    """The number of GibbsSampler.log_x_density calls so far."""
+    calls = [0]
+    log_x_density = ensemble.GibbsSampler.log_x_density
+
+    def counted(self, *args):
+        calls[0] += 1
+        return log_x_density(self, *args)
+
+    monkeypatch.setattr(ensemble.GibbsSampler, "log_x_density", counted)
+    return calls
+
+
+class TestLockstepCalls:
+    def test_surface_weights_reads_only_proposals(self, density_calls):
+        # the reweighting collects the shares its chain already holds
+        surf, box = canonical_surfaces()
+        counting = CountingShares(surf)
+        ensemble.surface_weights(ensemble.GibbsSpec(T=2.0), counting,
+                                 np.full(4, 1e3), box, "reweighting",
+                                 n_samples=2000, seed=2)
+        assert counting.calls == density_calls[0] > 0
+
+    def test_fixed_n_chain_calls(self, density_calls, monkeypatch):
+        # one chain is the single-chain loop; the lockstep run of 2,000
+        # samples makes at most a quarter of its log_x_density calls
+        surf, box = canonical_surfaces()
+        sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=2.0), surf,
+                                        np.full(4, 1e3), box)
+        sampler.run_chain(0, 2000, 2)
+        lockstep = density_calls[0]
+        monkeypatch.setattr(ensemble, "CHAINS", 1)
+        density_calls[0] = 0
+        samples = sampler.run_chain(0, 2000, 2)
+        assert len(samples) == 2000
+        assert 4 * lockstep <= density_calls[0]
+        assert [r.proposals for r in sampler.burn_ins] == [800, 1600]
+
+    def test_chains_retained_chain_by_chain(self):
+        # 21 samples over 8 chains: 3 per chain, the last three dropped;
+        # every state is a copy, not a view of the chains' stack
+        surf, box = canonical_surfaces(2)
+        sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=2.0), surf,
+                                        np.full(2, 1e3), box)
+        xs = sampler.run_chain(1, 21, 4, thin=1)
+        assert len(xs) == 21
+        assert all(x.shape == (2, 3) and x.base is None for x in xs)
+        assert sampler.burn_ins[-1].proposals == 400
 
 
 @pytest.fixture

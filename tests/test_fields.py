@@ -348,8 +348,10 @@ def ensemble_configs(seed, count=5):
              rng.normal(scale=0.3, size=BASE.shape)) for _ in range(count)]
 
 
-def ensemble_grid(model, configs, masses=MASSES):
-    probes = np.random.default_rng(0).uniform(0.0, 1.0, size=(8, 3))
+PROBES = np.random.default_rng(0).uniform(0.0, 1.0, size=(8, 3))
+
+
+def ensemble_grid(model, configs, masses=MASSES, probes=PROBES):
     states = [fields.prepare_state(x, p, masses, model) for x, p in configs]
     return fields.field_grid([(1.0, states)], Mollifier(0.9), probes,
                              mode="ensemble")
@@ -397,3 +399,24 @@ class TestInvariance:
         assert_field_close(moved.sigma, grid.sigma, "sigma")
         if kind == "harmonic":
             assert_field_close(moved.q, grid.q, "q")
+
+    def test_rigid_motion(self, kind):
+        # rotating and translating every x, p and probe: rho and E move as
+        # scalars, u, mom and q as vectors and sigma as R sigma R^T
+        model = fields.AdiabaticFieldModel(INVARIANCE_MODELS[kind](), 0)
+        configs = ensemble_configs(23)
+        q, r = np.linalg.qr(np.random.default_rng(24).normal(size=(3, 3)))
+        rot = q * np.sign(np.diag(r))
+        rot *= np.linalg.det(rot)     # a proper rotation, det +1
+        shift = np.array([0.4, -1.3, 2.2])
+        grid = ensemble_grid(model, configs)
+        moved = ensemble_grid(model, [(x @ rot.T + shift, p @ rot.T)
+                                      for x, p in configs],
+                              probes=PROBES @ rot.T + shift)
+        assert not np.any(grid.vacuum)
+        for key in ("rho", "energy"):
+            assert_field_close(getattr(moved, key), getattr(grid, key), key)
+        for key in ("u", "mom", "q"):
+            assert_field_close(getattr(moved, key), getattr(grid, key)
+                               @ rot.T, key)
+        assert_field_close(moved.sigma, rot @ grid.sigma @ rot.T, "sigma")

@@ -9,8 +9,9 @@ The files under ``tests/golden/`` hold:
   a four-particle two-state model, bare and with ``mass_parameter``;
 - ``run_md_mass.csv``: a 20-step mass-corrected ``run-md`` trajectory;
 - ``canonical.json``: a tiny canonical report (N = 2, 16 states,
-  mass-corrected) with its ensemble field grids at tau (with stderr) and
-  at tau - dt_check and tau + dt_check;
+  mass-corrected) with its surface weights q and their standard errors,
+  its ensemble field grids at tau (with stderr) and at tau - dt_check and
+  tau + dt_check;
 - ``egorov.json`` and ``commutator.json``: the ``egorov`` and
   ``commutator-check`` CLI outputs on the configs of the cli-md-quantum
   benchmark workload (``QUANTUM``);
@@ -39,8 +40,9 @@ which rewrites only the files whose new payload fails its test's comparison
 with the stored one, and prints, for each file, the largest normwise move
 against the stored file (per column, as the comparisons measure it); for
 ``canonical.json`` it also prints each central field's largest move in
-combined standard errors, from the stored and new ``grid.stderr``.  Report
-those before/after differences.
+combined standard errors, from the stored and new ``grid.stderr``, and the
+move of the surface weights q in combined standard errors from the stored
+and new ``q_stderr``.  Report those before/after differences.
 """
 
 import csv
@@ -181,7 +183,8 @@ def canonical():
                                                mode="ensemble"))
                   for ens in (minus, plus)]
     return {"dt_check": dt_check, "q_weights": qw.q.tolist(),
-            "grid": grid, "neighbours": neighbours, "report": out}
+            "q_stderr": qw.stderr.tolist(), "grid": grid,
+            "neighbours": neighbours, "report": out}
 
 
 def _report_dict(rep):
@@ -367,6 +370,7 @@ def test_run_md_mass_bytes(tmp_path):
 
 def compare_canonical(got, want):
     assert got["q_weights"] == want["q_weights"]
+    assert_field_close(got["q_stderr"], want["q_stderr"], "q_stderr")
     for k in FIELD_KEYS:
         assert_field_close(got["grid"][k], want["grid"][k], f"central {k}")
     for k, v in want["grid"]["stderr"].items():
@@ -435,14 +439,21 @@ def largest_move(name, new, old):
 
 
 def stderr_moves(new, old):
-    """Largest move of each central field of two canonical goldens, in
-    combined standard errors sqrt(se_new^2 + se_old^2) per value."""
-    out = {}
-    for k, se_old in old["grid"]["stderr"].items():
-        diff = np.abs(np.subtract(new["grid"][k], old["grid"][k]))
-        se = np.hypot(new["grid"]["stderr"][k], se_old)
+    """Largest move of each central field of two canonical goldens, and of
+    their surface weights q ("q_weights"), in combined standard errors
+    sqrt(se_new^2 + se_old^2) per value."""
+
+    def move(new_v, old_v, new_se, old_se):
+        diff = np.abs(np.subtract(new_v, old_v))
+        se = np.hypot(new_se, old_se)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[k] = float(np.max(np.where(diff > 0, diff / se, 0.0)))
+            return float(np.max(np.where(diff > 0, diff / se, 0.0)))
+
+    out = {k: move(new["grid"][k], old["grid"][k],
+                   new["grid"]["stderr"][k], se_old)
+           for k, se_old in old["grid"]["stderr"].items()}
+    out["q_weights"] = move(new["q_weights"], old["q_weights"],
+                            new["q_stderr"], old["q_stderr"])
     return out
 
 

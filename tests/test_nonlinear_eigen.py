@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,21 @@ class TestSolve:
         np.testing.assert_allclose(cs.lambdas_bar, v.evaluate(x)[0, 0],
                                    atol=1e-14)
         assert cs.residual_norm <= 1e-14
+
+    def test_near_cap_warns(self):
+        # the solve settles in 2 iterations: past 80 % of max_iter = 2, far
+        # below it at the default max_iter
+        rng = np.random.default_rng(5)
+        x = random_config(4, rng)
+        with pytest.warns(RuntimeWarning, match="after 2 iterations, near "
+                                                "max_iter = 2"):
+            near = nonlinear_eigen.solve_nonlinear_eigen(two_state(4), x,
+                                                         1.0e3, max_iter=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cs = nonlinear_eigen.solve_nonlinear_eigen(two_state(4), x,
+                                                       1.0e3)
+        np.testing.assert_array_equal(near.lambdas_bar, cs.lambdas_bar)
 
     def test_residual_and_unitarity(self):
         rng = np.random.default_rng(2)
