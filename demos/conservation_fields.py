@@ -42,10 +42,8 @@ st = traj.state(-1)
 sd = fields.prepare_state(st.x, st.p, st.masses, model)
 y = st.x.mean(axis=0)
 
-rho, _, _ = fields.instantaneous_density(sd, mol, y)
-u = fields.velocity_field(sd, mol, y)
-sigma = fields.stress_tensor(sd, mol, y)
-q = fields.heat_flux(sd, mol, y)
+grid = fields.field_grid([sd], mol, [y], mode="ensemble")
+rho, u, sigma, q = grid.rho[0], grid.u[0], grid.sigma[0], grid.q[0]
 print(f"\nat the center y = {np.round(y, 3)}:")
 print(f"  rho   = {rho:.6f}")
 print(f"  u     = {np.round(u, 6)}")

@@ -348,7 +348,7 @@ def _stamp_csv(path, cfg_hash, seed):
         fh.write(body)
 
 
-def _out(cfg, args, name):
+def _out(cfg, name):
     out_dir = os.environ.get("MDFIELDS_OUTPUT_DIR",
                              cfg.get("output_dir", "."))
     os.makedirs(out_dir, exist_ok=True)
@@ -358,20 +358,20 @@ def _out(cfg, args, name):
 # ---------------------------------------------------------------------------
 # subcommand handlers (return process exit code)
 
-def _cmd_run_md(cfg, cfg_hash, args):
+def _cmd_run_md(cfg, cfg_hash):
     state = _build_state(cfg["particles"])
     dyn = cfg["dynamics"]
     surf = _build_surface(cfg["model"], state.x.shape[0],
                           dyn.get("surface", 0), dyn.get("mass_parameter"))
     state.surface = dyn.get("surface", 0)
     traj = dynamics.integrate(state, dyn["dt"], dyn["steps"], surf)
-    path = _out(cfg, args, "trajectory.csv")
+    path = _out(cfg, "trajectory.csv")
     traj.to_csv(path)
     _stamp_csv(path, cfg_hash, cfg.get("seed", 0))
     return EXIT_OK
 
 
-def _cmd_fields(cfg, cfg_hash, args):
+def _cmd_fields(cfg, cfg_hash):
     state = _build_state(cfg["particles"])
     surf = _build_surface(cfg["model"], state.x.shape[0],
                           cfg.get("surface", 0), cfg.get("mass_parameter"))
@@ -380,13 +380,13 @@ def _cmd_fields(cfg, cfg_hash, args):
     sd = fields.prepare_state(state.x, state.p, state.masses, surf)
     grid = fields.field_grid([(1.0, [sd])], mol, probes,
                              mode="per-trajectory")
-    path = _out(cfg, args, "fields.csv")
+    path = _out(cfg, "fields.csv")
     grid.to_csv(path)
     _stamp_csv(path, cfg_hash, cfg.get("seed", 0))
     return EXIT_OK
 
 
-def _cmd_conserve_check(cfg, cfg_hash, args):
+def _cmd_conserve_check(cfg, cfg_hash):
     state = _build_state(cfg["particles"])
     surf = _build_surface(cfg["model"], state.x.shape[0],
                           cfg.get("surface", 0), cfg.get("mass_parameter"))
@@ -395,8 +395,8 @@ def _cmd_conserve_check(cfg, cfg_hash, args):
     probes = _build_probes(cfg["probes"])
     rep = conservation.per_trajectory_residuals(
         state, surf, surf, mol, probes, cfg["dt_check"])
-    jpath = _out(cfg, args, "residuals.json")
-    cpath = _out(cfg, args, "residuals.csv")
+    jpath = _out(cfg, "residuals.json")
+    cpath = _out(cfg, "residuals.csv")
     payload = rep.to_json_dict()
     payload["config_sha256"] = cfg_hash
     payload["seed"] = cfg.get("seed", 0)
@@ -410,7 +410,7 @@ def _cmd_conserve_check(cfg, cfg_hash, args):
     return EXIT_OK if payload["passed"] else EXIT_TOLERANCE
 
 
-def _cmd_gibbs_fit(cfg, cfg_hash, args):
+def _cmd_gibbs_fit(cfg, cfg_hash):
     cont = ensemble.BoxContainer(cfg["container"]["lo"],
                                  cfg["container"]["hi"])
     targets = cfg["targets"]
@@ -426,11 +426,11 @@ def _cmd_gibbs_fit(cfg, cfg_hash, args):
     rec = json.loads(ensemble.matched_spec_to_json(spec, weights, achieved))
     rec["config_sha256"] = cfg_hash
     rec["seed"] = cfg.get("seed", 0)
-    _write_json(_out(cfg, args, "gibbs.json"), rec)
+    _write_json(_out(cfg, "gibbs.json"), rec)
     return EXIT_OK
 
 
-def _cmd_egorov(cfg, cfg_hash, args):
+def _cmd_egorov(cfg, cfg_hash):
     length = cfg["grid"]["length"]
     v = _build_coeff(cfg["potential"], length)
     sym = _build_symbol(cfg["observable"], length)
@@ -442,11 +442,11 @@ def _cmd_egorov(cfg, cfg_hash, args):
     rep["passed"] = bool(rep["slope"] <= tol)
     rep["config_sha256"] = cfg_hash
     rep["seed"] = cfg.get("seed", 0)
-    _write_json(_out(cfg, args, "egorov.json"), rep)
+    _write_json(_out(cfg, "egorov.json"), rep)
     return EXIT_OK if rep["passed"] else EXIT_TOLERANCE
 
 
-def _cmd_commutator_check(cfg, cfg_hash, args):
+def _cmd_commutator_check(cfg, cfg_hash):
     gc = cfg["grid"]
     grid = quantum.QuantumGrid(gc["x0"], gc["length"], gc["n"])
     v = _build_coeff(cfg["potential"], gc["length"])
@@ -459,7 +459,7 @@ def _cmd_commutator_check(cfg, cfg_hash, args):
     rep["passed"] = bool(rep["rel_op_norm"] <= tol)
     rep["config_sha256"] = cfg_hash
     rep["seed"] = cfg.get("seed", 0)
-    _write_json(_out(cfg, args, "commutator.json"), rep)
+    _write_json(_out(cfg, "commutator.json"), rep)
     return EXIT_OK if rep["passed"] else EXIT_TOLERANCE
 
 
@@ -506,7 +506,7 @@ def main(argv=None):
         return EXIT_CONFIG
 
     try:
-        return _HANDLERS[args.subcommand](cfg, _config_hash(raw), args)
+        return _HANDLERS[args.subcommand](cfg, _config_hash(raw))
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,18 +1,22 @@
 """Numerical certification of the mass, momentum and energy conservation laws.
 
-The time derivative of each field is a central difference of full field
-evaluations at tau +/- dt_check (states advanced by single Verlet steps), so
-the check exercises the whole pipeline instead of sharing the analytic chain
-rule with the quantities being tested.  Spatial divergences come from the
-analytic probe-space gradients of ``fields`` and are exact.
+The time derivatives are central differences of rho, mom and E at
+tau +/- dt_check (states advanced by single Verlet steps), so the check
+exercises the whole pipeline instead of sharing the analytic chain rule
+with the quantities being tested.  Spatial divergences come from the
+analytic probe-space gradients of the field grid at tau and are exact; the
+stress and the heat flux enter only there, so the states at tau +/- dt_check
+are reduced to their densities (``fields.densities``).
 
-The provider opens the Verlet steps and the model closes them, with the
-gradient of its surface data at tau +/- dt_check, which the fields read
-anyway; so every configuration is evaluated once.
+The provider opens the Verlet steps and the model closes them with its
+surface data, whose shares the densities read, so each state at
+tau +/- dt_check is evaluated once.  The state at tau is evaluated twice:
+by the provider's gradient (the force and the cross-check) and by the
+model's surface data (the fields).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,32 +115,38 @@ def _central(state, provider, model):
     return fields.state_data(state.x, state.p, state.masses, data), f
 
 
-def _neighbours(state, model, f, dt_check):
-    """StateData at tau - dt_check and tau + dt_check.
+def _neighbours(state, model, f, dt_check, mol, probes):
+    """Densities at tau - dt_check and tau + dt_check.
 
     One Verlet step each way, opened by the force ``f`` at tau and closed
-    by the model's surface data, which the StateData reuses; the backward
-    step runs forward from the reversed momenta.
+    by the model's surface data, whose shares the densities reuse; the
+    backward step runs forward from the reversed momenta.
     """
     m = state.masses[:, None]
     xm, pm, dm = dynamics.verlet_step(model.surface_data, state.x, -state.p,
                                       m, f, dt_check)
     xp, pp, dp = dynamics.verlet_step(model.surface_data, state.x, state.p,
                                       m, f, dt_check)
-    return (fields.state_data(xm, -pm, state.masses, dm),
-            fields.state_data(xp, pp, state.masses, dp))
+    return (fields.densities(xm, -pm, state.masses, dm[0], mol, probes),
+            fields.densities(xp, pp, state.masses, dp[0], mol, probes))
 
 
-def _residuals(grid_m, grid_c, grid_p, dt):
-    """Per-probe residuals of the three laws, and the vacuum mask."""
-    return ((grid_p.rho - grid_m.rho) / (2 * dt) + grid_c.div_mom,
-            (grid_p.mom - grid_m.mom) / (2 * dt) + grid_c.div_mom_flux,
-            (grid_p.energy - grid_m.energy) / (2 * dt)
+def _residuals(dens_m, grid_c, dens_p, dt):
+    """Per-probe residuals of the three laws, and the mask: the vacuum of
+    the grid at tau and, in ensemble mode, the probes where the mean
+    density at tau - dt or tau + dt falls below ``fields.RHO_FLOOR``."""
+    masked = grid_c.vacuum
+    if grid_c.mode == "ensemble":
+        masked = masked | (dens_m["rho"] < fields.RHO_FLOOR) \
+            | (dens_p["rho"] < fields.RHO_FLOOR)
+    return ((dens_p["rho"] - dens_m["rho"]) / (2 * dt) + grid_c.div_mom,
+            (dens_p["mom"] - dens_m["mom"]) / (2 * dt) + grid_c.div_mom_flux,
+            (dens_p["energy"] - dens_m["energy"]) / (2 * dt)
             + grid_c.div_energy_flux,
-            grid_m.vacuum | grid_c.vacuum | grid_p.vacuum)
+            masked)
 
 
-def _scales(grid_m, grid_c, grid_p, dt_check):
+def _scales(dens_m, grid_c, dens_p, dt_check):
     """Field scales: the largest magnitude among the two terms of each law,
     over the probes that are not vacuum at tau."""
     ok = ~grid_c.vacuum
@@ -144,11 +154,11 @@ def _scales(grid_m, grid_c, grid_p, dt_check):
     def peak(a):
         return float(np.max(np.abs(a[ok]), initial=0.0))
 
-    return {"mass": max(peak(grid_p.rho - grid_m.rho) / (2 * dt_check),
+    return {"mass": max(peak(dens_p["rho"] - dens_m["rho"]) / (2 * dt_check),
                         peak(grid_c.div_mom)),
-            "mom": max(peak(grid_p.mom - grid_m.mom) / (2 * dt_check),
+            "mom": max(peak(dens_p["mom"] - dens_m["mom"]) / (2 * dt_check),
                        peak(grid_c.div_mom_flux)),
-            "energy": max(peak(grid_p.energy - grid_m.energy)
+            "energy": max(peak(dens_p["energy"] - dens_m["energy"])
                           / (2 * dt_check), peak(grid_c.div_energy_flux))}
 
 
@@ -177,7 +187,8 @@ def canonical_residuals(groups, mol, probes, dt_check, richardson=True):
 
 
 def _check(groups, mol, probes, dt_check, richardson, mode):
-    """Residual report of the field grids of ``mode`` on ``groups``."""
+    """Residual report of ``mode`` on ``groups``, from the field grid at tau
+    and the densities at tau -/+ dt_check."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     centres = [[_central(s, provider, model) for s in states]
                for _, states, provider, model in groups]
@@ -187,25 +198,25 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
         mol, probes, mode=mode)
 
     def neighbours(dt):
-        """Field grids at tau - dt and tau + dt."""
+        """Mean densities and their per-state stacks at tau - dt and
+        tau + dt."""
         ens_m, ens_p = [], []
         for (weight, states, _, model), cs in zip(groups, centres):
-            pairs = [_neighbours(s, model, f, dt)
+            pairs = [_neighbours(s, model, f, dt, mol, probes)
                      for s, (_, f) in zip(states, cs)]
-            ens_m.append((weight, [sm for sm, _ in pairs]))
-            ens_p.append((weight, [sp for _, sp in pairs]))
-        return (fields.field_grid(ens_m, mol, probes, mode=mode),
-                fields.field_grid(ens_p, mol, probes, mode=mode))
+            ens_m.append((weight, [dm for dm, _ in pairs]))
+            ens_p.append((weight, [dp for _, dp in pairs]))
+        return fields.ensemble_mean(ens_m), fields.ensemble_mean(ens_p)
 
-    gm, gp = neighbours(dt_check)
-    r_mass, r_mom, r_energy, masked = _residuals(gm, gc, gp, dt_check)
-    scales = _scales(gm, gc, gp, dt_check)
+    (dm, raws_m), (dp, raws_p) = neighbours(dt_check)
+    r_mass, r_mom, r_energy, masked = _residuals(dm, gc, dp, dt_check)
+    scales = _scales(dm, gc, dp, dt_check)
     err = {}
     if mode == "ensemble":
-        err = _canonical_stderr(gm.raws, gc.raws, gp.raws, dt_check)
+        err = _canonical_stderr(raws_m, gc.raws, raws_p, dt_check)
     order = None
     if richardson:
-        hm, hp = neighbours(dt_check / 2.0)
+        (hm, _), (hp, _) = neighbours(dt_check / 2.0)
         h_mass, h_mom, h_energy, hmask = _residuals(hm, gc, hp,
                                                     dt_check / 2.0)
         keep = ~(masked | hmask)
@@ -235,11 +246,12 @@ def _richardson(coarse, fine):
 def _canonical_stderr(raws_m, raws_c, raws_p, dt):
     """Combined MC standard errors of each conservation law.
 
-    ``raws_*`` are the per-state stacks (w, moments) of the three field
-    grids.  For every member trajectory the central-difference time
-    derivative and the pre-split divergence are single-sample estimates;
-    the canonical residual is exactly their weighted mean, so the law's
-    standard error is the quadrature sum of both terms' standard errors.
+    ``raws_*`` are the per-state stacks (w, moments) of the densities at
+    tau - dt and tau + dt and of the field grid at tau.  For every member
+    trajectory the central-difference time derivative and the pre-split
+    divergence are single-sample estimates; the canonical residual is
+    exactly their weighted mean, so the law's standard error is the
+    quadrature sum of both terms' standard errors.
     """
     (_, mm), (w, mc), (_, mp) = raws_m, raws_c, raws_p
     dt_terms = {"mass": (mp["rho"] - mm["rho"]) / (2 * dt),

@@ -37,10 +37,6 @@ class NoConvergenceError(PhysicsError):
     """An iterative solver failed to converge."""
 
 
-class VacuumProbeError(PhysicsError):
-    """Ensemble density below the floor; velocity undefined at this probe."""
-
-
 class BlowUpError(PhysicsError):
     """Trajectory coordinates exceeded the blow-up threshold."""
 

@@ -25,11 +25,25 @@ The heat-flux bond term sums ordered pairs n != m for the power part
 +sum_j W_{lj} u_j, the orientation that makes the canonical energy law an
 exact algebraic rearrangement of the pre-split one.
 
-Data are arrays with the probe index first.  The raw moments of all states
-are one stack (w, moments): w (S,) weights each state in the ensemble mean,
+A Galilean boost p^n -> p^n + M_n U shifts u by U and leaves the peculiar
+velocities, sigma and the transport part of q unchanged; q moves by the
+change of T2 plus W U,
+
+    dq(U) = < sum_pairs B_k dx_k [U.(grad_{x^j} lambda^i - grad_{x^i} lambda^j)
+                                  + (dx_k.U) lambda'_k / r_k] >
+
+over the pairs k = (i, j), dx_k = x^i - x^j, r_k = |dx_k|, lambda'_k the
+lifted pair derivative.  The bracket vanishes when each pair's share
+gradients lie along the pair (pair-additive shares); two-state shares mix
+the pairs through the eigenvectors, and q moves.
+
+Data are arrays with the probe index first.  ``densities`` gives rho, mom
+and E of one state, and ``_raw_fields`` every per-state moment on top of
+it.  ``ensemble_mean`` averages per-state moment dicts and keeps them as
+one stack (w, moments): w (S,) weights each state in the ensemble mean,
 moments[k] is (S, Q, ...), and the mean, sigma, q and their standard
-errors are array expressions over it.  ``field_grid`` returns a
-``ProbeGrid`` holding one (Q, ...) array per field.
+errors are array expressions over it.  ``field_grid``, the one path to the
+fields, returns a ``ProbeGrid`` holding one (Q, ...) array per field.
 """
 
 import csv
@@ -39,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, geometry, potential
-from .errors import InvalidParameterError, VacuumProbeError
+from .errors import InvalidParameterError
 
 RHO_FLOOR = 1e-12
 
@@ -112,9 +126,18 @@ def state_data(x, p, masses, data):
 # ---------------------------------------------------------------------------
 # raw per-state moments
 
-_RAW_KEYS = ("rho", "grad_rho", "mom", "grad_mom", "energy", "grad_energy",
-             "kin", "grad_kin", "w", "grad_w", "t1", "grad_t1",
-             "t2", "grad_t2")
+def densities(x, p, masses, lam_n, mol, probes):
+    """rho (Q,), mom (Q, 3) and E (Q,) of one state at probes (Q, 3),
+    keyed as in the raw moments."""
+    eta = mol.eval(probes[:, None, :] - x[None, :, :])      # (Q, N)
+    return {"rho": eta @ masses,
+            "mom": np.einsum("qn,nj->qj", eta, p),
+            "energy": eta @ _particle_energies(p, masses, lam_n)}
+
+
+def _particle_energies(p, masses, lam_n):
+    """|p^n|^2 / 2M_n + lambda^n for every particle n."""
+    return 0.5 * np.sum(p ** 2, axis=1) / masses + lam_n
 
 
 def _raw_fields(sd, mol, probes):
@@ -123,29 +146,26 @@ def _raw_fields(sd, mol, probes):
     Gradient arrays carry the derivative index first: grad_mom[q, c, j] is
     d mom_j / d y_c at probe q.
     """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
     nq = probes.shape[0]
     x, p, m = sd.x, sd.p, sd.masses
     n = x.shape[0]
     dy = probes[:, None, :] - x[None, :, :]
     eta = mol.eval(dy)                            # (Q, N)
     geta = mol.grad(dy.reshape(-1, 3)).reshape(nq, n, 3)
-    en = 0.5 * np.sum(p ** 2, axis=1) / m + sd.lam_n
+    en = _particle_energies(p, m, sd.lam_n)
     kin_n = p[:, :, None] * p[:, None, :] / m[:, None, None]   # (N, l, j)
     t1_n = (p / m[:, None]) * en[:, None]
 
-    out = {
-        "rho": eta @ m,
+    out = densities(x, p, m, sd.lam_n, mol, probes)
+    out.update({
         "grad_rho": np.einsum("qnc,n->qc", geta, m),
-        "mom": np.einsum("qn,nj->qj", eta, p),
         "grad_mom": np.einsum("qnc,nj->qcj", geta, p),
-        "energy": eta @ en,
         "grad_energy": np.einsum("qnc,n->qc", geta, en),
         "kin": np.einsum("qn,nlj->qlj", eta, kin_n),
         "grad_kin": np.einsum("qnc,nlj->qclj", geta, kin_n),
         "t1": np.einsum("qn,nl->ql", eta, t1_n),
         "grad_t1": np.einsum("qnc,nl->qcl", geta, t1_n),
-    }
+    })
 
     if not (np.any(sd.pair_derivs) or np.any(sd.pp_grads)):
         # free particles: every bond kernel vanishes identically
@@ -175,37 +195,32 @@ def _raw_fields(sd, mol, probes):
     return out
 
 
-def _mean_raw(ensembles, mol, probes):
-    """Weighted ensemble mean of the raw moments, and their per-state stack.
+def ensemble_mean(ensembles):
+    """Weighted ensemble mean of per-state moments, and their stack.
 
-    ``ensembles`` is a list of (weight, [StateData, ...]) groups; the group
-    means are combined with the given weights (surface weights q_j*).  The
-    stack is (w, moments): w (S,) is each state's weight in the mean, its
-    group weight over the group size, and moments[k] stacks moment k of
-    every state to (S, Q, ...).  Accumulation order is fixed, so results
-    are bit-reproducible.
+    ``ensembles`` is a list of (weight, [moments, ...]) groups, each
+    moments a dict of one state's arrays (``_raw_fields`` or
+    ``densities``); the group means are combined with the given weights
+    (surface weights q_j*).  The stack is (w, moments): w (S,) is each
+    state's weight in the mean, its group weight over the group size, and
+    moments[k] stacks moment k of every state to (S, Q, ...).
+    Accumulation order is fixed, so results are bit-reproducible.
     """
-    sizes = [len(states) for _, states in ensembles]
+    sizes = [len(group) for _, group in ensembles]
     if not sizes or not all(sizes):
         raise InvalidParameterError("empty ensemble or ensemble group")
-    states = [sd for _, group in ensembles for sd in group]
-    moments = {}
-    for i, sd in enumerate(states):
-        for k, v in _raw_fields(sd, mol, probes).items():
-            if i == 0:
-                moments[k] = np.empty((len(states),) + v.shape)
-            moments[k][i] = v
+    states = [mo for _, group in ensembles for mo in group]
+    moments = {k: np.stack([mo[k] for mo in states]) for k in states[0]}
     w = np.repeat([wt / n for (wt, _), n in zip(ensembles, sizes)], sizes)
     total = None
     start = 0
     for (weight, _), n in zip(ensembles, sizes):
-        group = {k: sum(moments[k][start:start + n]) / n for k in _RAW_KEYS}
+        group = {k: sum(v[start:start + n]) / n for k, v in moments.items()}
         start += n
         if total is None:
-            total = {k: weight * group[k] for k in _RAW_KEYS}
+            total = {k: weight * g for k, g in group.items()}
         else:
-            for k in _RAW_KEYS:
-                total[k] = total[k] + weight * group[k]
+            total = {k: total[k] + weight * g for k, g in group.items()}
     return total, (w, moments)
 
 
@@ -217,51 +232,6 @@ def _as_ensembles(source):
     if source and isinstance(source[0], StateData):
         return [(1.0, source)]
     return source
-
-
-# ---------------------------------------------------------------------------
-# public instantaneous operations
-
-def instantaneous_density(sd, mol, y):
-    """(rho, momentum density, energy density) at probe(s) ``y``."""
-    single = np.asarray(y).ndim == 1
-    raw = _raw_fields(sd, mol, y)
-    if single:
-        return float(raw["rho"][0]), raw["mom"][0], float(raw["energy"][0])
-    return raw["rho"], raw["mom"], raw["energy"]
-
-
-def instantaneous_momentum_flux(sd, mol, y):
-    """Pre-split momentum flux tensor K - W, so that
-    d/dt mom_j + sum_l d_l flux[l, j] = 0 along the trajectory."""
-    single = np.asarray(y).ndim == 1
-    raw = _raw_fields(sd, mol, y)
-    flux = raw["kin"] - raw["w"]
-    return flux[0] if single else flux
-
-
-def velocity_field(source, mol, y):
-    """Ensemble velocity u = <mom> / <rho> at probe(s) ``y``.
-
-    Raises
-    ------
-    VacuumProbeError
-        Where the ensemble density falls below RHO_FLOOR.
-    """
-    single = np.asarray(y).ndim == 1
-    _, u = _mean_and_u(source, mol, y)
-    return u[0] if single else u
-
-
-def _mean_and_u(source, mol, y, u=None):
-    """Ensemble mean moments at ``y`` and ``u``, by default the ensemble
-    velocity (which raises VacuumProbeError below RHO_FLOOR)."""
-    mean, _ = _mean_raw(_as_ensembles(source), mol, y)
-    if u is not None:
-        return mean, np.atleast_2d(np.asarray(u, dtype=float))
-    if np.any(mean["rho"] < RHO_FLOOR):
-        raise VacuumProbeError("ensemble density below the vacuum floor")
-    return mean, mean["mom"] / mean["rho"][:, None]
 
 
 def _sigma_from_mean(mean, u):
@@ -284,20 +254,6 @@ def _q_from_mean(mean, u):
             - u * (0.5 * mean["rho"] * u2)[..., None]
             + mean["t2"]
             + np.einsum("...lj,...j->...l", mean["w"], u))
-
-
-def stress_tensor(source, mol, y, u=None):
-    """Ensemble stress sigma(y); ``u`` defaults to the ensemble velocity."""
-    single = np.asarray(y).ndim == 1
-    sigma = _sigma_from_mean(*_mean_and_u(source, mol, y, u))
-    return sigma[0] if single else sigma
-
-
-def heat_flux(source, mol, y, u=None):
-    """Ensemble heat flux q(y); ``u`` defaults to the ensemble velocity."""
-    single = np.asarray(y).ndim == 1
-    q = _q_from_mean(*_mean_and_u(source, mol, y, u))
-    return q[0] if single else q
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +288,6 @@ class ProbeGrid:
     div_energy_flux: np.ndarray
     vacuum: np.ndarray
     u: np.ndarray = None
-    time: float = 0.0
     raws: tuple = field(default=None, repr=False)
 
     @functools.cached_property
@@ -423,16 +378,18 @@ def _canonical_divergences(mean, u):
     return sigma, q, div_mom_flux, div_energy_flux
 
 
-def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
+def field_grid(source, mol, probes, mode="per-trajectory"):
     """Evaluate all fields on a probe grid.
 
-    ``mode`` is "per-trajectory" (one state, pre-split fluxes; the reported
-    sigma and q use u = 0) or "ensemble" (weighted groups of states,
-    canonical fields with u and Monte Carlo standard errors; vacuum probes
-    are flagged, not filled).
+    ``mode`` is "per-trajectory" (pre-split fluxes of one state, or of the
+    mean of several; the reported sigma and q use u = 0) or "ensemble"
+    (weighted groups of states, canonical fields with u and Monte Carlo
+    standard errors; vacuum probes are flagged, not filled).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    mean, raws = _mean_raw(_as_ensembles(source), mol, probes)
+    mean, raws = ensemble_mean([(weight, [_raw_fields(sd, mol, probes)
+                                          for sd in group])
+                                for weight, group in _as_ensembles(source)])
     nq = probes.shape[0]
     extra = {"vacuum": np.zeros(nq, dtype=bool)}
     if mode == "per-trajectory":
@@ -462,7 +419,7 @@ def field_grid(source, mol, probes, mode="per-trajectory", time=0.0):
         grad_mom=mean["grad_mom"], grad_energy=mean["grad_energy"],
         div_mom=np.trace(mean["grad_mom"], axis1=1, axis2=2),
         div_mom_flux=div_mom_flux, div_energy_flux=div_energy_flux,
-        time=float(time), raws=raws, **extra)
+        raws=raws, **extra)
 
 
 def _stderr(raws, u):

@@ -106,35 +106,47 @@ class TestPerTrajectory:
             assert 1.5 <= rep.richardson_order[law] <= 2.5
 
     def test_central_state_shared_by_richardson(self, monkeypatch):
-        # tau is prepared and the provider's force taken once; each of dt
-        # and dt/2 adds the raw moments of two Verlet steps, each closed by
-        # the model's surface data, which the fields reuse
+        # tau is prepared, lifted, bond-integrated and its force taken
+        # once; each of dt and dt/2 adds the densities of two Verlet steps,
+        # each closed by the model's surface data, whose shares the
+        # densities reuse
         _, provider, model = harmonic_setup(2)
         st = pair_states(1, np.random.default_rng(4))[0]
         raws = count_calls(monkeypatch, fields, "_raw_fields")
+        bonds = count_calls(monkeypatch, Mollifier, "bond_weights")
+        lifts = count_calls(monkeypatch, geometry,
+                            "lift_gradient_to_distances")
         grads = count_calls(monkeypatch, provider, "gradient")
         data = count_calls(monkeypatch, model, "surface_data")
         conservation.per_trajectory_residuals(
             st, provider, model, Mollifier(0.8),
             np.array([[0.5, 0.0, 0.0], [0.3, 0.1, 0.0]]), 1e-4,
             richardson=True)
-        assert len(raws) == 5
+        assert len(raws) == 1
+        assert len(bonds) == 1
+        assert len(lifts) == 1
         assert len(grads) == 1
         assert len(data) == 5
 
     def test_steps_match_integrate(self):
-        # the tau -/+ dt states are bit for bit one integrate step from
-        # (x, p) and, time-reversed, from (x, -p)
+        # the tau -/+ dt densities are bit for bit those of one integrate
+        # step from (x, p) and, time-reversed, from (x, -p)
         _, provider, model = harmonic_setup(2)
         st = pair_states(1, np.random.default_rng(5))[0]
+        mol = Mollifier(0.8)
+        probes = cloud_probes(st.x, 6, np.random.default_rng(6))
         f = dynamics.force(provider, st.x, st.surface)
-        sm, sp = conservation._neighbours(st, model, f, 1e-3)
+        dm, dp = conservation._neighbours(st, model, f, 1e-3, mol, probes)
         fwd = dynamics.integrate(st, 1e-3, 1, provider).state(1)
         back = dynamics.integrate(
             dynamics.PhaseState(x=st.x, p=-st.p, masses=st.masses),
             1e-3, 1, provider).state(1)
-        assert np.array_equal(sp.x, fwd.x) and np.array_equal(sp.p, fwd.p)
-        assert np.array_equal(sm.x, back.x) and np.array_equal(sm.p, -back.p)
+        for dens, x, p in ((dp, fwd.x, fwd.p), (dm, back.x, -back.p)):
+            expect = fields.densities(x, p, st.masses,
+                                      model.surface_data(x)[0], mol, probes)
+            assert dens.keys() == expect.keys()
+            for key in expect:
+                assert np.array_equal(dens[key], expect[key]), key
 
     def test_json_and_csv(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -216,6 +228,28 @@ class TestCanonical:
         assert not rep.masked[0]
         assert rep.masked[1]
 
+    def test_neighbour_vacuum_masked(self):
+        # the density at the second probe is above RHO_FLOOR at tau and
+        # below it at tau + dt, as the particle moves away: masked in
+        # canonical mode only
+        provider = model = ZeroModel(2)
+        st = dynamics.PhaseState(
+            x=np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]),
+            p=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            masses=np.ones(2))
+        mol = Mollifier(0.7)
+        # eta = a exp(-1/(1 - z^2)) = 1e3 RHO_FLOOR behind the particle
+        a = mol.normalization * mol.epsilon ** -3
+        z = np.sqrt(1.0 - 1.0 / np.log(a / (1e3 * fields.RHO_FLOOR)))
+        probes = np.array([[0.3, 0.0, 0.0], [-z * mol.epsilon, 0.0, 0.0]])
+        can = conservation.canonical_residuals(
+            [(1.0, [st], provider, model)], mol, probes, 1e-2,
+            richardson=False)
+        pre = conservation.per_trajectory_residuals(
+            st, provider, model, mol, probes, 1e-2, richardson=False)
+        assert can.masked.tolist() == [False, True]
+        assert not np.any(pre.masked)
+
     def test_empty_ensemble_rejected(self):
         _, provider, model = harmonic_setup(2)
         st = pair_states(1, np.random.default_rng(7))[0]
@@ -243,13 +277,17 @@ class TestCanonical:
         assert all(np.isnan(v) for v in rep.richardson_order.values())
 
     def test_raw_moments_computed_once_per_state(self, monkeypatch):
-        # the field grids and the stderr pass share one set of per-state
-        # raw moments: 3 evaluations per state (tau - dt, tau, tau + dt);
-        # one provider force at tau opens both Verlet steps, and the
-        # model's surface data at tau - dt and tau + dt closes them
+        # the field grid at tau and the stderr pass share one set of
+        # per-state raw moments, one lift and one bond quadrature per
+        # state; tau - dt and tau + dt need only densities.  One provider
+        # force at tau opens both Verlet steps, and the model's surface
+        # data at tau - dt and tau + dt closes them
         _, provider, model = harmonic_setup(2)
         states = pair_states(5, np.random.default_rng(6))
         calls = count_calls(monkeypatch, fields, "_raw_fields")
+        bonds = count_calls(monkeypatch, Mollifier, "bond_weights")
+        lifts = count_calls(monkeypatch, geometry,
+                            "lift_gradient_to_distances")
         grads = count_calls(monkeypatch, provider, "gradient")
         data = count_calls(monkeypatch, model, "surface_data")
         conservation.canonical_residuals(
@@ -257,13 +295,15 @@ class TestCanonical:
              (0.6, states[2:], provider, model)],
             Mollifier(0.8), np.array([[0.5, 0.0, 0.0]]), 1e-4,
             richardson=False)
-        assert len(calls) == 3 * len(states)
+        assert len(calls) == len(states)
+        assert len(bonds) == len(states)
+        assert len(lifts) == len(states)
         assert len(grads) == len(states)
         assert len(data) == 3 * len(states)
 
     def test_field_stderr_not_computed(self, monkeypatch):
-        # the report's standard errors come from the raw stacks; the five
-        # ensemble grids (with Richardson) never compute their own
+        # the report's standard errors come from the raw stacks; the
+        # ensemble grid at tau never computes its own
         _, provider, model = harmonic_setup(2)
         states = pair_states(3, np.random.default_rng(10))
         calls = count_calls(monkeypatch, fields, "_stderr")

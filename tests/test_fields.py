@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mdfields import fields, geometry, potential
-from mdfields.errors import VacuumProbeError
 from mdfields.mollifier import Mollifier
 
 
@@ -35,24 +34,35 @@ def random_states(n, count, rng, model=None, spread=0.7):
     return out
 
 
+def densities(sd, mol, probes):
+    """rho, mom and E of one state at probes (Q, 3)."""
+    return fields.densities(sd.x, sd.p, sd.masses, sd.lam_n, mol,
+                            np.asarray(probes, dtype=float))
+
+
+def momentum_flux(sd, mol, y):
+    """Pre-split momentum flux K - W of one state at one probe."""
+    return -fields.field_grid(sd, mol, [y]).sigma[0]
+
+
 class TestInstantaneousDensity:
     def test_single_particle_at_probe(self):
         mol = Mollifier(0.5)
         sd = fields.prepare_state(np.zeros((1, 3)), np.zeros((1, 3)),
                                   np.array([2.0]), ZeroModel(1))
-        rho, mom, en = fields.instantaneous_density(sd, mol, np.zeros(3))
-        assert rho == 2.0 * mol.eval(np.zeros(3))
-        np.testing.assert_allclose(mom, 0.0)
-        assert en == 0.0
+        d = densities(sd, mol, np.zeros((1, 3)))
+        assert d["rho"][0] == 2.0 * mol.eval(np.zeros(3))
+        np.testing.assert_allclose(d["mom"][0], 0.0)
+        assert d["energy"][0] == 0.0
 
     def test_far_probe_vanishes(self):
         mol = Mollifier(0.5)
         rng = np.random.default_rng(0)
         sd = random_states(3, 1, rng)[0]
         far = sd.x.max(axis=0) + 10.0
-        rho, mom, en = fields.instantaneous_density(sd, mol, far)
-        assert rho == 0.0 and en == 0.0
-        np.testing.assert_allclose(mom, 0.0)
+        d = densities(sd, mol, [far])
+        assert d["rho"][0] == 0.0 and d["energy"][0] == 0.0
+        np.testing.assert_allclose(d["mom"][0], 0.0)
 
     def test_density_integral_is_total_mass(self):
         mol = Mollifier(0.4)
@@ -64,7 +74,7 @@ class TestInstantaneousDensity:
         axes = [np.linspace(lo[a], hi[a], npts) for a in range(3)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"),
                         axis=-1).reshape(-1, 3)
-        rho, _, _ = fields.instantaneous_density(sd, mol, grid)
+        rho = densities(sd, mol, grid)["rho"]
         dv = np.prod([(hi[a] - lo[a]) / (npts - 1) for a in range(3)])
         total = np.sum(rho) * dv
         assert abs(total - sd.masses.sum()) <= 1e-3 * sd.masses.sum()
@@ -74,7 +84,7 @@ class TestInstantaneousDensity:
         rng = np.random.default_rng(2)
         sd = random_states(2, 1, rng)[0]
         y = sd.x[0]
-        _, _, en = fields.instantaneous_density(sd, mol, y)
+        en = densities(sd, mol, [y])["energy"][0]
         dy = y - sd.x
         eta = mol.eval(dy)
         expect = np.sum(eta * (0.5 * np.sum(sd.p ** 2, axis=1) + sd.lam_n))
@@ -90,15 +100,16 @@ class TestVelocityField:
         for sd in states:
             sd.p[:] = w * sd.masses[:, None]
         y = states[0].x[0]
-        np.testing.assert_allclose(
-            fields.velocity_field(states, mol, y), w, atol=1e-13)
+        grid = fields.field_grid(states, mol, [y], mode="ensemble")
+        np.testing.assert_allclose(grid.u[0], w, atol=1e-13)
 
-    def test_vacuum_error(self):
+    def test_vacuum_flagged(self):
         mol = Mollifier(0.3)
         rng = np.random.default_rng(4)
         states = random_states(2, 2, rng)
-        with pytest.raises(VacuumProbeError):
-            fields.velocity_field(states, mol, np.full(3, 50.0))
+        grid = fields.field_grid(states, mol, [np.full(3, 50.0)],
+                                 mode="ensemble")
+        assert grid.vacuum[0]
 
     def test_peculiar_momentum_vanishes(self):
         # <sum_n M_n eta v^n> = 0 exactly by the definition of u
@@ -106,7 +117,7 @@ class TestVelocityField:
         rng = np.random.default_rng(5)
         states = random_states(3, 7, rng)
         y = np.array([0.1, 0.0, -0.1])
-        u = fields.velocity_field(states, mol, y)
+        u = fields.field_grid(states, mol, [y], mode="ensemble").u[0]
         acc = np.zeros(3)
         for sd in states:
             eta = mol.eval(y - sd.x)
@@ -123,7 +134,7 @@ class TestMomentumFlux:
         p = rng.normal(size=(2, 3))
         sd = fields.prepare_state(x, p, np.ones(2), ZeroModel(2))
         y = x[0]
-        flux = fields.instantaneous_momentum_flux(sd, mol, y)
+        flux = momentum_flux(sd, mol, y)
         eta = mol.eval(y - x)
         expect = np.einsum("n,nl,nj->lj", eta, p, p)
         np.testing.assert_allclose(flux, expect, atol=1e-14)
@@ -135,7 +146,7 @@ class TestMomentumFlux:
         sd = fields.prepare_state(x, np.zeros((2, 3)), np.ones(2),
                                   scalar_model(2, kappa, r0))
         y = 0.5 * (x[0] + x[1])
-        flux = fields.instantaneous_momentum_flux(sd, mol, y)
+        flux = momentum_flux(sd, mol, y)
         dx = x[0] - x[1]
         r = np.linalg.norm(dx)
         b = mol.bond_integral(y, x[0], x[1])
@@ -148,7 +159,7 @@ class TestMomentumFlux:
         sd = random_states(4, 1, rng)[0]
         sd.p[:] = 0.0  # isolate the potential part
         y = sd.x.mean(axis=0)
-        flux = fields.instantaneous_momentum_flux(sd, mol, y)
+        flux = momentum_flux(sd, mol, y)
         np.testing.assert_allclose(flux, flux.T, atol=1e-12)
 
 
@@ -166,8 +177,8 @@ class TestStressHeat:
             p = rng.normal(scale=np.sqrt(t), size=(4, 3))
             states.append(fields.prepare_state(x, p, np.ones(4),
                                                ZeroModel(4)))
-        y = np.zeros(3)
-        sigma = fields.stress_tensor(states, mol, y, u=np.zeros(3))
+        # per-trajectory mode reports the mean sigma at u = 0
+        sigma = fields.field_grid(states, mol, [np.zeros(3)]).sigma[0]
         n_density = 4.0 / (2.0 * box) ** 3
         expect = -n_density * t * np.eye(3)
         # MC error of each entry ~ n T sqrt(2/count-ish); allow 3 sigma
@@ -187,7 +198,7 @@ class TestStressHeat:
                                        pp_grads=sd.pp_grads)
             states.append(flipped)
         y = np.array([0.1, -0.05, 0.0])
-        q = fields.heat_flux(states, mol, y, u=np.zeros(3))
+        q = fields.field_grid(states, mol, [y]).q[0]  # at u = 0
         np.testing.assert_allclose(q, 0.0, atol=1e-12)
 
     def test_kinetic_split_identity(self):
@@ -196,14 +207,13 @@ class TestStressHeat:
         rng = np.random.default_rng(10)
         states = random_states(3, 9, rng)
         y = np.array([0.05, 0.1, -0.1])
-        u = fields.velocity_field(states, mol, y)
-        sigma = fields.stress_tensor(states, mol, y)
+        grid = fields.field_grid(states, mol, [y], mode="ensemble")
+        u, sigma = grid.u[0], grid.sigma[0]
         flux = np.zeros((3, 3))
         rho = 0.0
         for sd in states:
-            flux += fields.instantaneous_momentum_flux(sd, mol, y) \
-                / len(states)
-            rho += fields.instantaneous_density(sd, mol, y)[0] / len(states)
+            flux += momentum_flux(sd, mol, y) / len(states)
+            rho += densities(sd, mol, [y])["rho"][0] / len(states)
         np.testing.assert_allclose(flux, rho * np.outer(u, u) - sigma,
                                    atol=1e-10)
 
@@ -357,6 +367,22 @@ def ensemble_grid(model, configs, masses=MASSES, probes=PROBES):
                              mode="ensemble")
 
 
+def boost_shift(states, mol, probes, boost):
+    """The heat-flux change under p^n -> p^n + M_n U, as the fields
+    docstring writes it: <sum_pairs B_k dx_k [U.(grad_{x^j} lambda^i -
+    grad_{x^i} lambda^j) + (dx_k.U) lambda'_k / r_k]>."""
+    total = 0.0
+    for sd in states:
+        iu, ju = geometry.pair_indices(len(sd.x))
+        dx = sd.x[iu] - sd.x[ju]
+        r = np.linalg.norm(dx, axis=1)
+        b, _ = mol.bond_weights(probes, sd.x[iu], sd.x[ju])
+        bracket = (sd.pp_grads[iu, ju] - sd.pp_grads[ju, iu]) @ boost \
+            + (dx @ boost) * sd.pair_derivs / r
+        total = total + b @ (dx * bracket[:, None])
+    return total / len(states)
+
+
 def assert_field_close(new, old, what):
     """Normwise: |new - old| <= RTOL * max |old|."""
     new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
@@ -384,11 +410,12 @@ class TestInvariance:
 
     def test_galilean_boost(self, kind):
         # p^n -> p^n + M_n U shifts u by U and leaves the peculiar
-        # velocities, hence sigma, unchanged.  q is unchanged when the
-        # shares are pair-additive (the scalar model): there the share
-        # gradients of each pair lie along the pair.  The two-state shares
-        # mix pairs through the eigenvectors, so the bond power term does
-        # not cancel the W u term and q moves with the boost.
+        # velocities, hence sigma, unchanged.  q moves by the bond terms
+        # of boost_shift.  They vanish when the shares are pair-additive
+        # (the scalar model): there the share gradients of each pair lie
+        # along the pair.  The two-state shares mix pairs through the
+        # eigenvectors, so the bond power term does not cancel the W u
+        # term and q moves with the boost.
         model = fields.AdiabaticFieldModel(INVARIANCE_MODELS[kind](), 0)
         configs = ensemble_configs(22)
         boost = np.array([0.3, -0.2, 0.5])
@@ -397,8 +424,14 @@ class TestInvariance:
                                       for x, p in configs])
         assert_field_close(moved.u, grid.u + boost, "u")
         assert_field_close(moved.sigma, grid.sigma, "sigma")
+        shift = boost_shift([fields.prepare_state(x, p, MASSES, model)
+                             for x, p in configs], Mollifier(0.9), PROBES,
+                            boost)
         if kind == "harmonic":
+            assert np.max(np.abs(shift)) <= RTOL * np.max(np.abs(grid.q))
             assert_field_close(moved.q, grid.q, "q")
+        else:
+            assert_field_close(moved.q - grid.q, shift, "q shift")
 
     def test_rigid_motion(self, kind):
         # rotating and translating every x, p and probe: rho and E move as

@@ -112,6 +112,21 @@ def _grid_dict(grid):
     return {k: getattr(grid, k).tolist() for k in FIELD_KEYS}
 
 
+def _neighbour_states(st, provider, model, dt_check):
+    """Full states at tau - dt_check and tau + dt_check, stepped as the
+    conservation check steps them: one Verlet step each way, opened by the
+    provider's force at tau and closed by the model's surface data; the
+    backward step runs forward from the reversed momenta."""
+    f = dynamics.force(provider, st.x, st.surface)
+    m = st.masses[:, None]
+    xm, pm, dm = dynamics.verlet_step(model.surface_data, st.x, -st.p, m, f,
+                                      dt_check)
+    xp, pp, dp = dynamics.verlet_step(model.surface_data, st.x, st.p, m, f,
+                                      dt_check)
+    return (fields.state_data(xm, -pm, st.masses, dm),
+            fields.state_data(xp, pp, st.masses, dp))
+
+
 def traj_conserve():
     """Bare N = 8 harmonic lattice: field grids and residual report."""
     n, dt_check = 8, 1e-4
@@ -129,8 +144,8 @@ def traj_conserve():
                          size=(24, 3))
     rep = conservation.per_trajectory_residuals(
         st, provider, model, mol, probes, dt_check, richardson=True)
-    sc, f = conservation._central(st, provider, model)
-    sm, sp = conservation._neighbours(st, model, f, dt_check)
+    sc, _ = conservation._central(st, provider, model)
+    sm, sp = _neighbour_states(st, provider, model, dt_check)
     grids = [_grid_dict(fields.field_grid(s, mol, probes))
              for s in (sm, sc, sp)]
     return {"dt_check": dt_check, "grids": grids,
@@ -162,9 +177,8 @@ def canonical():
                                            richardson=False)
     minus, plus = [], []
     for wt, sts, provider, model in groups:
-        pairs = [conservation._neighbours(
-            s, model, dynamics.force(provider, s.x, s.surface), dt_check)
-            for s in sts]
+        pairs = [_neighbour_states(s, provider, model, dt_check)
+                 for s in sts]
         minus.append((wt, [sm for sm, _ in pairs]))
         plus.append((wt, [sp for _, sp in pairs]))
     central = fields.field_grid(
