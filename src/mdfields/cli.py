@@ -333,9 +333,12 @@ def _config_hash(raw_text):
     return hashlib.sha256(raw_text.encode("utf-8")).hexdigest()
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+def _write_report(cfg, cfg_hash, name, rep):
+    """Write ``rep`` with its provenance keys as JSON output ``name``."""
+    rep["config_sha256"] = cfg_hash
+    rep["seed"] = cfg.get("seed", 0)
+    with open(_out(cfg, name), "w") as fh:
+        json.dump(rep, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -395,16 +398,13 @@ def _cmd_conserve_check(cfg, cfg_hash):
     probes = _build_probes(cfg["probes"])
     rep = conservation.per_trajectory_residuals(
         state, surf, surf, mol, probes, cfg["dt_check"])
-    jpath = _out(cfg, "residuals.json")
     cpath = _out(cfg, "residuals.csv")
     payload = rep.to_json_dict()
-    payload["config_sha256"] = cfg_hash
-    payload["seed"] = cfg.get("seed", 0)
     tol = cfg.get("tolerance", 1e-6)
     rel = rep.relative_max()
     payload["tolerance"] = tol
     payload["passed"] = bool(all(v <= tol for v in rel.values()))
-    _write_json(jpath, payload)
+    _write_report(cfg, cfg_hash, "residuals.json", payload)
     rep.to_csv(cpath)
     _stamp_csv(cpath, cfg_hash, cfg.get("seed", 0))
     return EXIT_OK if payload["passed"] else EXIT_TOLERANCE
@@ -424,9 +424,7 @@ def _cmd_gibbs_fit(cfg, cfg_hash):
         n_samples=n_samples, seed=cfg.get("seed", 0))
     weights = ensemble.SurfaceWeights(q=np.ones(1), stderr=np.zeros(1))
     rec = json.loads(ensemble.matched_spec_to_json(spec, weights, achieved))
-    rec["config_sha256"] = cfg_hash
-    rec["seed"] = cfg.get("seed", 0)
-    _write_json(_out(cfg, "gibbs.json"), rec)
+    _write_report(cfg, cfg_hash, "gibbs.json", rec)
     return EXIT_OK
 
 
@@ -440,9 +438,7 @@ def _cmd_egorov(cfg, cfg_hash):
     tol = cfg.get("slope_tolerance", -0.8)
     rep["slope_tolerance"] = tol
     rep["passed"] = bool(rep["slope"] <= tol)
-    rep["config_sha256"] = cfg_hash
-    rep["seed"] = cfg.get("seed", 0)
-    _write_json(_out(cfg, "egorov.json"), rep)
+    _write_report(cfg, cfg_hash, "egorov.json", rep)
     return EXIT_OK if rep["passed"] else EXIT_TOLERANCE
 
 
@@ -457,9 +453,7 @@ def _cmd_commutator_check(cfg, cfg_hash):
     tol = cfg.get("tolerance", 1e-8)
     rep["tolerance"] = tol
     rep["passed"] = bool(rep["rel_op_norm"] <= tol)
-    rep["config_sha256"] = cfg_hash
-    rep["seed"] = cfg.get("seed", 0)
-    _write_json(_out(cfg, "commutator.json"), rep)
+    _write_report(cfg, cfg_hash, "commutator.json", rep)
     return EXIT_OK if rep["passed"] else EXIT_TOLERANCE
 
 

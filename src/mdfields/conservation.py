@@ -8,11 +8,12 @@ analytic probe-space gradients of the field grid at tau and are exact; the
 stress and the heat flux enter only there, so the states at tau +/- dt_check
 are reduced to their densities (``fields.densities``).
 
-The provider opens the Verlet steps and the model closes them with its
-surface data, whose shares the densities read, so each state at
-tau +/- dt_check is evaluated once.  The state at tau is evaluated twice:
-by the provider's gradient (the force and the cross-check) and by the
-model's surface data (the fields).
+Each configuration is evaluated once, from the model's own record: the
+state at tau with its share gradients, which give the fields and the force
+that opens the Verlet steps, and each state at tau +/- dt_check without
+them (``fields=False``), which closes its step and gives the shares the
+densities read.  The provider's gradient is compared with the model's on
+the first state of each group.
 """
 
 import json
@@ -97,38 +98,43 @@ class ResidualReport:
         fields.write_csv(path, cols, blocks)
 
 
-def _central(state, provider, model):
-    """StateData and force at tau, shared by every dt_check.
+def _central(state, model):
+    """StateData and force at tau, shared by every dt_check, from one
+    evaluation of the model."""
+    point = model.at(state.x, model.j)
+    return (fields.state_data(state.x, state.p, state.masses, point[:3]),
+            -point.grad)
 
-    Raises ``InvalidParameterError`` if the model's gradient differs from
-    the provider's force beyond ``geometry.LIFT_RESIDUAL_TOL``: the fields
-    and the dynamics would describe different surfaces.
-    """
-    data = model.surface_data(state.x)
-    f = dynamics.force(provider, state.x, state.surface)
-    miss = np.linalg.norm(data[1] + f)
-    limit = geometry.LIFT_RESIDUAL_TOL * max(1.0, np.linalg.norm(f))
+
+def _check_provider(provider, state, f):
+    """Raise ``InvalidParameterError`` if the provider's gradient at
+    ``state`` differs from the model's force ``f`` beyond
+    ``geometry.LIFT_RESIDUAL_TOL``: the fields and the dynamics would
+    describe different surfaces."""
+    g = provider.gradient(state.x, state.surface)
+    miss = np.linalg.norm(g + f)
+    limit = geometry.LIFT_RESIDUAL_TOL * max(1.0, np.linalg.norm(g))
     if miss > limit:
         raise InvalidParameterError(
             f"model gradient and provider force differ by {miss:.3e} "
             f"(limit {limit:.1e}) on surface {state.surface}")
-    return fields.state_data(state.x, state.p, state.masses, data), f
 
 
 def _neighbours(state, model, f, dt_check, mol, probes):
     """Densities at tau - dt_check and tau + dt_check.
 
     One Verlet step each way, opened by the force ``f`` at tau and closed
-    by the model's surface data, whose shares the densities reuse; the
-    backward step runs forward from the reversed momenta.
+    by the model without share gradients; the backward step runs forward
+    from the reversed momenta.
     """
+    def at(x):
+        return model.at(x, model.j, fields=False)
+
     m = state.masses[:, None]
-    xm, pm, dm = dynamics.verlet_step(model.surface_data, state.x, -state.p,
-                                      m, f, dt_check)
-    xp, pp, dp = dynamics.verlet_step(model.surface_data, state.x, state.p,
-                                      m, f, dt_check)
-    return (fields.densities(xm, -pm, state.masses, dm[0], mol, probes),
-            fields.densities(xp, pp, state.masses, dp[0], mol, probes))
+    xm, pm, dm = dynamics.verlet_step(at, state.x, -state.p, m, f, dt_check)
+    xp, pp, dp = dynamics.verlet_step(at, state.x, state.p, m, f, dt_check)
+    return (fields.densities(xm, -pm, state.masses, dm.lam_n, mol, probes),
+            fields.densities(xp, pp, state.masses, dp.lam_n, mol, probes))
 
 
 def _residuals(dens_m, grid_c, dens_p, dt):
@@ -190,8 +196,11 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
     """Residual report of ``mode`` on ``groups``, from the field grid at tau
     and the densities at tau -/+ dt_check."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    centres = [[_central(s, provider, model) for s in states]
-               for _, states, provider, model in groups]
+    centres = [[_central(s, model) for s in states]
+               for _, states, _, model in groups]
+    for (_, states, provider, _), cs in zip(groups, centres):
+        if states:
+            _check_provider(provider, states[0], cs[0][1])
     gc = fields.field_grid(
         [(weight, [sd for sd, _ in cs])
          for (weight, *_), cs in zip(groups, centres)],

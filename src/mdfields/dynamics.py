@@ -126,16 +126,16 @@ class AdiabaticSurface:
 
     def at(self, x, j, fields=True):
         """Surface j at x from one ``evaluate_parts``, ``deriv`` and
-        ``eigendecompose``; lam_n and pp are None unless ``fields``."""
+        ``eigendecompose``; pp is None unless ``fields``."""
         v, parts = self.v_pot.evaluate_parts(x)
         eig = potential.eigendecompose(v, self.gap_tol)
         dv = self.v_pot.deriv(x)
-        lam_n = pp = None
+        pp = None
         if fields:
-            lam_n = potential.shares_from_parts(parts, eig.psi)[:, j]
             pp = potential.per_particle_gradients_all(self.v_pot, x, parts,
                                                       dv, eig, j)
-        return SurfacePoint(lam_n, potential.surface_gradient(dv, eig, j), pp,
+        return SurfacePoint(potential.shares_from_parts(parts, eig.psi)[:, j],
+                            potential.surface_gradient(dv, eig, j), pp,
                             float(eig.lambdas[j]))
 
     def value(self, x, j):
@@ -192,11 +192,6 @@ class CorrectedSurface:
         if x.ndim == 2:
             return self._solve(x).per_particle_bar
         return np.stack([self.shares(xk) for xk in x])
-
-
-def force(surface_provider, x, j):
-    """The force -grad lambda_bar_j(x), shape (N, 3)."""
-    return -surface_provider.gradient(x, j)
 
 
 def verlet_step(at, x, p, m, f, dt):

@@ -25,10 +25,6 @@ class DegenerateSpectrumError(PhysicsError):
     """Adjacent eigenvalues closer than the degeneracy tolerance."""
 
 
-class NotRealizableError(PhysicsError):
-    """A pair-distance vector does not come from points in 3-space."""
-
-
 class ResidualTooLargeError(PhysicsError):
     """A linear-system residual exceeded its tolerance."""
 

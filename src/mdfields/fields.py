@@ -79,7 +79,8 @@ class StateData:
 
 
 class AdiabaticFieldModel(dynamics.AdiabaticSurface):
-    """The bare surface bound to one index j, for ``prepare_state``."""
+    """The bare surface bound to one index j, whose ``at(x, self.j)``
+    gives the fields of that surface."""
 
     def __init__(self, v_pot, j=0, gap_tol=potential.GAP_TOL):
         super().__init__(v_pot, gap_tol)
@@ -90,8 +91,8 @@ class AdiabaticFieldModel(dynamics.AdiabaticSurface):
 
 
 class CorrectedFieldModel(dynamics.CorrectedSurface):
-    """The mass-corrected surface bound to one index j, for
-    ``prepare_state``."""
+    """The mass-corrected surface bound to one index j, whose
+    ``at(x, self.j)`` gives the fields of that surface."""
 
     def __init__(self, v_pot, j, mass, gap_tol=potential.GAP_TOL):
         super().__init__(v_pot, mass, gap_tol)

@@ -12,13 +12,15 @@ class ZeroModel:
 
     def __init__(self, n):
         self.n = n
+        self.j = 0
+
+    def at(self, x, j, fields=True):
+        return dynamics.SurfacePoint(
+            np.zeros(self.n), np.zeros((self.n, 3)),
+            np.zeros((self.n, self.n, 3)) if fields else None, 0.0)
 
     def gradient(self, x, j):
-        return np.zeros((self.n, 3))
-
-    def surface_data(self, x):
-        return np.zeros(self.n), np.zeros((self.n, 3)), \
-            np.zeros((self.n, self.n, 3))
+        return self.at(x, j, fields=False).grad
 
 
 def harmonic_setup(n, kappa=1.0, r0=1.0):
@@ -38,12 +40,13 @@ def pair_states(count, rng):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper; returns the list it appends to."""
+    """Replace owner.name by a wrapper; returns the list to which it
+    appends the keyword arguments of each call."""
     calls = []
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -106,10 +109,10 @@ class TestPerTrajectory:
             assert 1.5 <= rep.richardson_order[law] <= 2.5
 
     def test_central_state_shared_by_richardson(self, monkeypatch):
-        # tau is prepared, lifted, bond-integrated and its force taken
-        # once; each of dt and dt/2 adds the densities of two Verlet steps,
-        # each closed by the model's surface data, whose shares the
-        # densities reuse
+        # tau is evaluated with its share gradients, lifted and
+        # bond-integrated once, and the provider checked there once; each
+        # of dt and dt/2 adds the densities of two Verlet steps, each
+        # closed by the model without share gradients
         _, provider, model = harmonic_setup(2)
         st = pair_states(1, np.random.default_rng(4))[0]
         raws = count_calls(monkeypatch, fields, "_raw_fields")
@@ -117,7 +120,9 @@ class TestPerTrajectory:
         lifts = count_calls(monkeypatch, geometry,
                             "lift_gradient_to_distances")
         grads = count_calls(monkeypatch, provider, "gradient")
-        data = count_calls(monkeypatch, model, "surface_data")
+        points = count_calls(monkeypatch, model, "at")
+        pps = count_calls(monkeypatch, potential,
+                          "per_particle_gradients_all")
         conservation.per_trajectory_residuals(
             st, provider, model, Mollifier(0.8),
             np.array([[0.5, 0.0, 0.0], [0.3, 0.1, 0.0]]), 1e-4,
@@ -126,7 +131,8 @@ class TestPerTrajectory:
         assert len(bonds) == 1
         assert len(lifts) == 1
         assert len(grads) == 1
-        assert len(data) == 5
+        assert len(points) == 5
+        assert len(pps) == 1
 
     def test_steps_match_integrate(self):
         # the tau -/+ dt densities are bit for bit those of one integrate
@@ -135,7 +141,7 @@ class TestPerTrajectory:
         st = pair_states(1, np.random.default_rng(5))[0]
         mol = Mollifier(0.8)
         probes = cloud_probes(st.x, 6, np.random.default_rng(6))
-        f = dynamics.force(provider, st.x, st.surface)
+        f = -provider.gradient(st.x, st.surface)
         dm, dp = conservation._neighbours(st, model, f, 1e-3, mol, probes)
         fwd = dynamics.integrate(st, 1e-3, 1, provider).state(1)
         back = dynamics.integrate(
@@ -279,9 +285,10 @@ class TestCanonical:
     def test_raw_moments_computed_once_per_state(self, monkeypatch):
         # the field grid at tau and the stderr pass share one set of
         # per-state raw moments, one lift and one bond quadrature per
-        # state; tau - dt and tau + dt need only densities.  One provider
-        # force at tau opens both Verlet steps, and the model's surface
-        # data at tau - dt and tau + dt closes them
+        # state; tau - dt and tau + dt need only densities.  One model
+        # evaluation at tau, the only one with share gradients, gives the
+        # force that opens both Verlet steps, and one at tau - dt and at
+        # tau + dt closes each; the provider is checked once per group
         _, provider, model = harmonic_setup(2)
         states = pair_states(5, np.random.default_rng(6))
         calls = count_calls(monkeypatch, fields, "_raw_fields")
@@ -289,7 +296,9 @@ class TestCanonical:
         lifts = count_calls(monkeypatch, geometry,
                             "lift_gradient_to_distances")
         grads = count_calls(monkeypatch, provider, "gradient")
-        data = count_calls(monkeypatch, model, "surface_data")
+        points = count_calls(monkeypatch, model, "at")
+        pps = count_calls(monkeypatch, potential,
+                          "per_particle_gradients_all")
         conservation.canonical_residuals(
             [(0.4, states[:2], provider, model),
              (0.6, states[2:], provider, model)],
@@ -298,8 +307,9 @@ class TestCanonical:
         assert len(calls) == len(states)
         assert len(bonds) == len(states)
         assert len(lifts) == len(states)
-        assert len(grads) == len(states)
-        assert len(data) == 3 * len(states)
+        assert len(grads) == 2
+        assert len(points) == 3 * len(states)
+        assert len(pps) == len(states)
 
     def test_field_stderr_not_computed(self, monkeypatch):
         # the report's standard errors come from the raw stacks; the
@@ -333,22 +343,26 @@ def two_state_states(n, count, rng, masses=1.0):
 
 class TestCorrectedCanonical:
     def test_solves_per_state(self, monkeypatch):
-        # one solve per evaluated configuration: the provider gradient at
-        # tau and the model's surface data at tau and tau -/+ dt
+        # one solve per evaluated configuration: the model at tau and tau
+        # -/+ dt, and the provider gradient on the group's first state;
+        # share gradients only at tau
         n = 4
         v, states = two_state_states(n, 2, np.random.default_rng(7), MASS)
         provider = dynamics.CorrectedSurface(v, MASS)
         model = fields.CorrectedFieldModel(v, 0, MASS)
         solves = count_calls(monkeypatch, nonlinear_eigen,
                              "solve_nonlinear_eigen")
+        derivs = count_calls(monkeypatch, nonlinear_eigen,
+                             "fixed_point_derivatives")
         grads = count_calls(monkeypatch, provider, "gradient")
-        data = count_calls(monkeypatch, model, "surface_data")
+        points = count_calls(monkeypatch, model, "at")
         conservation.canonical_residuals(
             [(1.0, states, provider, model)], Mollifier(0.9),
             np.array([[0.6, 0.6, 0.4]]), 1e-4, richardson=False)
-        assert len(grads) == len(states)
-        assert len(data) == 3 * len(states)
-        assert len(solves) == 4 * len(states)
+        assert len(grads) == 1
+        assert len(points) == 3 * len(states)
+        assert len(solves) == 3 * len(states) + 1
+        assert sum(d["shares"] for d in derivs) == len(states)
 
 
 class TestSurfaceMismatch:

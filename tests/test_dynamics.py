@@ -57,13 +57,13 @@ class TestForce:
     def test_constant_surface_zero_force(self):
         provider = constant_surface(2.5)
         x = np.random.default_rng(0).normal(size=(3, 3))
-        np.testing.assert_allclose(dynamics.force(provider, x, 0), 0.0)
+        np.testing.assert_allclose(-provider.gradient(x, 0), 0.0)
 
     def test_harmonic_closed_form(self):
         kappa, r0 = 1.7, 1.2
         _, provider = harmonic_pair_surface(kappa, r0)
         x = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        f = dynamics.force(provider, x, 0)
+        f = -provider.gradient(x, 0)
         # force on particle 1 is -kappa (r - r0) along +x toward particle 0
         np.testing.assert_allclose(f[1], [-kappa * (2.0 - r0), 0.0, 0.0],
                                    atol=1e-12)
@@ -81,7 +81,7 @@ class TestForce:
             fd = central_difference(
                 lambda xx: np.linalg.eigvalsh(v.evaluate(xx))[j], x)
             np.testing.assert_allclose(
-                dynamics.force(provider, x, j), -fd, atol=1e-6)
+                -provider.gradient(x, j), -fd, atol=1e-6)
 
 
 class TestIntegrate:
@@ -164,7 +164,7 @@ class TestIntegrate:
         def rhs(y):
             x = y[:6].reshape(2, 3)
             p = y[6:].reshape(2, 3)
-            f = dynamics.force(provider, x, 0)
+            f = -provider.gradient(x, 0)
             return np.concatenate([p.reshape(-1), f.reshape(-1)])
 
         y = np.concatenate([x0.reshape(-1), p0.reshape(-1)])

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdfields import geometry
-from mdfields.errors import (CoincidentPointsError, NotRealizableError,
-                             ResidualTooLargeError)
+from mdfields.errors import CoincidentPointsError, ResidualTooLargeError
 
 
 def random_config(n, rng, spread=2.0):
@@ -58,15 +57,19 @@ class TestPairDistances:
 
 
 class TestPairDirection:
+    """Row (i, j) of the distance Jacobian holds the gradient of r^{ij}:
+    the unit vector (x^i - x^j)/r^{ij} in block i, its negation in j."""
+
     def test_unit_separation(self):
         x = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
-        np.testing.assert_allclose(geometry.pair_direction(x, 1, 0), [1, 0, 0])
-        np.testing.assert_allclose(geometry.pair_direction(x, 0, 1), [-1, 0, 0])
+        row = geometry.distance_jacobian(x)[0].reshape(2, 3)
+        np.testing.assert_allclose(row[1], [1, 0, 0])
+        np.testing.assert_allclose(row[0], [-1, 0, 0])
 
     def test_coincident_error(self):
         x = np.zeros((2, 3))
         with pytest.raises(CoincidentPointsError):
-            geometry.pair_direction(x, 0, 1)
+            geometry.distance_jacobian(x)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(7)
@@ -79,7 +82,7 @@ class TestPairDirection:
             fd[a] = (np.linalg.norm(xp[0] - xp[1])
                      - np.linalg.norm(xm[0] - xm[1])) / (2 * h)
         np.testing.assert_allclose(
-            geometry.pair_direction(x, 0, 1), fd, atol=1e-8)
+            geometry.distance_jacobian(x)[0, :3], fd, atol=1e-8)
 
 
 class TestDistanceJacobian:
@@ -154,59 +157,3 @@ class TestLift:
         v = geometry.lift_gradient_to_distances(x, g)
         np.testing.assert_allclose(j.T @ v, g,
                                    atol=1e-10 * max(1.0, np.linalg.norm(g)))
-
-
-class TestReconstruct:
-    def test_tetrahedron(self):
-        r = np.ones(6)
-        x = geometry.reconstruct_positions(r, 4)
-        np.testing.assert_allclose(
-            geometry.pair_distances(x), 1.0, atol=1e-10)
-
-    def test_random_roundtrip(self):
-        rng = np.random.default_rng(29)
-        x = random_config(5, rng)
-        r = geometry.pair_distances(x)
-        xr = geometry.reconstruct_positions(r, 5)
-        np.testing.assert_allclose(geometry.pair_distances(xr), r, atol=1e-8)
-
-    def test_triangle_violation(self):
-        with pytest.raises(NotRealizableError):
-            geometry.reconstruct_positions(np.array([1.0, 1.0, 3.0]), 3)
-
-    def test_roundtrip_rigid(self):
-        rng = np.random.default_rng(31)
-        x = random_config(6, rng)
-        xr = geometry.reconstruct_positions(geometry.pair_distances(x), 6)
-        _, _, rms = geometry.align_rigid(x, xr)
-        assert rms <= 1e-8
-
-
-class TestAlignRigid:
-    def test_identity(self):
-        rng = np.random.default_rng(37)
-        x = random_config(4, rng)
-        q, alpha, rms = geometry.align_rigid(x, x)
-        np.testing.assert_allclose(q, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(alpha, 0.0, atol=1e-12)
-        assert rms <= 1e-12
-
-    def test_synthetic_transform(self):
-        rng = np.random.default_rng(41)
-        y = random_config(5, rng)
-        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        shift = np.array([1.0, 2.0, 3.0])
-        x = y @ rot.T + shift
-        q, alpha, rms = geometry.align_rigid(x, y)
-        assert rms <= 1e-10
-        np.testing.assert_allclose(q, rot, atol=1e-10)
-        np.testing.assert_allclose(alpha, shift, atol=1e-10)
-
-    def test_reflection_allowed(self):
-        rng = np.random.default_rng(43)
-        x = random_config(5, rng)
-        y = x.copy()
-        y[:, 2] *= -1.0  # mirror image
-        q, _, rms = geometry.align_rigid(x, y)
-        assert rms <= 1e-10
-        assert np.linalg.det(q) < 0

@@ -112,12 +112,13 @@ def _grid_dict(grid):
     return {k: getattr(grid, k).tolist() for k in FIELD_KEYS}
 
 
-def _neighbour_states(st, provider, model, dt_check):
+def _neighbour_states(st, model, dt_check):
     """Full states at tau - dt_check and tau + dt_check, stepped as the
     conservation check steps them: one Verlet step each way, opened by the
-    provider's force at tau and closed by the model's surface data; the
+    model's force at tau and closed by the model's surface data, whose
+    gradient is that of the check's ``at(x, j, fields=False)``; the
     backward step runs forward from the reversed momenta."""
-    f = dynamics.force(provider, st.x, st.surface)
+    f = -model.gradient(st.x, model.j)
     m = st.masses[:, None]
     xm, pm, dm = dynamics.verlet_step(model.surface_data, st.x, -st.p, m, f,
                                       dt_check)
@@ -144,8 +145,8 @@ def traj_conserve():
                          size=(24, 3))
     rep = conservation.per_trajectory_residuals(
         st, provider, model, mol, probes, dt_check, richardson=True)
-    sc, _ = conservation._central(st, provider, model)
-    sm, sp = _neighbour_states(st, provider, model, dt_check)
+    sc, _ = conservation._central(st, model)
+    sm, sp = _neighbour_states(st, model, dt_check)
     grids = [_grid_dict(fields.field_grid(s, mol, probes))
              for s in (sm, sc, sp)]
     return {"dt_check": dt_check, "grids": grids,
@@ -176,9 +177,8 @@ def canonical():
     rep = conservation.canonical_residuals(groups, mol, probes, dt_check,
                                            richardson=False)
     minus, plus = [], []
-    for wt, sts, provider, model in groups:
-        pairs = [_neighbour_states(s, provider, model, dt_check)
-                 for s in sts]
+    for wt, sts, _, model in groups:
+        pairs = [_neighbour_states(s, model, dt_check) for s in sts]
         minus.append((wt, [sm for sm, _ in pairs]))
         plus.append((wt, [sp for _, sp in pairs]))
     central = fields.field_grid(

@@ -87,19 +87,22 @@ class TestCorrected:
                 np.testing.assert_allclose(pp.sum(axis=0), grad, rtol=0,
                                            atol=1e-12)
 
-    def test_fields_false_skips_share_gradients(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["bare", "corrected"])
+    def test_fields_false_skips_share_gradients(self, monkeypatch, kind):
         # Verlet and ``gradient`` drop the share gradients: they are not
-        # computed, and the gradient and value are bit-identical
-        surf = make_surface("corrected")
+        # computed, and the shares, gradient and value are bit-identical
+        surf = make_surface(kind)
         x = config(6)
         counts = count_calls(monkeypatch, [(surf.v_pot, "part_deriv_all")])
         for j in range(2):
             full, bare = surf.at(x, j), surf.at(x, j, fields=False)
             assert bare.pp is None
+            np.testing.assert_array_equal(bare.lam_n, full.lam_n)
             np.testing.assert_array_equal(bare.grad, full.grad)
             assert bare.value == full.value
             np.testing.assert_array_equal(surf.gradient(x, j), full.grad)
-        assert counts == {"solve": 6, "part_deriv_all": 2}
+        solves = {"solve": 6} if kind == "corrected" else {}
+        assert counts == {**solves, "part_deriv_all": 2}
 
     def count_solves(self, monkeypatch):
         calls = []
