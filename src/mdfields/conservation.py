@@ -8,6 +8,10 @@ analytic probe-space gradients of the field grid at tau and are exact; the
 stress and the heat flux enter only there, so the states at tau +/- dt_check
 are reduced to their densities (``fields.densities``).
 
+Every law is the time derivative of a density plus the divergence of a
+flux, and one table, ``LAWS``, drives the check: residuals, field scales,
+standard errors and Richardson orders are each one expression over it.
+
 Each configuration is evaluated once, from the model's own record: the
 state at tau with its share gradients, which give the fields and the force
 that opens the Verlet steps, and each state at tau +/- dt_check without
@@ -23,6 +27,9 @@ import numpy as np
 
 from . import dynamics, fields, geometry
 from .errors import InvalidParameterError
+
+# each law and the density whose time derivative it reads
+LAWS = (("mass", "rho"), ("mom", "mom"), ("energy", "energy"))
 
 
 @dataclass
@@ -48,12 +55,9 @@ class ResidualReport:
     stderr_energy: np.ndarray = None
 
     def _norms(self, norm):
-        if np.all(self.masked):
-            return {"mass": 0.0, "mom": 0.0, "energy": 0.0}
         keep = ~self.masked
-        return {law: float(norm(r[keep])) for law, r in (
-            ("mass", self.r_mass), ("mom", self.r_mom),
-            ("energy", self.r_energy))}
+        return {law: float(norm(getattr(self, f"r_{law}")[keep]))
+                if np.any(keep) else 0.0 for law, _ in LAWS}
 
     def max_norms(self):
         return self._norms(lambda r: np.max(np.abs(r)))
@@ -137,35 +141,10 @@ def _neighbours(state, model, f, dt_check, mol, probes):
             fields.densities(xp, pp, state.masses, dp.lam_n, mol, probes))
 
 
-def _residuals(dens_m, grid_c, dens_p, dt):
-    """Per-probe residuals of the three laws, and the mask: the vacuum of
-    the grid at tau and, in ensemble mode, the probes where the mean
-    density at tau - dt or tau + dt falls below ``fields.RHO_FLOOR``."""
-    masked = grid_c.vacuum
-    if grid_c.mode == "ensemble":
-        masked = masked | (dens_m["rho"] < fields.RHO_FLOOR) \
-            | (dens_p["rho"] < fields.RHO_FLOOR)
-    return ((dens_p["rho"] - dens_m["rho"]) / (2 * dt) + grid_c.div_mom,
-            (dens_p["mom"] - dens_m["mom"]) / (2 * dt) + grid_c.div_mom_flux,
-            (dens_p["energy"] - dens_m["energy"]) / (2 * dt)
-            + grid_c.div_energy_flux,
-            masked)
-
-
-def _scales(dens_m, grid_c, dens_p, dt_check):
-    """Field scales: the largest magnitude among the two terms of each law,
-    over the probes that are not vacuum at tau."""
-    ok = ~grid_c.vacuum
-
-    def peak(a):
-        return float(np.max(np.abs(a[ok]), initial=0.0))
-
-    return {"mass": max(peak(dens_p["rho"] - dens_m["rho"]) / (2 * dt_check),
-                        peak(grid_c.div_mom)),
-            "mom": max(peak(dens_p["mom"] - dens_m["mom"]) / (2 * dt_check),
-                       peak(grid_c.div_mom_flux)),
-            "energy": max(peak(dens_p["energy"] - dens_m["energy"])
-                          / (2 * dt_check), peak(grid_c.div_energy_flux))}
+def _rates(dens_m, dens_p, dt):
+    """Central-difference time derivative of each law's density, of the
+    mean densities at tau -/+ dt or of their per-state stacks (S, Q, ...)."""
+    return {law: (dens_p[k] - dens_m[k]) / (2 * dt) for law, k in LAWS}
 
 
 def per_trajectory_residuals(state, provider, model, mol, probes, dt_check,
@@ -206,71 +185,58 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
          for (weight, *_), cs in zip(groups, centres)],
         mol, probes, mode=mode)
 
-    def neighbours(dt):
-        """Mean densities and their per-state stacks at tau - dt and
-        tau + dt."""
+    div = {"mass": gc.div_mom, "mom": gc.div_mom_flux,
+           "energy": gc.div_energy_flux}
+
+    def residuals(dt):
+        """Per-law residuals with the densities at tau -/+ dt, the mask,
+        the per-law rates and the per-state density stacks."""
         ens_m, ens_p = [], []
         for (weight, states, _, model), cs in zip(groups, centres):
             pairs = [_neighbours(s, model, f, dt, mol, probes)
                      for s, (_, f) in zip(states, cs)]
             ens_m.append((weight, [dm for dm, _ in pairs]))
             ens_p.append((weight, [dp for _, dp in pairs]))
-        return fields.ensemble_mean(ens_m), fields.ensemble_mean(ens_p)
+        (dm, (_, sm)), (dp, (_, sp)) = map(fields.ensemble_mean,
+                                           (ens_m, ens_p))
+        masked = gc.vacuum
+        if mode == "ensemble":  # and the vacuum of the mean at tau -/+ dt
+            masked = masked | fields.vacuum(dm) | fields.vacuum(dp)
+        rates = _rates(dm, dp, dt)
+        return ({law: rates[law] + div[law] for law, _ in LAWS}, masked,
+                rates, (sm, sp))
 
-    (dm, raws_m), (dp, raws_p) = neighbours(dt_check)
-    r_mass, r_mom, r_energy, masked = _residuals(dm, gc, dp, dt_check)
-    scales = _scales(dm, gc, dp, dt_check)
+    r, masked, rates, (sm, sp) = residuals(dt_check)
+
+    def peak(a):  # over the probes that are not vacuum at tau
+        return float(np.max(np.abs(a[~gc.vacuum]), initial=0.0))
+
+    # each law's field scale: the larger of its two terms
+    scales = {law: max(peak(rates[law]), peak(div[law])) for law, _ in LAWS}
     err = {}
     if mode == "ensemble":
-        err = _canonical_stderr(raws_m, gc.raws, raws_p, dt_check)
+        # each state's rate and pre-split divergence are single-sample
+        # estimates of the law's two terms; their errors add in quadrature
+        w, stack = gc.raws
+        rate, dv = _rates(sm, sp, dt_check), fields.presplit_divergences(stack)
+        err = {f"stderr_{law}": np.sqrt(
+            fields.weighted_mean_variance(w, rate[law])
+            + fields.weighted_mean_variance(w, dv[law])) for law, _ in LAWS}
     order = None
     if richardson:
-        (hm, _), (hp, _) = neighbours(dt_check / 2.0)
-        h_mass, h_mom, h_energy, hmask = _residuals(hm, gc, hp,
-                                                    dt_check / 2.0)
-        keep = ~(masked | hmask)
-        order = _richardson(
-            (r_mass[keep], r_mom[keep], r_energy[keep]),
-            (h_mass[keep], h_mom[keep], h_energy[keep]))
+        fine, fine_mask, _, _ = residuals(dt_check / 2.0)
+        keep = ~(masked | fine_mask)
+        order = {law: _order(r[law][keep], fine[law][keep])
+                 for law, _ in LAWS}
     return ResidualReport(
-        probes=probes, r_mass=r_mass, r_mom=r_mom, r_energy=r_energy,
-        masked=masked, dt_check=float(dt_check),
+        probes=probes, masked=masked, dt_check=float(dt_check),
         mode="canonical" if mode == "ensemble" else mode, scales=scales,
-        richardson_order=order,
-        **{f"stderr_{law}": v for law, v in err.items()})
+        richardson_order=order, **{f"r_{law}": r[law] for law, _ in LAWS},
+        **err)
 
 
-def _richardson(coarse, fine):
-    out = {}
-    for name, rc, rf in zip(("mass", "mom", "energy"), coarse, fine):
-        a = np.max(np.abs(rc), initial=0.0)
-        b = np.max(np.abs(rf), initial=0.0)
-        if b == 0.0:
-            out[name] = float("nan")
-        else:
-            out[name] = float(np.log2(a / b))
-    return out
-
-
-def _canonical_stderr(raws_m, raws_c, raws_p, dt):
-    """Combined MC standard errors of each conservation law.
-
-    ``raws_*`` are the per-state stacks (w, moments) of the densities at
-    tau - dt and tau + dt and of the field grid at tau.  For every member
-    trajectory the central-difference time derivative and the pre-split
-    divergence are single-sample estimates; the canonical residual is
-    exactly their weighted mean, so the law's standard error is the
-    quadrature sum of both terms' standard errors.
-    """
-    (_, mm), (w, mc), (_, mp) = raws_m, raws_c, raws_p
-    dt_terms = {"mass": (mp["rho"] - mm["rho"]) / (2 * dt),
-                "mom": (mp["mom"] - mm["mom"]) / (2 * dt),
-                "energy": (mp["energy"] - mm["energy"]) / (2 * dt)}
-    dv_terms = {"mass": np.einsum("...cc->...", mc["grad_mom"]),
-                "mom": np.einsum("...ccj->...j",
-                                 mc["grad_kin"] - mc["grad_w"]),
-                "energy": np.einsum("...cc->...",
-                                    mc["grad_t1"] + mc["grad_t2"])}
-    return {key: np.sqrt(fields.weighted_mean_variance(w, dt_terms[key])
-                         + fields.weighted_mean_variance(w, dv_terms[key]))
-            for key in dt_terms}
+def _order(coarse, fine):
+    """Richardson order log2(max |coarse| / max |fine|) of one law."""
+    a = np.max(np.abs(coarse), initial=0.0)
+    b = np.max(np.abs(fine), initial=0.0)
+    return float("nan") if b == 0.0 else float(np.log2(a / b))

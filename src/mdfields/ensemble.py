@@ -498,12 +498,10 @@ class GibbsSampler:
                            else collect(x[c], sh[c]))
         return [s for out in kept for s in out][:n_samples]
 
-    def sample(self, n_samples, seed, weights=None, thin=None):
-        """PhaseStates with surface labels drawn from ``weights``."""
+    def sample(self, n_samples, seed, weights):
+        """PhaseStates with surface labels drawn from ``weights.q``, the
+        states of each surface from one ``run_chain`` at its own thinning."""
         d = self.surfaces.d
-        if weights is None:
-            weights = SurfaceWeights(q=np.full(d, 1.0 / d),
-                                     stderr=np.zeros(d))
         rng = np.random.default_rng(np.random.PCG64(seed))
         labels = rng.choice(d, size=n_samples, p=weights.q)
         counts = np.bincount(labels, minlength=d)
@@ -511,8 +509,7 @@ class GibbsSampler:
         for j in range(d):
             if counts[j] == 0:
                 continue
-            xs = self.run_chain(j, int(counts[j]), seed ^ (j + 1),
-                                thin=thin)
+            xs = self.run_chain(j, int(counts[j]), seed ^ (j + 1))
             for x in xs:
                 p = self.draw_momenta(x, rng)
                 out.append(PhaseState(x=x, p=p,

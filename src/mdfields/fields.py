@@ -42,8 +42,9 @@ and E of one state, and ``_raw_fields`` every per-state moment on top of
 it.  ``ensemble_mean`` averages per-state moment dicts and keeps them as
 one stack (w, moments): w (S,) weights each state in the ensemble mean,
 moments[k] is (S, Q, ...), and the mean, sigma, q and their standard
-errors are array expressions over it.  ``field_grid``, the one path to the
-fields, returns a ``ProbeGrid`` holding one (Q, ...) array per field.
+errors are array expressions over it, as is ``presplit_divergences``.
+``field_grid``, the one path to the fields, takes weighted groups of
+states and returns a ``ProbeGrid`` holding one (Q, ...) array per field.
 """
 
 import csv
@@ -225,14 +226,20 @@ def ensemble_mean(ensembles):
     return total, (w, moments)
 
 
-def _as_ensembles(source):
-    """Normalize a flat state list to the weighted-group form."""
-    if isinstance(source, StateData):
-        return [(1.0, [source])]
-    source = list(source)
-    if source and isinstance(source[0], StateData):
-        return [(1.0, source)]
-    return source
+def vacuum(mean):
+    """The probes where the mean density falls below RHO_FLOOR."""
+    return mean["rho"] < RHO_FLOOR
+
+
+def presplit_divergences(moments):
+    """Divergences of the pre-split fluxes, keyed by law: div mom (mass),
+    div(K - W) (mom) and div(T1 + T2) (energy), of the mean moments
+    (Q, ...) or of a per-state stack (S, Q, ...)."""
+    return {"mass": np.einsum("...cc->...", moments["grad_mom"]),
+            "mom": np.einsum("...ccj->...j",
+                             moments["grad_kin"] - moments["grad_w"]),
+            "energy": np.einsum("...cc->...",
+                                moments["grad_t1"] + moments["grad_t2"])}
 
 
 def _sigma_from_mean(mean, u):
@@ -265,9 +272,9 @@ class ProbeGrid:
     """All fields at the probes, one array per field, probe index first.
 
     Gradients carry the derivative index next: grad_mom[i, c, j] is
-    d mom_j / d y_c at probe i.  ``div_mom_flux`` and ``div_energy_flux``
-    are the canonical div(rho u u - sigma) and div(E u + q - sigma u) in
-    ensemble mode, the pre-split div(K - W) and div(T1 + T2) otherwise.
+    d mom_j / d y_c at probe i.  The ``div_*`` are the
+    ``presplit_divergences`` of the mean, but for the canonical
+    div(rho u u - sigma) and div(E u + q - sigma u) in ensemble mode.
     ``vacuum`` flags the probes below RHO_FLOOR (ensemble mode only); an
     ensemble grid also holds the velocity ``u``.  ``raws`` keeps the
     per-state stack (w, moments) the grid was built from, so callers can
@@ -379,46 +386,45 @@ def _canonical_divergences(mean, u):
     return sigma, q, div_mom_flux, div_energy_flux
 
 
-def field_grid(source, mol, probes, mode="per-trajectory"):
+def field_grid(ensembles, mol, probes, mode="per-trajectory"):
     """Evaluate all fields on a probe grid.
 
-    ``mode`` is "per-trajectory" (pre-split fluxes of one state, or of the
-    mean of several; the reported sigma and q use u = 0) or "ensemble"
-    (weighted groups of states, canonical fields with u and Monte Carlo
-    standard errors; vacuum probes are flagged, not filled).
+    ``ensembles`` is a list of (weight, [StateData, ...]) groups, one state
+    of weight 1 being ``[(1.0, [sd])]``.  ``mode`` is "per-trajectory"
+    (pre-split fluxes of the weighted mean; the reported sigma and q use
+    u = 0) or "ensemble" (canonical fields with u and Monte Carlo standard
+    errors; vacuum probes are flagged, not filled).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     mean, raws = ensemble_mean([(weight, [_raw_fields(sd, mol, probes)
                                           for sd in group])
-                                for weight, group in _as_ensembles(source)])
+                                for weight, group in ensembles])
     nq = probes.shape[0]
+    pre = presplit_divergences(mean)
     extra = {"vacuum": np.zeros(nq, dtype=bool)}
     if mode == "per-trajectory":
-        div_mom_flux = np.einsum("qccj->qj",
-                                 mean["grad_kin"] - mean["grad_w"])
-        div_energy_flux = np.einsum("qcc->q",
-                                    mean["grad_t1"] + mean["grad_t2"])
+        div_mom_flux, div_energy_flux = pre["mom"], pre["energy"]
         sigma = -mean["kin"] + mean["w"]
         q = mean["t1"] + mean["t2"]
     elif mode == "ensemble":
-        vacuum = mean["rho"] < RHO_FLOOR
+        empty = vacuum(mean)
         u = np.zeros((nq, 3))
-        ok = ~vacuum
+        ok = ~empty
         u[ok] = mean["mom"][ok] / mean["rho"][ok, None]
         # replace the vacuum density by 1 inside the quotient rules; every
         # numerator vanishes there, so the outputs stay zero
         safe = dict(mean)
-        safe["rho"] = np.where(vacuum, 1.0, mean["rho"])
+        safe["rho"] = np.where(empty, 1.0, mean["rho"])
         sigma, q, div_mom_flux, div_energy_flux = \
             _canonical_divergences(safe, u)
-        extra = {"vacuum": vacuum, "u": u}
+        extra = {"vacuum": empty, "u": u}
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
     return ProbeGrid(
         points=probes, mode=mode, rho=mean["rho"], mom=mean["mom"],
         energy=mean["energy"], sigma=sigma, q=q, grad_rho=mean["grad_rho"],
         grad_mom=mean["grad_mom"], grad_energy=mean["grad_energy"],
-        div_mom=np.trace(mean["grad_mom"], axis1=1, axis2=2),
+        div_mom=pre["mass"],
         div_mom_flux=div_mom_flux, div_energy_flux=div_energy_flux,
         raws=raws, **extra)
 

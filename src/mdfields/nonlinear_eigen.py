@@ -19,6 +19,7 @@ from .errors import (InvalidParameterError, NoConvergenceError,
 
 M_MIN = 10.0
 RESIDUAL_TOL = 1e-10
+FIXED_POINT_TOL = 1e-12  # largest eigenvalue move of a settled iteration
 _EPS_STEPS = 8
 # a solve converging after more than this share of max_iter warns
 NEAR_CAP = 0.8
@@ -62,8 +63,7 @@ def _residual(v, lam, psi, dpsi, mass):
 
 
 def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
-                          gap_tol=potential.GAP_TOL, max_iter=50,
-                          tol=1e-12, m_min=M_MIN):
+                          gap_tol=potential.GAP_TOL, max_iter=50):
     """Solve the nonlinear eigenvalue problem at configuration ``x``.
 
     ``method`` is ``"fixed_point"`` (production) or ``"continuation"``
@@ -72,25 +72,25 @@ def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
     Raises
     ------
     InvalidParameterError
-        If ``mass < m_min``; the problem is only guaranteed solvable for
+        If ``mass < M_MIN``; the problem is only guaranteed solvable for
         large mass.
     NoConvergenceError
-        If the fixed-point iteration does not settle within ``max_iter``;
-        a ``RuntimeWarning`` names the count when it settles after more
-        than ``NEAR_CAP`` * ``max_iter`` iterations.
+        If the fixed-point iteration does not settle to ``FIXED_POINT_TOL``
+        within ``max_iter``; a ``RuntimeWarning`` names the count when it
+        settles after more than ``NEAR_CAP`` * ``max_iter`` iterations.
     ResidualTooLargeError
         If the converged fixed point violates the residual bound
         ``RESIDUAL_TOL * ||V||``.
     """
-    if mass < m_min:
+    if mass < M_MIN:
         raise InvalidParameterError(
-            f"mass {mass} below the solvability guard {m_min}")
+            f"mass {mass} below the solvability guard {M_MIN}")
     x = np.asarray(x, dtype=float)
     v, parts = v_pot.evaluate_parts(x)
     dv = v_pot.deriv(x)
     eig = potential.eigendecompose(v, gap_tol)
     if method == "fixed_point":
-        lam, psi, dpsi = _solve_fixed_point(v, dv, eig, mass, max_iter, tol)
+        lam, psi, dpsi = _solve_fixed_point(v, dv, eig, mass, max_iter)
         resid = _residual(v, lam, psi, dpsi, mass)
         bound = RESIDUAL_TOL * max(np.linalg.norm(v), 1e-300)
         if resid > bound:
@@ -108,7 +108,7 @@ def solve_nonlinear_eigen(v_pot, x, mass, method="fixed_point",
                              residual_norm=resid)
 
 
-def _solve_fixed_point(v, dv, eig, mass, max_iter, tol):
+def _solve_fixed_point(v, dv, eig, mass, max_iter):
     """Iterate to the fixed point; warns when it takes more than
     NEAR_CAP * max_iter iterations."""
     lam = eig.lambdas.copy()
@@ -122,7 +122,7 @@ def _solve_fixed_point(v, dv, eig, mass, max_iter, tol):
         new = potential.eigendecompose(v + b / (4.0 * mass))
         delta = np.max(np.abs(new.lambdas - lam))
         lam, psi = new.lambdas, new.psi
-        if delta <= tol:
+        if delta <= FIXED_POINT_TOL:
             if it > NEAR_CAP * max_iter:
                 warnings.warn(f"fixed point converged after {it} "
                               f"iterations, near max_iter = {max_iter}",

@@ -17,6 +17,8 @@ NYQUIST_FRACTION = 0.8
 NYQUIST_MASS_TOL = 1e-10
 PUBLIC_DEGREE = 2
 INTERNAL_DEGREE = 3
+CLOUD_NODES = 24  # Gauss-Hermite nodes per axis of the Wigner cloud
+CLOUD_DT = 1e-3  # largest RK4 step of the cloud's classical flow
 
 
 def hbar_eff(mass):
@@ -387,21 +389,21 @@ def off_surface_population(v11, v22, v12, grid, mass, x0_packet, p0_packet,
 
 
 def _classical_cloud_average(symbol, v_deriv, x0, p0, sigma_x, sigma_p,
-                             t_final, n_nodes=24, dt=1e-3):
+                             t_final):
     """Wigner-weighted classical expectation of a(x_t, p_t).
 
     The initial Wigner function of a Gaussian packet is a product Gaussian;
     Gauss-Hermite nodes in (x, p) are pushed through the flow of
     H = p^2/2 + V by RK4 and averaged.
     """
-    nodes, wts = np.polynomial.hermite_e.hermegauss(n_nodes)
+    nodes, wts = np.polynomial.hermite_e.hermegauss(CLOUD_NODES)
     wts = wts / wts.sum()
     xg, pg = np.meshgrid(x0 + sigma_x * nodes, p0 + sigma_p * nodes,
                          indexing="ij")
     wg = np.outer(wts, wts).reshape(-1)
     x = xg.reshape(-1).copy()
     p = pg.reshape(-1).copy()
-    steps = int(np.ceil(t_final / dt))
+    steps = int(np.ceil(t_final / CLOUD_DT))
     h = t_final / steps
 
     def rate(x, p):
@@ -424,8 +426,9 @@ def _auto_grid(x0, length, p_scale, hbar):
 
 
 def egorov_error(v_coeff, a_symbol, mass, x0_packet, p0_packet, t_final,
-                 grid_x0, grid_length, n_nodes=24):
-    """|quantum - classical| expectation error at one mass."""
+                 grid_x0, grid_length):
+    """|quantum - classical| expectation error at one mass; the classical
+    side is fixed by ``CLOUD_NODES`` and ``CLOUD_DT``."""
     hbar = hbar_eff(mass)
     sigma = np.sqrt(hbar / 2.0)
     p_scale = abs(p0_packet) + 12.0 * sigma + 2.0
@@ -437,21 +440,20 @@ def egorov_error(v_coeff, a_symbol, mass, x0_packet, p0_packet, t_final,
     psi_t = propagate(psi, v_values, grid, hbar, t_final / steps, steps)
     q_val = expectation(a_symbol, psi_t, grid, hbar)
     c_val = _classical_cloud_average(
-        a_symbol, v_coeff.deriv, x0_packet, p0_packet, sigma, sigma,
-        t_final, n_nodes=n_nodes)
+        a_symbol, v_coeff.deriv, x0_packet, p0_packet, sigma, sigma, t_final)
     return abs(q_val - c_val), q_val, c_val, grid.n
 
 
 def egorov_test(v_coeff, a_symbol, masses, x0_packet, p0_packet, t_final,
-                grid_x0, grid_length, n_nodes=24):
-    """O(1/M) convergence of classical expectations: fitted log-log slope."""
+                grid_x0, grid_length):
+    """O(1/M) convergence of classical expectations: fitted log-log slope
+    of ``egorov_error`` over ``masses``, at a fixed classical cloud."""
     masses = np.asarray(masses, dtype=float)
     errors = []
     grids = []
     for m in masses:
         err, _, _, n = egorov_error(v_coeff, a_symbol, m, x0_packet,
-                                    p0_packet, t_final, grid_x0,
-                                    grid_length, n_nodes=n_nodes)
+                                    p0_packet, t_final, grid_x0, grid_length)
         errors.append(err)
         grids.append(n)
     errors = np.array(errors)

@@ -341,6 +341,49 @@ def two_state_states(n, count, rng, masses=1.0):
     return v, states
 
 
+class TestCanonicalStderr:
+    def test_stderr_definition(self):
+        # each law's standard error adds in quadrature the weighted-mean
+        # errors of the per-state rates, from Verlet neighbours rebuilt
+        # here, and of the per-state pre-split divergences at tau
+        v, states = two_state_states(3, 5, np.random.default_rng(11))
+        provider = dynamics.AdiabaticSurface(v)
+        model = fields.AdiabaticFieldModel(v, 0)
+        mol, dt = Mollifier(0.9), 1e-4
+        probes = cloud_probes(states[0].x, 8, np.random.default_rng(12))
+        groups = [(0.4, states[:2]), (0.6, states[2:])]
+        rep = conservation.canonical_residuals(
+            [(wt, sts, provider, model) for wt, sts in groups], mol, probes,
+            dt, richardson=False)
+
+        def at(x):
+            return model.at(x, 0, fields=False)
+
+        minus, plus = [], []
+        for s in states:
+            f, m = -model.at(s.x, 0).grad, s.masses[:, None]
+            xm, pm, dm = dynamics.verlet_step(at, s.x, -s.p, m, f, dt)
+            xp, pp, dp = dynamics.verlet_step(at, s.x, s.p, m, f, dt)
+            minus.append(fields.densities(xm, -pm, s.masses, dm.lam_n, mol,
+                                          probes))
+            plus.append(fields.densities(xp, pp, s.masses, dp.lam_n, mol,
+                                         probes))
+        grid = fields.field_grid(
+            [(wt, [fields.prepare_state(s.x, s.p, s.masses, model)
+                   for s in sts]) for wt, sts in groups],
+            mol, probes, mode="ensemble")
+        w, stack = grid.raws
+        div = fields.presplit_divergences(stack)
+        assert not np.all(rep.masked)
+        for law, key in conservation.LAWS:
+            rate = np.stack([(dp[key] - dm[key]) / (2 * dt)
+                             for dm, dp in zip(minus, plus)])
+            expect = np.sqrt(fields.weighted_mean_variance(w, rate)
+                             + fields.weighted_mean_variance(w, div[law]))
+            np.testing.assert_array_equal(getattr(rep, f"stderr_{law}"),
+                                          expect)
+
+
 class TestCorrectedCanonical:
     def test_solves_per_state(self, monkeypatch):
         # one solve per evaluated configuration: the model at tau and tau

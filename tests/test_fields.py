@@ -42,7 +42,7 @@ def densities(sd, mol, probes):
 
 def momentum_flux(sd, mol, y):
     """Pre-split momentum flux K - W of one state at one probe."""
-    return -fields.field_grid(sd, mol, [y]).sigma[0]
+    return -fields.field_grid([(1.0, [sd])], mol, [y]).sigma[0]
 
 
 class TestInstantaneousDensity:
@@ -100,14 +100,14 @@ class TestVelocityField:
         for sd in states:
             sd.p[:] = w * sd.masses[:, None]
         y = states[0].x[0]
-        grid = fields.field_grid(states, mol, [y], mode="ensemble")
+        grid = fields.field_grid([(1.0, states)], mol, [y], mode="ensemble")
         np.testing.assert_allclose(grid.u[0], w, atol=1e-13)
 
     def test_vacuum_flagged(self):
         mol = Mollifier(0.3)
         rng = np.random.default_rng(4)
         states = random_states(2, 2, rng)
-        grid = fields.field_grid(states, mol, [np.full(3, 50.0)],
+        grid = fields.field_grid([(1.0, states)], mol, [np.full(3, 50.0)],
                                  mode="ensemble")
         assert grid.vacuum[0]
 
@@ -117,7 +117,7 @@ class TestVelocityField:
         rng = np.random.default_rng(5)
         states = random_states(3, 7, rng)
         y = np.array([0.1, 0.0, -0.1])
-        u = fields.field_grid(states, mol, [y], mode="ensemble").u[0]
+        u = fields.field_grid([(1.0, states)], mol, [y], mode="ensemble").u[0]
         acc = np.zeros(3)
         for sd in states:
             eta = mol.eval(y - sd.x)
@@ -178,7 +178,7 @@ class TestStressHeat:
             states.append(fields.prepare_state(x, p, np.ones(4),
                                                ZeroModel(4)))
         # per-trajectory mode reports the mean sigma at u = 0
-        sigma = fields.field_grid(states, mol, [np.zeros(3)]).sigma[0]
+        sigma = fields.field_grid([(1.0, states)], mol, [np.zeros(3)]).sigma[0]
         n_density = 4.0 / (2.0 * box) ** 3
         expect = -n_density * t * np.eye(3)
         # MC error of each entry ~ n T sqrt(2/count-ish); allow 3 sigma
@@ -198,7 +198,7 @@ class TestStressHeat:
                                        pp_grads=sd.pp_grads)
             states.append(flipped)
         y = np.array([0.1, -0.05, 0.0])
-        q = fields.field_grid(states, mol, [y]).q[0]  # at u = 0
+        q = fields.field_grid([(1.0, states)], mol, [y]).q[0]  # at u = 0
         np.testing.assert_allclose(q, 0.0, atol=1e-12)
 
     def test_kinetic_split_identity(self):
@@ -207,7 +207,7 @@ class TestStressHeat:
         rng = np.random.default_rng(10)
         states = random_states(3, 9, rng)
         y = np.array([0.05, 0.1, -0.1])
-        grid = fields.field_grid(states, mol, [y], mode="ensemble")
+        grid = fields.field_grid([(1.0, states)], mol, [y], mode="ensemble")
         u, sigma = grid.u[0], grid.sigma[0]
         flux = np.zeros((3, 3))
         rho = 0.0
@@ -220,11 +220,14 @@ class TestStressHeat:
 
 class TestFieldGrid:
     def test_single_surface_weight_one(self):
+        # a second surface of weight zero leaves the weight-one surface's
+        # fields unchanged, bit for bit
         mol = Mollifier(0.8)
         rng = np.random.default_rng(11)
         states = random_states(3, 4, rng)
         probes = np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.1]])
-        g1 = fields.field_grid(states, mol, probes, mode="ensemble")
+        g1 = fields.field_grid([(1.0, states), (0.0, states[:1])], mol,
+                               probes, mode="ensemble")
         g2 = fields.field_grid([(1.0, states)], mol, probes, mode="ensemble")
         np.testing.assert_array_equal(g1.sigma, g2.sigma)
         np.testing.assert_array_equal(g1.q, g2.q)
@@ -250,8 +253,9 @@ class TestFieldGrid:
         probes = sd.x[0] + np.array([[0.05, 0.02, -0.1],
                                      [0.3, 0.0, 0.1],
                                      [-0.2, 0.15, 0.0]])
-        pre = fields.field_grid(sd, mol, probes, mode="per-trajectory")
-        can = fields.field_grid([sd], mol, probes, mode="ensemble")
+        pre = fields.field_grid([(1.0, [sd])], mol, probes,
+                                mode="per-trajectory")
+        can = fields.field_grid([(1.0, [sd])], mol, probes, mode="ensemble")
         for i in range(len(probes)):
             scale = max(1.0, np.abs(pre.div_mom_flux[i]).max())
             np.testing.assert_allclose(can.div_mom_flux[i],
@@ -269,10 +273,10 @@ class TestFieldGrid:
         y = np.array([0.1, -0.05, 0.12])
         h = 1e-5
 
-        grid = fields.field_grid(states, mol, [y], mode="ensemble")
+        grid = fields.field_grid([(1.0, states)], mol, [y], mode="ensemble")
 
         def canonical_fluxes(yy):
-            g = fields.field_grid(states, mol, [yy], mode="ensemble")
+            g = fields.field_grid([(1.0, states)], mol, [yy], mode="ensemble")
             rho, u, sigma = g.rho[0], g.u[0], g.sigma[0]
             mom_flux = rho * np.outer(u, u) - sigma
             en_flux = g.energy[0] * u + g.q[0] - sigma.T @ u
@@ -297,12 +301,33 @@ class TestFieldGrid:
         np.testing.assert_allclose(grid.div_energy_flux[0], div_en_flux,
                                    atol=1e-6)
 
+    def test_presplit_divergences_shared(self):
+        # on a per-state stack, item k is the single call on state k; a
+        # per-trajectory grid's div_* are the call on its weighted mean,
+        # all bit for bit
+        mol = Mollifier(0.9)
+        rng = np.random.default_rng(18)
+        states = random_states(3, 4, rng)
+        probes = rng.uniform(-0.5, 0.5, size=(6, 3))
+        groups = [(0.3, states[:1]), (0.7, states[1:])]
+        grid = fields.field_grid(groups, mol, probes)
+        raws = [(wt, [fields._raw_fields(sd, mol, probes) for sd in group])
+                for wt, group in groups]
+        stacked = fields.presplit_divergences(grid.raws[1])
+        for k, mo in enumerate(mo for _, group in raws for mo in group):
+            for law, div in fields.presplit_divergences(mo).items():
+                np.testing.assert_array_equal(stacked[law][k], div)
+        mean = fields.presplit_divergences(fields.ensemble_mean(raws)[0])
+        np.testing.assert_array_equal(grid.div_mom, mean["mass"])
+        np.testing.assert_array_equal(grid.div_mom_flux, mean["mom"])
+        np.testing.assert_array_equal(grid.div_energy_flux, mean["energy"])
+
     def test_vacuum_probe_flagged(self):
         mol = Mollifier(0.4)
         rng = np.random.default_rng(15)
         states = random_states(2, 2, rng)
         probes = np.array([[0.0, 0.0, 0.0], [40.0, 40.0, 40.0]])
-        grid = fields.field_grid(states, mol, probes, mode="ensemble")
+        grid = fields.field_grid([(1.0, states)], mol, probes, mode="ensemble")
         assert not grid.vacuum[0]
         assert grid.vacuum[1]
         assert grid.rho[1] == 0.0
@@ -312,7 +337,8 @@ class TestFieldGrid:
         rng = np.random.default_rng(16)
         sd = random_states(3, 1, rng)[0]
         far = sd.x.mean(axis=0) + np.array([20.0, 0.0, 0.0])
-        grid = fields.field_grid(sd, mol, [far], mode="per-trajectory")
+        grid = fields.field_grid([(1.0, [sd])], mol, [far],
+                                 mode="per-trajectory")
         assert grid.rho[0] == 0.0 and grid.energy[0] == 0.0
         np.testing.assert_array_equal(grid.sigma[0], 0.0)
         np.testing.assert_array_equal(grid.q[0], 0.0)
@@ -324,7 +350,7 @@ class TestFieldGrid:
         rng = np.random.default_rng(17)
         states = random_states(3, 3, rng)
         probes = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0]])
-        grid = fields.field_grid(states, mol, probes, mode="ensemble")
+        grid = fields.field_grid([(1.0, states)], mol, probes, mode="ensemble")
         path = tmp_path / "fields.csv"
         grid.to_csv(path)
         data = np.genfromtxt(path, delimiter=",", names=True)

@@ -147,7 +147,7 @@ def traj_conserve():
         st, provider, model, mol, probes, dt_check, richardson=True)
     sc, _ = conservation._central(st, model)
     sm, sp = _neighbour_states(st, model, dt_check)
-    grids = [_grid_dict(fields.field_grid(s, mol, probes))
+    grids = [_grid_dict(fields.field_grid([(1.0, [s])], mol, probes))
              for s in (sm, sc, sp)]
     return {"dt_check": dt_check, "grids": grids,
             "report": _report_dict(rep)}
