@@ -2,9 +2,9 @@
 
 Works in mass-scaled units with effective Planck constant
 ``hbar = M^{-1/2}``: Weyl quantization of low-degree phase-space symbols,
-Strang-split propagation (scalar and 2x2 matrix potentials), reduction of
-commutators to Poisson brackets, and the O(1/M) accuracy of classical
-expectation values along the flow.
+fourth-order (Yoshida) split-step propagation (scalar and 2x2 matrix
+potentials), reduction of commutators to Poisson brackets, and the O(1/M)
+accuracy of classical expectation values along the flow.
 """
 
 import numpy as np
@@ -19,6 +19,12 @@ PUBLIC_DEGREE = 2
 INTERNAL_DEGREE = 3
 CLOUD_NODES = 24  # Gauss-Hermite nodes per axis of the Wigner cloud
 CLOUD_DT = 1e-3  # largest RK4 step of the cloud's classical flow
+SPLIT_STEP = 0.2  # largest split step, in units of hbar
+STEP_CHECK_TOL = 0.01  # largest |q(dt) - q(2 dt)| per unit Egorov error
+# Yoshida's triple jump: S(W1 dt) S(W0 dt) S(W1 dt) of the Strang step S is
+# fourth order
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+W0 = 1.0 - 2.0 * W1
 
 
 def hbar_eff(mass):
@@ -74,7 +80,7 @@ def _check_resolution(psi, grid):
 
 
 # ---------------------------------------------------------------------------
-# Strang propagation
+# split-step propagation
 
 def _expi_2x2(h, theta):
     """exp(-i theta H) for a field of Hermitian 2x2 matrices H (n, 2, 2)."""
@@ -96,36 +102,68 @@ def _expi_2x2(h, theta):
     return out
 
 
+def _split_steps(t_final, hbar, coarsen=1):
+    """Step count of the split-step rule dt <= coarsen * SPLIT_STEP * hbar,
+    in whole steps over ``t_final``."""
+    return int(np.ceil(t_final / (coarsen * SPLIT_STEP * hbar)))
+
+
 def propagate(psi, v_values, grid, hbar, dt, steps):
-    """Strang-split evolution under H = p^2/2 + V(x).
+    """Fourth-order (Yoshida) split-step evolution under H = p^2/2 + V(x).
 
     ``v_values`` is (n,) for a scalar potential or (n, 2, 2) Hermitian for a
-    two-state one; ``psi`` is (n,) or (n, 2) accordingly.  The half-step
-    potential factor is exact (closed-form 2x2 exponential), the kinetic
-    factor is applied in Fourier space.
+    two-state one; ``psi`` is (n,) or (n, 2) accordingly.  Each step is the
+    triple jump S(W1 dt) S(W0 dt) S(W1 dt) of the Strang step S; adjacent
+    potential half-steps merge, so a step costs three FFT pairs.  The
+    potential factors are exact (closed-form 2x2 exponential), the kinetic
+    factors are applied in Fourier space.
     """
     psi = np.asarray(psi, dtype=complex)
     v_values = np.asarray(v_values)
+    if steps < 1:
+        raise InvalidParameterError("need steps >= 1")
     _check_resolution(psi, grid)
-    kin = np.exp(-0.5j * hbar * grid.k ** 2 * dt)
     if v_values.ndim == 1:
         if psi.shape != (grid.n,):
             raise InvalidParameterError("scalar potential needs a (n,) psi")
-        half = np.exp(-0.5j * v_values * dt / hbar)
-        for _ in range(steps):
-            psi = half * psi
-            psi = np.fft.ifft(kin * np.fft.fft(psi))
-            psi = half * psi
+
+        def pot(theta):
+            return np.exp(-1j * v_values * theta)
+
+        def kick(factor, psi):
+            return factor * psi
+
+        def drift(kin, psi):
+            return np.fft.ifft(kin * np.fft.fft(psi))
     elif v_values.shape == (grid.n, 2, 2):
         if psi.shape != (grid.n, 2):
             raise InvalidParameterError("matrix potential needs a (n, 2) psi")
-        half = _expi_2x2(v_values, 0.5 * dt / hbar)
-        for _ in range(steps):
-            psi = np.einsum("nab,nb->na", half, psi)
-            psi = np.fft.ifft(kin[:, None] * np.fft.fft(psi, axis=0), axis=0)
-            psi = np.einsum("nab,nb->na", half, psi)
+
+        def pot(theta):
+            return _expi_2x2(v_values, theta)
+
+        def kick(factor, psi):
+            return np.einsum("nab,nb->na", factor, psi)
+
+        def drift(kin, psi):
+            return np.fft.ifft(kin[:, None] * np.fft.fft(psi, axis=0),
+                               axis=0)
     else:
         raise InvalidParameterError("potential must be (n,) or (n, 2, 2)")
+    kin1, kin0 = (np.exp(-0.5j * hbar * grid.k ** 2 * w * dt)
+                  for w in (W1, W0))
+    # the potential factors of exp(-i V w dt / hbar): the outer half-steps,
+    # the two inner merged half-steps and the merged ones between steps
+    edge, inner, join = (pot(w * dt / hbar)
+                         for w in (0.5 * W1, 0.5 * (W1 + W0), W1))
+    psi = kick(edge, psi)
+    for step in range(steps):
+        psi = drift(kin1, psi)
+        psi = kick(inner, psi)
+        psi = drift(kin0, psi)
+        psi = kick(inner, psi)
+        psi = drift(kin1, psi)
+        psi = kick(join if step < steps - 1 else edge, psi)
     nrm = grid.norm(psi)
     if abs(nrm - 1.0) > 1e-8:
         raise PhysicsError(f"propagation lost unitarity: |psi| = {nrm}")
@@ -381,28 +419,29 @@ def off_surface_population(v11, v22, v12, grid, mass, x0_packet, p0_packet,
     _, vec = np.linalg.eigh(v)
     psi = packet[:, None] * vec[:, :, surface]
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    dt = 0.01 * hbar
-    steps = int(np.ceil(t_final / dt))
+    steps = _split_steps(t_final, hbar)
     psi_t = propagate(psi, v, grid, hbar, t_final / steps, steps)
     pops = adiabatic_populations(psi_t, v)
     return float(pops[1 - surface])
 
 
-def _classical_cloud_average(symbol, v_deriv, x0, p0, sigma_x, sigma_p,
-                             t_final):
-    """Wigner-weighted classical expectation of a(x_t, p_t).
+def _classical_cloud_average(symbol, v_deriv, x0, p0, sigmas, t_final):
+    """Wigner-weighted classical expectations of a(x_t, p_t), one per width.
 
-    The initial Wigner function of a Gaussian packet is a product Gaussian;
-    Gauss-Hermite nodes in (x, p) are pushed through the flow of
-    H = p^2/2 + V by RK4 and averaged.
+    The initial Wigner function of a minimum-uncertainty Gaussian packet is
+    a product Gaussian of equal widths ``sigma`` in x and p.  Gauss-Hermite
+    nodes in (x, p) are pushed through the flow of H = p^2/2 + V by RK4 and
+    averaged; the clouds of all ``sigmas`` are stacked as rows of one RK4
+    pass, whose arithmetic is elementwise, so each row's value is the one a
+    single-width call gives.
     """
     nodes, wts = np.polynomial.hermite_e.hermegauss(CLOUD_NODES)
     wts = wts / wts.sum()
-    xg, pg = np.meshgrid(x0 + sigma_x * nodes, p0 + sigma_p * nodes,
-                         indexing="ij")
     wg = np.outer(wts, wts).reshape(-1)
-    x = xg.reshape(-1).copy()
-    p = pg.reshape(-1).copy()
+    sigmas = np.asarray(sigmas, dtype=float)[:, None]
+    # node (i, j) of a cloud sits at column i * CLOUD_NODES + j
+    x = np.repeat(x0 + sigmas * nodes, CLOUD_NODES, axis=1)
+    p = np.tile(p0 + sigmas * nodes, (1, CLOUD_NODES))
     steps = int(np.ceil(t_final / CLOUD_DT))
     h = t_final / steps
 
@@ -416,7 +455,7 @@ def _classical_cloud_average(symbol, v_deriv, x0, p0, sigma_x, sigma_p,
         k4x, k4p = rate(x + h * k3x, p + h * k3p)
         x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         p = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return float(np.sum(wg * symbol.eval(x, p)))
+    return np.sum(wg * symbol.eval(x, p), axis=1)
 
 
 def _auto_grid(x0, length, p_scale, hbar):
@@ -425,42 +464,66 @@ def _auto_grid(x0, length, p_scale, hbar):
     return QuantumGrid(x0, length, n)
 
 
-def egorov_error(v_coeff, a_symbol, mass, x0_packet, p0_packet, t_final,
-                 grid_x0, grid_length):
-    """|quantum - classical| expectation error at one mass; the classical
-    side is fixed by ``CLOUD_NODES`` and ``CLOUD_DT``."""
+def _quantum_expectation(v_coeff, a_symbol, mass, x0_packet, p0_packet,
+                         t_final, grid_x0, grid_length, coarsen=1):
+    """<a>(t_final) of the minimum-uncertainty packet at one mass, with the
+    split step ``coarsen`` times the rule's; returns it and the grid size."""
     hbar = hbar_eff(mass)
     sigma = np.sqrt(hbar / 2.0)
     p_scale = abs(p0_packet) + 12.0 * sigma + 2.0
     grid = _auto_grid(grid_x0, grid_length, p_scale, hbar)
     psi = gaussian_packet(grid, x0_packet, p0_packet, sigma, hbar)
-    dt = 0.01 * hbar
-    steps = int(np.ceil(t_final / dt))
-    v_values = v_coeff(grid.x)
-    psi_t = propagate(psi, v_values, grid, hbar, t_final / steps, steps)
-    q_val = expectation(a_symbol, psi_t, grid, hbar)
-    c_val = _classical_cloud_average(
-        a_symbol, v_coeff.deriv, x0_packet, p0_packet, sigma, sigma, t_final)
-    return abs(q_val - c_val), q_val, c_val, grid.n
+    steps = _split_steps(t_final, hbar, coarsen)
+    psi_t = propagate(psi, v_coeff(grid.x), grid, hbar, t_final / steps,
+                      steps)
+    return expectation(a_symbol, psi_t, grid, hbar), grid.n
+
+
+def egorov_error(v_coeff, a_symbol, mass, x0_packet, p0_packet, t_final,
+                 grid_x0, grid_length):
+    """|quantum - classical| expectation error at one mass; the classical
+    side is fixed by ``CLOUD_NODES`` and ``CLOUD_DT``."""
+    q_val, n = _quantum_expectation(v_coeff, a_symbol, mass, x0_packet,
+                                    p0_packet, t_final, grid_x0, grid_length)
+    c_val = float(_classical_cloud_average(
+        a_symbol, v_coeff.deriv, x0_packet, p0_packet,
+        [np.sqrt(hbar_eff(mass) / 2.0)], t_final)[0])
+    return abs(q_val - c_val), q_val, c_val, n
 
 
 def egorov_test(v_coeff, a_symbol, masses, x0_packet, p0_packet, t_final,
                 grid_x0, grid_length):
     """O(1/M) convergence of classical expectations: fitted log-log slope
-    of ``egorov_error`` over ``masses``, at a fixed classical cloud."""
+    of the Egorov error over ``masses``, at a fixed classical cloud.
+
+    Each mass's quantum expectation is also taken at twice the split step;
+    ``ResolutionError`` is raised when the two differ by more than
+    ``STEP_CHECK_TOL`` of that mass's error, and the differences are
+    reported as ``step_diffs``.
+    """
     masses = np.asarray(masses, dtype=float)
-    errors = []
-    grids = []
-    for m in masses:
-        err, _, _, n = egorov_error(v_coeff, a_symbol, m, x0_packet,
-                                    p0_packet, t_final, grid_x0, grid_length)
-        errors.append(err)
-        grids.append(n)
-    errors = np.array(errors)
+    args = (x0_packet, p0_packet, t_final, grid_x0, grid_length)
+    fine = [_quantum_expectation(v_coeff, a_symbol, m, *args)
+            for m in masses]
+    q_vals = np.array([q for q, _ in fine])
+    step_diffs = np.abs(q_vals - [
+        _quantum_expectation(v_coeff, a_symbol, m, *args, coarsen=2)[0]
+        for m in masses])
+    c_vals = _classical_cloud_average(
+        a_symbol, v_coeff.deriv, x0_packet, p0_packet,
+        [np.sqrt(hbar_eff(m) / 2.0) for m in masses], t_final)
+    errors = np.abs(q_vals - c_vals)
+    for m, diff, err in zip(masses, step_diffs, errors):
+        if not diff <= STEP_CHECK_TOL * err:
+            raise ResolutionError(
+                f"M = {m:g}: doubling the split step moves <a> by {diff:.3g}, "
+                f"more than {STEP_CHECK_TOL:.0%} of the Egorov error "
+                f"{err:.3g}")
     slope = float(np.polyfit(np.log(masses), np.log(errors), 1)[0])
     return {
         "masses": [float(m) for m in masses],
         "errors": [float(e) for e in errors],
-        "grid_sizes": grids,
+        "grid_sizes": [n for _, n in fine],
         "slope": slope,
+        "step_diffs": [float(d) for d in step_diffs],
     }

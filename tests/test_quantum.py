@@ -107,6 +107,37 @@ class TestPropagation:
         p0 = np.sum(np.abs(psi_t[:, 0]) ** 2) * g.dx
         assert p0 == pytest.approx(np.cos(gamma * t / hbar) ** 2, abs=1e-10)
 
+    @staticmethod
+    def _assert_fourth_order(psi, v, g, hbar, t):
+        # halving dt shrinks the distance to a fine-step reference about
+        # 16x at fourth order (4x at Strang's second)
+        ref = quantum.propagate(psi, v, g, hbar, t / 800, 800)
+        diffs = [np.abs(quantum.propagate(psi, v, g, hbar, t / n, n)
+                        - ref).max() for n in (20, 40)]
+        assert diffs[0] >= 12.0 * diffs[1], diffs
+
+    def test_fourth_order_scalar(self):
+        g = packet_grid(256)
+        hbar = 0.1
+        psi = quantum.gaussian_packet(g, 0.4, 0.5, np.sqrt(hbar / 2.0), hbar)
+        v = 1.0 - np.cos(2.0 * np.pi * g.x / L)
+        self._assert_fourth_order(psi, v, g, hbar, 1.0)
+
+    def test_fourth_order_two_state(self):
+        # the off-surface model of TestOffSurface, started on the lower
+        # adiabatic surface
+        g = packet_grid(256)
+        hbar = 0.1
+        v = np.zeros((g.n, 2, 2))
+        v[:, 0, 0] = 1.0 - np.cos(2.0 * np.pi * g.x / L)
+        v[:, 1, 1] = 2.0 + np.cos(2.0 * np.pi * g.x / L)
+        v[:, 0, 1] = v[:, 1, 0] = 0.2 + 0.1 * np.cos(2.0 * np.pi * g.x / L)
+        _, vec = np.linalg.eigh(v)
+        psi = quantum.gaussian_packet(g, 0.4, 0.5, np.sqrt(hbar / 2.0),
+                                      hbar)[:, None] * vec[:, :, 0]
+        psi /= g.norm(psi)
+        self._assert_fourth_order(psi, v, g, hbar, 1.0)
+
     def test_expi_2x2_against_expm(self):
         from scipy.linalg import expm
         rng = np.random.default_rng(0)
@@ -305,3 +336,36 @@ class TestEgorov:
                                   t_final=1.0, grid_x0=-L / 2,
                                   grid_length=L)
         assert rep["slope"] <= -0.8
+        assert len(rep["step_diffs"]) == 3
+        for diff, err in zip(rep["step_diffs"], rep["errors"]):
+            assert diff <= quantum.STEP_CHECK_TOL * err
+
+    def test_coarse_split_step_fails_self_check(self, monkeypatch):
+        # at 5x the rule's step, the 2 dt rerun moves <a> by about 3x the
+        # Egorov error at M = 100
+        monkeypatch.setattr(quantum, "SPLIT_STEP", 1.0)
+        v = quantum.trig_coeff(L, a0=1.0, cos_terms=[(1, -1.0)])
+        a = quantum.Symbol([quantum.trig_coeff(L, cos_terms=[(1, 0.5)]),
+                            quantum.const_coeff(0.3),
+                            quantum.const_coeff(1.0)])
+        with pytest.raises(ResolutionError, match="doubling the split step"):
+            quantum.egorov_test(v, a, [100.0, 1000.0], x0_packet=0.4,
+                                p0_packet=0.5, t_final=1.0, grid_x0=-L / 2,
+                                grid_length=L)
+
+    def test_stacked_cloud_matches_single_width(self):
+        # one RK4 pass over every mass's cloud gives each mass the value of
+        # its own pass, bit for bit
+        v = quantum.trig_coeff(L, a0=1.0, cos_terms=[(1, -1.0)])
+        a = quantum.Symbol([quantum.trig_coeff(L, cos_terms=[(1, 0.5)]),
+                            quantum.const_coeff(0.3),
+                            quantum.const_coeff(1.0)])
+        sigmas = [np.sqrt(quantum.hbar_eff(m) / 2.0)
+                  for m in (100.0, 1000.0, 10_000.0)]
+        stacked = quantum._classical_cloud_average(a, v.deriv, 0.4, 0.5,
+                                                   sigmas, 0.5)
+        assert stacked.shape == (3,)
+        for sigma, got in zip(sigmas, stacked):
+            single = quantum._classical_cloud_average(a, v.deriv, 0.4, 0.5,
+                                                      [sigma], 0.5)
+            assert got == single[0]
