@@ -12,12 +12,14 @@ Every law is the time derivative of a density plus the divergence of a
 flux, and one table, ``LAWS``, drives the check: residuals, field scales,
 standard errors and Richardson orders are each one expression over it.
 
-Each configuration is evaluated once, from the model's own record: the
-state at tau with its share gradients, which give the fields and the force
-that opens the Verlet steps, and each state at tau +/- dt_check without
-them (``fields=False``), which closes its step and gives the shares the
-densities read.  The provider's gradient is compared with the model's on
-the first state of each group.
+Each configuration is evaluated once, from the model's own record, and the
+states of a group are evaluated together as one stack: one stacked ``at``
+at tau with the share gradients, which give the fields and the force that
+opens the Verlet steps, and one stacked Verlet step each way, closed by
+``at(x, j, fields=False)``, whose shares the densities at tau +/- dt_check
+read.  The field grid at tau is one pass over every state of every group.
+The provider's gradient is compared with the model's on the first state
+of each group.
 """
 
 import json
@@ -102,12 +104,17 @@ class ResidualReport:
         fields.write_csv(path, cols, blocks)
 
 
-def _central(state, model):
-    """StateData and force at tau, shared by every dt_check, from one
-    evaluation of the model."""
-    point = model.at(state.x, model.j)
-    return (fields.state_data(state.x, state.p, state.masses, point[:3]),
-            -point.grad)
+def _central(states, model):
+    """The StateData of each state at tau, shared by every dt_check, and
+    the group's stack (x, p, masses, force), from one stacked evaluation
+    of the model."""
+    x, p, masses = (np.stack([getattr(s, k) for s in states])
+                    for k in ("x", "p", "masses"))
+    point = model.at(x, model.j)
+    sds = [fields.state_data(x[k], p[k], masses[k],
+                             [a[k] for a in point[:3]])
+           for k in range(len(states))]
+    return sds, (x, p, masses, -point.grad)
 
 
 def _check_provider(provider, state, f):
@@ -124,21 +131,26 @@ def _check_provider(provider, state, f):
             f"(limit {limit:.1e}) on surface {state.surface}")
 
 
-def _neighbours(state, model, f, dt_check, mol, probes):
-    """Densities at tau - dt_check and tau + dt_check.
+def _neighbours(centre, model, dt_check, mol, probes):
+    """Densities of a group's states at tau - dt_check and tau + dt_check,
+    each (S, Q, ...).
 
-    One Verlet step each way, opened by the force ``f`` at tau and closed
-    by the model without share gradients; the backward step runs forward
-    from the reversed momenta.
+    One stacked Verlet step each way from the group's stack ``centre`` =
+    (x, p, masses, force at tau), closed by the model without share
+    gradients; the backward step runs forward from the reversed momenta.
     """
-    def at(x):
-        return model.at(x, model.j, fields=False)
+    x, p, masses, f = centre
 
-    m = state.masses[:, None]
-    xm, pm, dm = dynamics.verlet_step(at, state.x, -state.p, m, f, dt_check)
-    xp, pp, dp = dynamics.verlet_step(at, state.x, state.p, m, f, dt_check)
-    return (fields.densities(xm, -pm, state.masses, dm.lam_n, mol, probes),
-            fields.densities(xp, pp, state.masses, dp.lam_n, mol, probes))
+    def at(xx):
+        return model.at(xx, model.j, fields=False)
+
+    out = []
+    for sign in (-1.0, 1.0):
+        xn, pn, point = dynamics.verlet_step(at, x, sign * p,
+                                             masses[..., None], f, dt_check)
+        out.append(fields.densities(xn, sign * pn, masses, point.lam_n, mol,
+                                    probes))
+    return out
 
 
 def _rates(dens_m, dens_p, dt):
@@ -175,14 +187,12 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
     """Residual report of ``mode`` on ``groups``, from the field grid at tau
     and the densities at tau -/+ dt_check."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    centres = [[_central(s, model) for s in states]
-               for _, states, _, model in groups]
-    for (_, states, provider, _), cs in zip(groups, centres):
-        if states:
-            _check_provider(provider, states[0], cs[0][1])
+    fields.group_sizes([(weight, states) for weight, states, *_ in groups])
+    centres = [_central(states, model) for _, states, _, model in groups]
+    for (_, states, provider, _), (_, centre) in zip(groups, centres):
+        _check_provider(provider, states[0], centre[-1][0])
     gc = fields.field_grid(
-        [(weight, [sd for sd, _ in cs])
-         for (weight, *_), cs in zip(groups, centres)],
+        [(weight, sds) for (weight, *_), (sds, _) in zip(groups, centres)],
         mol, probes, mode=mode)
 
     div = {"mass": gc.div_mom, "mom": gc.div_mom_flux,
@@ -192,11 +202,10 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
         """Per-law residuals with the densities at tau -/+ dt, the mask,
         the per-law rates and the per-state density stacks."""
         ens_m, ens_p = [], []
-        for (weight, states, _, model), cs in zip(groups, centres):
-            pairs = [_neighbours(s, model, f, dt, mol, probes)
-                     for s, (_, f) in zip(states, cs)]
-            ens_m.append((weight, [dm for dm, _ in pairs]))
-            ens_p.append((weight, [dp for _, dp in pairs]))
+        for (weight, _, _, model), (_, centre) in zip(groups, centres):
+            dm, dp = _neighbours(centre, model, dt, mol, probes)
+            ens_m.append((weight, dm))
+            ens_p.append((weight, dp))
         (dm, (_, sm)), (dp, (_, sp)) = map(fields.ensemble_mean,
                                            (ens_m, ens_p))
         masked = gc.vacuum

@@ -9,8 +9,9 @@ and ``CorrectedSurface`` (mass-corrected: one nonlinear eigen solve and the
 exact derivatives of its fixed point).  A surface is evaluated once per
 configuration: ``at(x, j)`` returns one ``SurfacePoint`` record (value,
 gradient, shares, share gradients) that Verlet and the fields both read.
-The Gibbs sampler reads ``shares``, which also takes a stack of
-configurations.
+The Gibbs sampler reads ``shares``.  ``at``, ``shares`` and ``verlet_step``
+also take a stack of configurations (K, N, 3), item k equal to the single
+call on x[k] bit for bit; the corrected surface solves a stack in lockstep.
 """
 
 import csv
@@ -108,12 +109,19 @@ class Trajectory:
 # surfaces
 
 class SurfacePoint(NamedTuple):
-    """Surface j at one configuration; ``point[:3]`` is the field data."""
+    """Surface j at one configuration; ``point[:3]`` is the field data.  At
+    a stack of K configurations every entry gains a leading K axis, and
+    ``value`` is (K,)."""
 
     lam_n: np.ndarray   # shares lambda_j^n, (N,)
     grad: np.ndarray    # gradient of lambda_j, (N, 3)
     pp: np.ndarray      # share gradients grad_{x^m} lambda_j^n, [n, m, :]
     value: float        # lambda_j
+
+
+def _value(lam):
+    """A surface value: a float at one configuration, (K,) at a stack."""
+    return float(lam) if lam.ndim == 0 else lam
 
 
 class AdiabaticSurface:
@@ -134,9 +142,10 @@ class AdiabaticSurface:
         if fields:
             pp = potential.per_particle_gradients_all(self.v_pot, x, parts,
                                                       dv, eig, j)
-        return SurfacePoint(potential.shares_from_parts(parts, eig.psi)[:, j],
-                            potential.surface_gradient(dv, eig, j), pp,
-                            float(eig.lambdas[j]))
+        return SurfacePoint(
+            potential.shares_from_parts(parts, eig.psi)[..., j],
+            potential.surface_gradient(dv, eig, j), pp,
+            _value(eig.lambdas[..., j]))
 
     def value(self, x, j):
         return self.at(x, j, fields=False).value
@@ -145,8 +154,8 @@ class AdiabaticSurface:
         return self.at(x, j, fields=False).grad
 
     def shares(self, x):
-        """Per-particle shares lambda_k^n of every surface, (N, d); a stack
-        x (K, N, 3) gives (K, N, d) from one call per layer."""
+        """Per-particle shares lambda_k^n of every surface, (N, d), or
+        (K, N, d) at a stack."""
         v, parts = self.v_pot.evaluate_parts(x)
         eig = potential.eigendecompose(v, self.gap_tol)
         return potential.shares_from_parts(parts, eig.psi)
@@ -175,23 +184,20 @@ class CorrectedSurface:
         cs = self._solve(x)
         grad, pp = nonlinear_eigen.fixed_point_derivatives(
             self.v_pot, x, cs, shares=fields)
-        return SurfacePoint(cs.per_particle_bar[:, j], grad[..., j],
+        return SurfacePoint(cs.per_particle_bar[..., j], grad[..., j],
                             None if pp is None else pp[..., j],
-                            float(cs.lambdas_bar[j]))
+                            _value(cs.lambdas_bar[..., j]))
 
     def value(self, x, j):
-        return float(self._solve(x).lambdas_bar[j])
+        return _value(self._solve(x).lambdas_bar[..., j])
 
     def gradient(self, x, j):
         return self.at(x, j, fields=False).grad
 
     def shares(self, x):
-        """Per-particle shares of every corrected surface, (N, d); a stack
-        x (K, N, 3) is solved item by item."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return self._solve(x).per_particle_bar
-        return np.stack([self.shares(xk) for xk in x])
+        """Per-particle shares of every corrected surface, (N, d), or
+        (K, N, d) from one lockstep solve at a stack."""
+        return self._solve(x).per_particle_bar
 
 
 def verlet_step(at, x, p, m, f, dt):
@@ -199,7 +205,9 @@ def verlet_step(at, x, p, m, f, dt):
 
     ``f`` is the force at x, ``m`` the masses shaped (N, 1) and ``at(x)``
     surface data whose entry 1 is the gradient.  Returns the new (x, p)
-    and ``at`` of the new x, whose gradient closes the step.
+    and ``at`` of the new x, whose gradient closes the step.  A stack of
+    states (x, p and f (K, N, 3), m (K, N, 1)) takes one step together
+    through one stacked ``at``.
 
     Raises
     ------

@@ -55,3 +55,9 @@ class InsufficientOverlapError(PhysicsError):
 
 class UnattainableTargetError(PhysicsError):
     """Thermodynamic matching could not reach the requested target."""
+
+
+def item_label(index):
+    """The ``"item k: "`` prefix that names item k of a stacked call in a
+    message; ``""`` for a single call (``index`` None)."""
+    return "" if index is None else f"item {index}: "

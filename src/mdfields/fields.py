@@ -37,17 +37,21 @@ lifted pair derivative.  The bracket vanishes when each pair's share
 gradients lie along the pair (pair-additive shares); two-state shares mix
 the pairs through the eigenvectors, and q moves.
 
-Data are arrays with the probe index first.  ``densities`` gives rho, mom
-and E of one state, and ``_raw_fields`` every per-state moment on top of
-it.  ``ensemble_mean`` averages per-state moment dicts and keeps them as
-one stack (w, moments): w (S,) weights each state in the ensemble mean,
-moments[k] is (S, Q, ...), and the mean, sigma, q and their standard
-errors are array expressions over it, as is ``presplit_divergences``.
-``field_grid``, the one path to the fields, takes weighted groups of
-states and returns a ``ProbeGrid`` holding one (Q, ...) array per field.
+Data are arrays with the probe index first, after a state index where
+states are stacked.  ``densities`` gives rho, mom and E of one state or of
+a stack, and ``_raw_fields`` every per-state moment of a stack on top of
+it, with one bond quadrature for all states.  ``ensemble_mean`` averages
+groups of per-state moment stacks and keeps them as one stack
+(w, moments): w (S,) weights each state in the ensemble mean, moments[k]
+is (S, Q, ...), and the mean, sigma, q and their standard errors are array
+expressions over it, as is ``presplit_divergences``.  ``field_grid``, the
+one path to the fields, takes weighted groups of states, makes one
+``_raw_fields`` pass over all of them and returns a ``ProbeGrid`` holding
+one (Q, ...) array per field.
 """
 
 import csv
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 
@@ -130,99 +134,131 @@ def state_data(x, p, masses, data):
 
 def densities(x, p, masses, lam_n, mol, probes):
     """rho (Q,), mom (Q, 3) and E (Q,) of one state at probes (Q, 3),
-    keyed as in the raw moments."""
-    eta = mol.eval(probes[:, None, :] - x[None, :, :])      # (Q, N)
-    return {"rho": eta @ masses,
-            "mom": np.einsum("qn,nj->qj", eta, p),
-            "energy": eta @ _particle_energies(p, masses, lam_n)}
+    keyed as in the raw moments; a stack of S states (x, p (S, N, 3),
+    masses, lam_n (S, N)) gives (S, Q, ...)."""
+    eta = mol.eval(probes[:, None, :] - x[..., None, :, :])   # (..., Q, N)
+    return {"rho": (eta @ masses[..., None])[..., 0],
+            "mom": np.einsum("...qn,...nj->...qj", eta, p),
+            "energy": (eta @ _particle_energies(p, masses,
+                                                lam_n)[..., None])[..., 0]}
 
 
 def _particle_energies(p, masses, lam_n):
     """|p^n|^2 / 2M_n + lambda^n for every particle n."""
-    return 0.5 * np.sum(p ** 2, axis=1) / masses + lam_n
+    return 0.5 * np.sum(p ** 2, axis=-1) / masses + lam_n
+
+
+def _stack(states):
+    """One StateData whose arrays stack those of ``states`` (S leading)."""
+    return StateData(**{f.name: np.stack([getattr(sd, f.name)
+                                          for sd in states])
+                        for f in dataclasses.fields(StateData)})
 
 
 def _raw_fields(sd, mol, probes):
     """All per-state moments and their y-gradients at the probes.
 
-    Gradient arrays carry the derivative index first: grad_mom[q, c, j] is
-    d mom_j / d y_c at probe q.
+    ``sd`` is a stack of S states (``_stack``) and every moment is
+    (S, Q, ...); item s equals the call on the stack of state s alone bit
+    for bit.  Gradient arrays carry the derivative index after the probe:
+    grad_mom[s, q, c, j] is d mom_j / d y_c at probe q.  The bond terms of
+    every state come from one ``bond_weights`` call; a state without bond
+    terms (free particles) gets zeros without one.
     """
-    nq = probes.shape[0]
     x, p, m = sd.x, sd.p, sd.masses
-    n = x.shape[0]
-    dy = probes[:, None, :] - x[None, :, :]
-    eta = mol.eval(dy)                            # (Q, N)
-    geta = mol.grad(dy.reshape(-1, 3)).reshape(nq, n, 3)
+    ns, n = x.shape[:2]
+    nq = probes.shape[0]
+    dy = probes[:, None, :] - x[:, None, :, :]                 # (S, Q, N, 3)
+    eta = mol.eval(dy)
+    geta = mol.grad(dy.reshape(-1, 3)).reshape(dy.shape)
     en = _particle_energies(p, m, sd.lam_n)
-    kin_n = p[:, :, None] * p[:, None, :] / m[:, None, None]   # (N, l, j)
-    t1_n = (p / m[:, None]) * en[:, None]
+    kin_n = p[..., :, None] * p[..., None, :] / m[..., None, None]
+    t1_n = (p / m[..., None]) * en[..., None]                  # (S, N, l)
 
     out = densities(x, p, m, sd.lam_n, mol, probes)
     out.update({
-        "grad_rho": np.einsum("qnc,n->qc", geta, m),
-        "grad_mom": np.einsum("qnc,nj->qcj", geta, p),
-        "grad_energy": np.einsum("qnc,n->qc", geta, en),
-        "kin": np.einsum("qn,nlj->qlj", eta, kin_n),
-        "grad_kin": np.einsum("qnc,nlj->qclj", geta, kin_n),
-        "t1": np.einsum("qn,nl->ql", eta, t1_n),
-        "grad_t1": np.einsum("qnc,nl->qcl", geta, t1_n),
+        "grad_rho": np.einsum("sqnc,sn->sqc", geta, m),
+        "grad_mom": np.einsum("sqnc,snj->sqcj", geta, p),
+        "grad_energy": np.einsum("sqnc,sn->sqc", geta, en),
+        "kin": np.einsum("sqn,snlj->sqlj", eta, kin_n),
+        "grad_kin": np.einsum("sqnc,snlj->sqclj", geta, kin_n),
+        "t1": np.einsum("sqn,snl->sql", eta, t1_n),
+        "grad_t1": np.einsum("sqnc,snl->sqcl", geta, t1_n),
+        "w": np.zeros((ns, nq, 3, 3)),
+        "grad_w": np.zeros((ns, nq, 3, 3, 3)),
+        "t2": np.zeros((ns, nq, 3)),
+        "grad_t2": np.zeros((ns, nq, 3, 3)),
     })
-
-    if not (np.any(sd.pair_derivs) or np.any(sd.pp_grads)):
-        # free particles: every bond kernel vanishes identically
-        out["w"] = np.zeros((nq, 3, 3))
-        out["grad_w"] = np.zeros((nq, 3, 3, 3))
-        out["t2"] = np.zeros((nq, 3))
-        out["grad_t2"] = np.zeros((nq, 3, 3))
+    # free particles: every bond kernel vanishes identically
+    live = np.flatnonzero(np.any(sd.pair_derivs, axis=1)
+                          | np.any(sd.pp_grads.reshape(ns, -1), axis=1))
+    if not live.size:
         return out
-
+    x, p, m = x[live], p[live], m[live]
     iu, ju = geometry.pair_indices(n)
-    dx = x[iu] - x[ju]
-    r = np.linalg.norm(dx, axis=1)
-    b, gb = mol.bond_weights(probes, x[iu], x[ju])
+    dx = x[:, iu] - x[:, ju]                                   # (L, P, 3)
+    r = np.linalg.norm(dx, axis=-1)
+    b, gb = mol.bond_weights(probes, x[:, iu].reshape(-1, 3),
+                             x[:, ju].reshape(-1, 3))
+    # (Q, L P) to one contiguous (Q, P) block per state
+    b = np.ascontiguousarray(b.reshape(nq, live.size, -1).swapaxes(0, 1))
+    gb = np.ascontiguousarray(
+        gb.reshape(nq, live.size, -1, 3).swapaxes(0, 1))
     # bond stress kernel dx_l * dlambda/dr * dx_j / r per pair
-    w_pair = dx[:, :, None] * dx[:, None, :] \
-        * (sd.pair_derivs / r)[:, None, None]
+    w_pair = dx[..., :, None] * dx[..., None, :] \
+        * (sd.pair_derivs[live] / r)[..., None, None]
     # bond power kernel: ordered n != m collapsed onto unordered pairs
-    a_fwd = np.einsum("kj,kj->k", p[ju] / m[ju, None],
-                      sd.pp_grads[iu, ju])      # (p^j/M_j) . grad_{x^j} l^i
-    a_back = np.einsum("kj,kj->k", p[iu] / m[iu, None],
-                       sd.pp_grads[ju, iu])     # (p^i/M_i) . grad_{x^i} l^j
-    t2_pair = dx * (a_fwd - a_back)[:, None]
-    out["w"] = np.einsum("qk,klj->qlj", b, w_pair)
-    out["grad_w"] = np.einsum("qkc,klj->qclj", gb, w_pair)
-    out["t2"] = np.einsum("qk,kl->ql", b, t2_pair)
-    out["grad_t2"] = np.einsum("qkc,kl->qcl", gb, t2_pair)
+    pp = sd.pp_grads[live]
+    a_fwd = np.einsum("skj,skj->sk", p[:, ju] / m[:, ju, None],
+                      pp[:, iu, ju])    # (p^j/M_j) . grad_{x^j} l^i
+    a_back = np.einsum("skj,skj->sk", p[:, iu] / m[:, iu, None],
+                       pp[:, ju, iu])   # (p^i/M_i) . grad_{x^i} l^j
+    t2_pair = dx * (a_fwd - a_back)[..., None]
+    out["w"][live] = np.einsum("sqk,sklj->sqlj", b, w_pair)
+    out["grad_w"][live] = np.einsum("sqkc,sklj->sqclj", gb, w_pair)
+    out["t2"][live] = np.einsum("sqk,skl->sql", b, t2_pair)
+    out["grad_t2"][live] = np.einsum("sqkc,skl->sqcl", gb, t2_pair)
     return out
+
+
+def group_sizes(ensembles):
+    """The sizes of the (weight, states) groups of an ensemble.
+
+    Raises
+    ------
+    InvalidParameterError
+        For an empty ensemble or an empty group.
+    """
+    sizes = [len(group) for _, group in ensembles]
+    if not sizes or not all(sizes):
+        raise InvalidParameterError("empty ensemble or ensemble group")
+    return sizes
 
 
 def ensemble_mean(ensembles):
     """Weighted ensemble mean of per-state moments, and their stack.
 
-    ``ensembles`` is a list of (weight, [moments, ...]) groups, each
-    moments a dict of one state's arrays (``_raw_fields`` or
-    ``densities``); the group means are combined with the given weights
-    (surface weights q_j*).  The stack is (w, moments): w (S,) is each
-    state's weight in the mean, its group weight over the group size, and
-    moments[k] stacks moment k of every state to (S, Q, ...).
-    Accumulation order is fixed, so results are bit-reproducible.
+    ``ensembles`` is a list of (weight, moments) groups, each moments a
+    dict of the group's per-state arrays stacked to (n, Q, ...)
+    (``_raw_fields`` or ``densities`` of a stack); the group means are
+    combined with the given weights (surface weights q_j*).  The stack is
+    (w, moments): w (S,) is each state's weight in the mean, its group
+    weight over the group size, and moments[k] stacks moment k of every
+    state to (S, Q, ...).  Accumulation order is fixed, so results are
+    bit-reproducible.
     """
-    sizes = [len(group) for _, group in ensembles]
-    if not sizes or not all(sizes):
-        raise InvalidParameterError("empty ensemble or ensemble group")
-    states = [mo for _, group in ensembles for mo in group]
-    moments = {k: np.stack([mo[k] for mo in states]) for k in states[0]}
+    sizes = group_sizes([(weight, group["rho"])
+                         for weight, group in ensembles])
     w = np.repeat([wt / n for (wt, _), n in zip(ensembles, sizes)], sizes)
     total = None
-    start = 0
-    for (weight, _), n in zip(ensembles, sizes):
-        group = {k: sum(v[start:start + n]) / n for k, v in moments.items()}
-        start += n
+    for (weight, group), n in zip(ensembles, sizes):
+        group = {k: sum(v) / n for k, v in group.items()}
         if total is None:
             total = {k: weight * g for k, g in group.items()}
         else:
             total = {k: total[k] + weight * g for k, g in group.items()}
+    moments = {k: np.concatenate([group[k] for _, group in ensembles])
+               for k in total}
     return total, (w, moments)
 
 
@@ -396,9 +432,12 @@ def field_grid(ensembles, mol, probes, mode="per-trajectory"):
     errors; vacuum probes are flagged, not filled).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    mean, raws = ensemble_mean([(weight, [_raw_fields(sd, mol, probes)
-                                          for sd in group])
-                                for weight, group in ensembles])
+    ends = np.cumsum(group_sizes(ensembles))
+    raw = _raw_fields(_stack([sd for _, group in ensembles for sd in group]),
+                      mol, probes)
+    mean, raws = ensemble_mean(
+        [(weight, {k: v[end - len(group):end] for k, v in raw.items()})
+         for (weight, group), end in zip(ensembles, ends)])
     nq = probes.shape[0]
     pre = presplit_divergences(mean)
     extra = {"vacuum": np.zeros(nq, dtype=bool)}

@@ -24,10 +24,11 @@ at once:
 and the per-particle gradients are single einsums over the stacked parts,
 with no loop over particles.
 
-``evaluate_parts``, ``eigendecompose`` and ``shares_from_parts`` also take
-a stack of configurations (a leading axis of K items) in one call.  Each
-item's arithmetic is that of a single call, so item k of a stacked call
-equals the single call on item k bit for bit.
+Every method of ``PairSumPotential`` and every eigen function below also
+takes a stack of configurations (a leading axis of K items) in one call.
+Each item's arithmetic is that of a single call, so item k of a stacked
+call equals the single call on item k bit for bit, and an error names the
+first failing item ("item k: ...").
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import geometry
 from .errors import (CoincidentPointsError, DegenerateSpectrumError,
-                     InvalidParameterError)
+                     InvalidParameterError, item_label)
 
 GAP_TOL = 1e-10
 
@@ -217,7 +218,8 @@ class PairSumPotential:
     shaped ``(N, N, 3, d, d)`` and indexed [n, m, c].
 
     ``n_particles`` is fixed: every method takes an ``(n_particles, 3)``
-    configuration.
+    configuration, or a stack (K, n_particles, 3) that puts K in front of
+    every output shape.
     """
 
     def __init__(self, entries, n_particles):
@@ -278,31 +280,34 @@ class PairSumPotential:
         return diff, np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
     def _unit_vectors(self, x):
-        """Unit pair vectors e^p (P, 3) and distances r (P,) of one
-        configuration.
+        """Unit pair vectors e^p (..., P, 3) and distances r (..., P) of one
+        configuration or a stack of them.
 
         Raises
         ------
         CoincidentPointsError
-            If two particles coincide.
+            If two particles coincide; for a stack, the message names the
+            first such item.
         """
         diff, r = self._pair_vectors(x)
-        if r.ndim != 1:
+        if r.ndim > 2:
             raise InvalidParameterError(
-                f"expected a ({self.n_particles}, 3) configuration, "
-                f"got {np.shape(x)}")
-        if np.any(r == 0.0):
-            bad = int(np.argmin(r))
+                f"expected a ({self.n_particles}, 3) configuration or a "
+                f"stack of them, got {np.shape(x)}")
+        hit = r == 0.0
+        if hit.any():
+            *item, bad = np.argwhere(hit)[0]
             raise CoincidentPointsError(
-                f"particles {self._iu[bad]} and {self._ju[bad]} coincide")
-        return diff / r[:, None], r
+                f"{item_label(item[0] if item else None)}particles "
+                f"{self._iu[bad]} and {self._ju[bad]} coincide")
+        return diff / r[..., None], r
 
     def _deriv_terms(self, x):
-        """Per-pair e^p dphi_p, flattened to (P, 3 d d)."""
+        """Per-pair e^p dphi_p, flattened to (..., P, 3 d d)."""
         e, r = self._unit_vectors(x)
-        dvals = self._table(r, "deriv").transpose(2, 0, 1)   # (P, d, d)
-        terms = e[:, :, None, None] * dvals[:, None]
-        return terms.reshape(len(r), -1)
+        dvals = _pair_first(self._table(r, "deriv"))
+        terms = e[..., None, None] * dvals[..., None, :, :]
+        return terms.reshape(r.shape + (-1,))
 
     def evaluate(self, x):
         _, r = self._pair_vectors(x)
@@ -322,33 +327,42 @@ class PairSumPotential:
         return self.evaluate_parts(x)[1][n]
 
     def deriv(self, x):
+        terms = self._deriv_terms(x)
         n, d = self.n_particles, self.d
-        return (self._sign @ self._deriv_terms(x)).reshape(n, 3, d, d)
+        return (self._sign @ terms).reshape(terms.shape[:-2] + (n, 3, d, d))
 
     def hessian(self, x):
-        """All d^2 V / dx^n_a dx^m_b, (N, 3, N, 3, d, d): pair p adds
+        """All d^2 V / dx^n_a dx^m_b, (..., N, 3, N, 3, d, d): pair p adds
         e e^T phi'' + (I - e e^T) phi' / r times sign[n, p] sign[m, p]."""
         e, r = self._unit_vectors(x)
-        ee = (e[:, :, None] * e[:, None, :])[..., None, None]   # (P,3,3,1,1)
-        curv = self._table(r, "curv").transpose(2, 0, 1)[:, None, None]
-        slope = (self._table(r, "deriv") / r).transpose(2, 0, 1)[:, None, None]
+        ee = (e[..., :, None] * e[..., None, :])[..., None, None]
+        curv = _pair_first(self._table(r, "curv"))[..., None, None, :, :]
+        slope = _pair_first(self._table(r, "deriv")
+                            / r[..., None, None, :])[..., None, None, :, :]
         terms = ee * (curv - slope) + np.eye(3)[:, :, None, None] * slope
-        return np.einsum("np,mp,pabij->nambij", self._sign, self._sign, terms)
+        return np.einsum("np,mp,...pabij->...nambij", self._sign, self._sign,
+                         terms)
 
     def part_deriv_all(self, x):
-        """All d V^n / d x^m, shape (N, N, 3, d, d) indexed [n, m, c].
+        """All d V^n / d x^m, shape (..., N, N, 3, d, d) indexed [n, m, c].
 
         V^n holds half of each pair term at n, so for m != n only pair
         (n, m) contributes, and the diagonal block is half of dV/dx^n.
         """
         n, d = self.n_particles, self.d
         terms = self._deriv_terms(x)
-        out = np.zeros((n, n, terms.shape[1]))
-        out[self._iu, self._ju] = -0.5 * terms
-        out[self._ju, self._iu] = 0.5 * terms
+        lead = terms.shape[:-2]
+        out = np.zeros(lead + (n, n, terms.shape[-1]))
+        out[..., self._iu, self._ju, :] = -0.5 * terms
+        out[..., self._ju, self._iu, :] = 0.5 * terms
         diag = np.arange(n)
-        out[diag, diag] = 0.5 * (self._sign @ terms)
-        return out.reshape(n, n, 3, d, d)
+        out[..., diag, diag, :] = 0.5 * (self._sign @ terms)
+        return out.reshape(lead + (n, n, 3, d, d))
+
+
+def _pair_first(table):
+    """A (..., d, d, P) table of pair terms as (..., P, d, d)."""
+    return table.transpose(*range(table.ndim - 3), -1, -3, -2)
 
 
 def make_scalar_pair_model(pair, n_particles):
@@ -399,17 +413,18 @@ def _fix_signs(psi):
     return psi
 
 
-def eigendecompose(v, gap_tol=GAP_TOL):
+def eigendecompose(v, gap_tol=GAP_TOL, items=None):
     """Eigenpairs of a Hermitian matrix with deterministic sign fixing.
 
     ``v`` is one (d, d) matrix or a stack (K, d, d); the sign fix and the
-    gap check apply per item.
+    gap check apply per item.  ``items`` names a stack's items in the error
+    message (default: their indices; a None entry adds no name).
 
     Raises
     ------
     DegenerateSpectrumError
         If an adjacent eigenvalue gap falls below ``gap_tol``; for a stack,
-        the message names the first such item's (flat) index.
+        the message names the first such item.
     """
     v = np.asarray(v)
     lam, psi = np.linalg.eigh(v)
@@ -418,10 +433,10 @@ def eigendecompose(v, gap_tol=GAP_TOL):
         low = gap_min < gap_tol
         if low.any():
             k = int(np.flatnonzero(low)[0])
-            item = f"item {k}: " if v.ndim > 2 else ""
+            name = None if v.ndim == 2 else k if items is None else items[k]
             raise DegenerateSpectrumError(
-                f"{item}adjacent eigenvalue gap {gap_min.flat[k]:.3e} "
-                f"below {gap_tol:.1e}")
+                f"{item_label(name)}adjacent eigenvalue gap "
+                f"{gap_min.flat[k]:.3e} below {gap_tol:.1e}")
     else:
         gap_min = np.full(lam.shape[:-1], np.inf)
     if v.ndim == 2:
@@ -442,45 +457,53 @@ def surface_partition(v_pot, x, eig):
 
 
 def inverse_gaps(lam):
-    """W[l, k] = 1 / (lam_k - lam_l) off the diagonal and 0 on it, (d, d)."""
-    denom = lam[None, :] - lam[:, None]
+    """W[l, k] = 1 / (lam_k - lam_l) off the diagonal and 0 on it, (..., d, d)
+    for eigenvalues (..., d)."""
+    denom = lam[..., None, :] - lam[..., :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.eye(len(lam), dtype=bool), 0.0, 1.0 / denom)
+        return np.where(np.eye(lam.shape[-1], dtype=bool), 0.0, 1.0 / denom)
 
 
 def eigenvector_derivatives(dv, lam, psi):
     """First-order eigenvector derivatives for derivative matrices ``dv``.
 
-    ``dv`` has shape (..., d, d), e.g. ``v_pot.deriv(x)``.  Returns the same
-    leading shape.  Uses the perturbation formula d psi_k = sum_{l != k}
-    psi_l <psi_l|dV|psi_k> / (lambda_k - lambda_l): column k of each (d, d)
-    slice is the derivative of psi_k with the psi_k-component removed (the
+    ``lam`` (..., d) and ``psi`` (..., d, d) are one eigensystem or a stack
+    of them; ``dv`` carries the same leading axes, then any coordinate axes
+    and (d, d), e.g. ``v_pot.deriv(x)``.  Returns the shape of ``dv``.
+    Uses the perturbation formula d psi_k = sum_{l != k} psi_l
+    <psi_l|dV|psi_k> / (lambda_k - lambda_l): column k of each (d, d) slice
+    is the derivative of psi_k with the psi_k-component removed (the
     normalization gauge).
     """
-    if len(lam) == 1:
+    d = lam.shape[-1]
+    if d == 1:
         return np.zeros(dv.shape, dtype=psi.dtype)
-    c = np.einsum("il,...ij,jk->...lk", psi.conj(), dv, psi)
-    return np.einsum("il,...lk->...ik", psi, c * inverse_gaps(lam))
+    flat = dv.reshape(lam.shape[:-1] + (-1, d, d))
+    c = np.einsum("...il,...cij,...jk->...clk", psi.conj(), flat, psi)
+    c *= inverse_gaps(lam)[..., None, :, :]
+    return np.einsum("...il,...clk->...cik", psi, c).reshape(dv.shape)
 
 
 def surface_gradient(dv, eig, k):
-    """Hellmann-Feynman gradient of lambda_k, shape (N, 3), from the
+    """Hellmann-Feynman gradient of lambda_k, shape (..., N, 3), from the
     derivatives ``dv`` = ``v_pot.deriv(x)``."""
-    return np.real(np.einsum("i,ncij,j->nc",
-                             eig.psi[:, k].conj(), dv, eig.psi[:, k]))
+    psi_k = eig.psi[..., :, k]
+    return np.real(np.einsum("...i,...ncij,...j->...nc",
+                             psi_k.conj(), dv, psi_k))
 
 
 def per_particle_gradients_all(v_pot, x, parts, dv, eig, k):
-    """grad_{x^m} lambda_k^n for all (n, m), shape (N, N, 3).
+    """grad_{x^m} lambda_k^n for all (n, m), shape (..., N, N, 3).
 
     ``parts`` and ``dv`` are ``v_pot.evaluate_parts(x)[1]`` and
     ``v_pot.deriv(x)``, which the caller already holds.
     """
-    dparts = v_pot.part_deriv_all(x)  # (N, N, 3, d, d)
+    dparts = v_pot.part_deriv_all(x)  # (..., N, N, 3, d, d)
     dpsi_k = eigenvector_derivatives(dv, eig.lambdas, eig.psi)[..., k]
-    psi_k = eig.psi[:, k]
-    term1 = np.real(np.einsum("i,nmcij,j->nmc", psi_k.conj(), dparts, psi_k))
+    psi_k = eig.psi[..., :, k]
+    term1 = np.real(np.einsum("...i,...nmcij,...j->...nmc",
+                              psi_k.conj(), dparts, psi_k))
     # (d_i psi_k)* V^n psi_k + psi_k* V^n (d_i psi_k) = 2 Re(psi_k* V^n d_i psi_k)
-    term2 = 2.0 * np.real(np.einsum("i,nij,mcj->nmc",
+    term2 = 2.0 * np.real(np.einsum("...i,...nij,...mcj->...nmc",
                                     psi_k.conj(), parts, dpsi_k))
     return term1 + term2

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,19 @@ from mdfields.mollifier import Mollifier
 
 
 class ZeroModel:
-    """The zero surface: provider and model at once."""
+    """The zero surface: provider and model at once, at one configuration
+    or a stack."""
 
     def __init__(self, n):
         self.n = n
         self.j = 0
 
     def at(self, x, j, fields=True):
+        lead = np.shape(x)[:-2]
         return dynamics.SurfacePoint(
-            np.zeros(self.n), np.zeros((self.n, 3)),
-            np.zeros((self.n, self.n, 3)) if fields else None, 0.0)
+            np.zeros(lead + (self.n,)), np.zeros(lead + (self.n, 3)),
+            np.zeros(lead + (self.n, self.n, 3)) if fields else None,
+            np.zeros(lead) if lead else 0.0)
 
     def gradient(self, x, j):
         return self.at(x, j, fields=False).grad
@@ -41,12 +46,13 @@ def pair_states(count, rng):
 
 def count_calls(monkeypatch, owner, name):
     """Replace owner.name by a wrapper; returns the list to which it
-    appends the keyword arguments of each call."""
+    appends the arguments of each call, by parameter name."""
     calls = []
     fn = getattr(owner, name)
+    signature = inspect.signature(fn)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(signature.bind(*args, **kwargs).arguments)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -142,7 +148,8 @@ class TestPerTrajectory:
         mol = Mollifier(0.8)
         probes = cloud_probes(st.x, 6, np.random.default_rng(6))
         f = -provider.gradient(st.x, st.surface)
-        dm, dp = conservation._neighbours(st, model, f, 1e-3, mol, probes)
+        centre = (st.x[None], st.p[None], st.masses[None], f[None])
+        dm, dp = conservation._neighbours(centre, model, 1e-3, mol, probes)
         fwd = dynamics.integrate(st, 1e-3, 1, provider).state(1)
         back = dynamics.integrate(
             dynamics.PhaseState(x=st.x, p=-st.p, masses=st.masses),
@@ -152,7 +159,7 @@ class TestPerTrajectory:
                                       model.surface_data(x)[0], mol, probes)
             assert dens.keys() == expect.keys()
             for key in expect:
-                assert np.array_equal(dens[key], expect[key]), key
+                assert np.array_equal(dens[key][0], expect[key]), key
 
     def test_json_and_csv(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -284,11 +291,13 @@ class TestCanonical:
 
     def test_raw_moments_computed_once_per_state(self, monkeypatch):
         # the field grid at tau and the stderr pass share one set of
-        # per-state raw moments, one lift and one bond quadrature per
-        # state; tau - dt and tau + dt need only densities.  One model
-        # evaluation at tau, the only one with share gradients, gives the
-        # force that opens both Verlet steps, and one at tau - dt and at
-        # tau + dt closes each; the provider is checked once per group
+        # per-state raw moments, from one pass over every state with one
+        # bond quadrature, and one lift per state; tau - dt and tau + dt
+        # need only densities.  Each configuration is evaluated once, a
+        # group's states as one stack: at tau, the only evaluation with
+        # share gradients, which gives the force that opens both Verlet
+        # steps, and at tau - dt and at tau + dt, which close them; the
+        # provider is checked once per group
         _, provider, model = harmonic_setup(2)
         states = pair_states(5, np.random.default_rng(6))
         calls = count_calls(monkeypatch, fields, "_raw_fields")
@@ -304,12 +313,13 @@ class TestCanonical:
              (0.6, states[2:], provider, model)],
             Mollifier(0.8), np.array([[0.5, 0.0, 0.0]]), 1e-4,
             richardson=False)
-        assert len(calls) == len(states)
-        assert len(bonds) == len(states)
+        assert [len(c["sd"].x) for c in calls] == [len(states)]
+        assert [len(c["a"]) for c in bonds] == [len(states)]  # one pair each
         assert len(lifts) == len(states)
         assert len(grads) == 2
-        assert len(points) == 3 * len(states)
-        assert len(pps) == len(states)
+        # at tau per group, then tau - dt and tau + dt per group
+        assert [len(c["x"]) for c in points] == [2, 3, 2, 2, 3, 3]
+        assert [len(c["x"]) for c in pps] == [2, 3]
 
     def test_field_stderr_not_computed(self, monkeypatch):
         # the report's standard errors come from the raw stacks; the
@@ -388,7 +398,8 @@ class TestCorrectedCanonical:
     def test_solves_per_state(self, monkeypatch):
         # one solve per evaluated configuration: the model at tau and tau
         # -/+ dt, and the provider gradient on the group's first state;
-        # share gradients only at tau
+        # share gradients only at tau.  The model's configurations are
+        # solved as stacks: one stacked solve at tau and one each way
         n = 4
         v, states = two_state_states(n, 2, np.random.default_rng(7), MASS)
         provider = dynamics.CorrectedSurface(v, MASS)
@@ -403,9 +414,17 @@ class TestCorrectedCanonical:
             [(1.0, states, provider, model)], Mollifier(0.9),
             np.array([[0.6, 0.6, 0.4]]), 1e-4, richardson=False)
         assert len(grads) == 1
-        assert len(points) == 3 * len(states)
-        assert len(solves) == 3 * len(states) + 1
-        assert sum(d["shares"] for d in derivs) == len(states)
+        assert sum(configs(c["x"]) for c in points) == 3 * len(states)
+        assert sum(configs(c["x"]) for c in solves) == 3 * len(states) + 1
+        assert sum(configs(c["x"]) for c in derivs
+                   if c["shares"]) == len(states)
+        # the model's stacks and the provider's single configuration
+        assert [np.ndim(c["x"]) for c in solves] == [3, 2, 3, 3]
+
+
+def configs(x):
+    """The number of configurations in x, one (N, 3) or a stack."""
+    return 1 if np.ndim(x) == 2 else len(x)
 
 
 class TestSurfaceMismatch:

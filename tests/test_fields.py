@@ -311,12 +311,13 @@ class TestFieldGrid:
         probes = rng.uniform(-0.5, 0.5, size=(6, 3))
         groups = [(0.3, states[:1]), (0.7, states[1:])]
         grid = fields.field_grid(groups, mol, probes)
-        raws = [(wt, [fields._raw_fields(sd, mol, probes) for sd in group])
+        raws = [(wt, fields._raw_fields(fields._stack(group), mol, probes))
                 for wt, group in groups]
         stacked = fields.presplit_divergences(grid.raws[1])
-        for k, mo in enumerate(mo for _, group in raws for mo in group):
+        for k, sd in enumerate(states):
+            mo = fields._raw_fields(fields._stack([sd]), mol, probes)
             for law, div in fields.presplit_divergences(mo).items():
-                np.testing.assert_array_equal(stacked[law][k], div)
+                np.testing.assert_array_equal(stacked[law][k], div[0])
         mean = fields.presplit_divergences(fields.ensemble_mean(raws)[0])
         np.testing.assert_array_equal(grid.div_mom, mean["mass"])
         np.testing.assert_array_equal(grid.div_mom_flux, mean["mom"])

@@ -145,7 +145,7 @@ def traj_conserve():
                          size=(24, 3))
     rep = conservation.per_trajectory_residuals(
         st, provider, model, mol, probes, dt_check, richardson=True)
-    sc, _ = conservation._central(st, model)
+    (sc,), _ = conservation._central([st], model)
     sm, sp = _neighbour_states(st, model, dt_check)
     grids = [_grid_dict(fields.field_grid([(1.0, [s])], mol, probes))
              for s in (sm, sc, sp)]

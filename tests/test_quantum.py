@@ -339,6 +339,9 @@ class TestEgorov:
         assert len(rep["step_diffs"]) == 3
         for diff, err in zip(rep["step_diffs"], rep["errors"]):
             assert diff <= quantum.STEP_CHECK_TOL * err
+        assert len(rep["cloud_step_diffs"]) == 3
+        for diff, err in zip(rep["cloud_step_diffs"], rep["errors"]):
+            assert diff <= quantum.STEP_CHECK_TOL * err
 
     def test_coarse_split_step_fails_self_check(self, monkeypatch):
         # at 5x the rule's step, the 2 dt rerun moves <a> by about 3x the
@@ -349,6 +352,20 @@ class TestEgorov:
                             quantum.const_coeff(0.3),
                             quantum.const_coeff(1.0)])
         with pytest.raises(ResolutionError, match="doubling the split step"):
+            quantum.egorov_test(v, a, [100.0, 1000.0], x0_packet=0.4,
+                                p0_packet=0.5, t_final=1.0, grid_x0=-L / 2,
+                                grid_length=L)
+
+    def test_coarse_cloud_step_fails_self_check(self, monkeypatch):
+        # at 10x the rule's RK4 step, the 2 dt rerun of the cloud moves <a>
+        # by more than 1 % of the Egorov error
+        monkeypatch.setattr(quantum, "CLOUD_DT", 0.1)
+        v = quantum.trig_coeff(L, a0=1.0, cos_terms=[(1, -1.0)])
+        a = quantum.Symbol([quantum.trig_coeff(L, cos_terms=[(1, 0.5)]),
+                            quantum.const_coeff(0.3),
+                            quantum.const_coeff(1.0)])
+        with pytest.raises(ResolutionError,
+                           match="doubling the cloud's RK4 step"):
             quantum.egorov_test(v, a, [100.0, 1000.0], x0_packet=0.4,
                                 p0_packet=0.5, t_final=1.0, grid_x0=-L / 2,
                                 grid_length=L)
