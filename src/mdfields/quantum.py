@@ -7,6 +7,8 @@ potentials), reduction of commutators to Poisson brackets, and the O(1/M)
 accuracy of classical expectation values along the flow.
 """
 
+from math import comb
+
 import numpy as np
 
 from .errors import (GridTooLargeError, InvalidParameterError, PhysicsError,
@@ -306,44 +308,37 @@ def poisson_bracket(h, a):
 # ---------------------------------------------------------------------------
 # Weyl quantization
 
-def _momentum_matrix(grid, hbar):
-    if grid.n > MAX_DENSE_N:
-        raise GridTooLargeError(
-            f"dense operators limited to {MAX_DENSE_N} points")
-    f = np.fft.fft(np.eye(grid.n), axis=0)
-    return np.fft.ifft((hbar * grid.k)[:, None] * f, axis=0)
-
-
-def _weyl_dense(symbol, grid, hbar, max_degree):
-    from math import comb
-
+def _weyl_fourier(symbol, grid, hbar, max_degree):
+    """Weyl operator F Op F^{-1} of a symbol in the Fourier basis, where p is
+    diagonal and c(x) is the circulant of its FFT: the symmetrized ordering
+    2^{-j} sum_k C(j,k) p^k c_j(x) p^{j-k} has the closed-form entries
+    c_hat_j((k - l) mod n) / n ((p_k + p_l) / 2)^j."""
     if symbol.degree > max_degree:
         raise UnsupportedSymbolError(
             f"momentum degree {symbol.degree} exceeds {max_degree}")
-    p_mat = _momentum_matrix(grid, hbar)
-    p_pow = [np.eye(grid.n, dtype=complex)]
-    for _ in range(symbol.degree):
-        p_pow.append(p_pow[-1] @ p_mat)
-    op = np.zeros((grid.n, grid.n), dtype=complex)
-    for j, c in enumerate(symbol.coeffs):
-        cx = np.asarray(c(grid.x), dtype=complex)
-        # symmetrized ordering 2^{-j} sum_k C(j,k) p^k c(x) p^{j-k}
-        term = np.zeros_like(op)
-        for k in range(j + 1):
-            term += comb(j, k) * (p_pow[k] * cx[None, :]) @ p_pow[j - k]
-        op += term / 2.0 ** j
+    if grid.n > MAX_DENSE_N:
+        raise GridTooLargeError(
+            f"dense operators limited to {MAX_DENSE_N} points")
+    p_mid = 0.5 * hbar * (grid.k[:, None] + grid.k)
+    idx = np.arange(grid.n)
+    shift = (idx[:, None] - idx) % grid.n
+    op = 0.0
+    # Horner's rule in p_mid, from the highest degree down
+    for c in reversed(symbol.coeffs):
+        op = op * p_mid + (np.fft.fft(c(grid.x)) / grid.n)[shift]
     return op
 
 
 def weyl_quantize(symbol, grid, hbar):
-    """Dense Weyl operator of a symbol with momentum degree <= 2."""
-    return _weyl_dense(symbol, grid, hbar, PUBLIC_DEGREE)
+    """Dense Weyl operator of a symbol with momentum degree <= 2, in the x
+    basis: built in the Fourier basis, with closed-form entries, and brought
+    back as F^{-1} Op F by two FFTs (F is symmetric, so Op F = (F Op^T)^T)."""
+    op = _weyl_fourier(symbol, grid, hbar, PUBLIC_DEGREE)
+    return np.fft.fft(np.fft.ifft(op, axis=0), axis=1)
 
 
 def expectation(symbol, psi, grid, hbar):
     """<psi| Op_W(a) |psi> without dense matrices (any grid size)."""
-    from math import comb
-
     if symbol.degree > INTERNAL_DEGREE:
         raise UnsupportedSymbolError(
             f"momentum degree {symbol.degree} exceeds {INTERNAL_DEGREE}")
@@ -368,31 +363,32 @@ def expectation(symbol, psi, grid, hbar):
 def commutator_check(h_symbol, a_symbol, grid, hbar):
     """Compare (i/hbar)[Op(h), Op(a)] with Op({h, a}).
 
+    The operators are built in the Fourier basis, with closed-form entries.
     Returns relative and absolute operator-norm discrepancies; the relative
     one vanishes to rounding for momentum degrees <= 2 and is O(hbar^2) once
     degree-3 terms appear.
     """
-    op_h = _weyl_dense(h_symbol, grid, hbar, INTERNAL_DEGREE)
-    op_a = _weyl_dense(a_symbol, grid, hbar, INTERNAL_DEGREE)
-    comm = (1j / hbar) * (op_h @ op_a - op_a @ op_h)
-    bracket = _weyl_dense(poisson_bracket(h_symbol, a_symbol), grid, hbar,
-                          INTERNAL_DEGREE)
+    op_h = _weyl_fourier(h_symbol, grid, hbar, INTERNAL_DEGREE)
+    op_a = _weyl_fourier(a_symbol, grid, hbar, INTERNAL_DEGREE)
+    bracket = _weyl_fourier(poisson_bracket(h_symbol, a_symbol), grid, hbar,
+                            INTERNAL_DEGREE)
     # compare on the sub-Nyquist band: multiplication by x-dependent
     # coefficients aliases the extreme grid modes, which the resolution
-    # guard already excludes from admissible states
-    f = np.fft.fft(np.eye(grid.n), axis=0)
-    mask = (np.abs(grid.k) <= NYQUIST_FRACTION * grid.k_max).astype(float)
-    proj = np.fft.ifft(mask[:, None] * f, axis=0)
-    comm = proj @ comm @ proj
-    bracket = proj @ bracket @ proj
+    # guard already excludes from admissible states; in the Fourier basis
+    # that selects rows and columns, and the unitary F / sqrt(n) keeps norms
+    band = np.abs(grid.k) <= NYQUIST_FRACTION * grid.k_max
+    comm = (1j / hbar) * (op_h[band] @ op_a[:, band]
+                          - op_a[band] @ op_h[:, band])
+    bracket = bracket[np.ix_(band, band)]
     scale = np.linalg.norm(bracket, 2)
     diff = np.linalg.norm(comm - bracket, 2)
     # packet-scale metric: act on a minimum-uncertainty reference packet,
     # whose momentum spread sqrt(hbar/2) sets the physical p scale
     psi_ref = gaussian_packet(grid, grid.x0 + 0.5 * grid.length, 0.0,
                               np.sqrt(hbar / 2.0), hbar)
-    num = np.linalg.norm((comm - bracket) @ psi_ref)
-    den = np.linalg.norm(bracket @ psi_ref)
+    psi_band = np.fft.fft(psi_ref, norm="ortho")[band]
+    num = np.linalg.norm((comm - bracket) @ psi_band)
+    den = np.linalg.norm(bracket @ psi_band)
     return {
         "abs_op_norm": float(diff),
         "bracket_op_norm": float(scale),

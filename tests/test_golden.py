@@ -23,9 +23,9 @@ Tolerances:
 - field values match at rtol 1e-12, taken normwise per column:
   |new - golden| <= 1e-12 * max |golden column|;
 - every number of the quantum and gibbs-fit JSON outputs matches at rtol
-  1e-12, normwise per list.  The commutator's ``abs_op_norm``, ``rel_op_norm`` and
-  ``rel_packet_norm`` are roundoff, so a change that reorders the
-  split-step arithmetic regenerates them;
+  1e-12, normwise per list.  The commutator's ``abs_op_norm``,
+  ``rel_op_norm`` and ``rel_packet_norm`` are roundoff, so a change that
+  reorders the operator arithmetic regenerates them;
 - residuals are central differences over 2 dt_check, so they amplify the
   roundoff of the fields.  They match within
   C_ULP * (ulp(max |F|) / (2 dt_check) + ulp(max |div F|)) per law, with F

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -211,12 +213,42 @@ class TestWeylQuantization:
         c = quantum.trig_coeff(L, cos_terms=[(m, 1.0)])
         ref = np.cos(omega * x0) * np.exp(-0.5 * omega ** 2 * w ** 2) \
             * (p0 ** 2 + sp2)
-        p_mat = quantum._momentum_matrix(g, hbar)
         cx = c(g.x)
-        wrong = 0.5 * (cx[:, None] * (p_mat @ p_mat)
-                       + (p_mat @ p_mat) * cx[None, :])
-        got = float(np.real(np.conj(psi) @ wrong @ psi) * g.dx)
+
+        def p2(f):
+            return np.fft.ifft((hbar * g.k) ** 2 * np.fft.fft(f))
+
+        wrong_psi = 0.5 * (cx * p2(psi) + p2(cx * psi))
+        got = float(np.real(np.conj(psi) @ wrong_psi) * g.dx)
         assert abs(got - ref) > 1e-4
+
+    def test_operators_match_ordered_products(self):
+        # Op(c p^j) psi = 2^{-j} sum_k C(j,k) p^k (c p^{j-k} psi), each p
+        # applied through FFTs: degrees 0-2 through weyl_quantize, degree 3
+        # through the Fourier-basis builder
+        g = quantum.QuantumGrid(-L / 2, L, 128)
+        hbar = 0.1
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+
+        def p_pow(m, f):
+            return np.fft.ifft((hbar * g.k) ** m * np.fft.fft(f))
+
+        for j in range(4):
+            c = quantum.trig_coeff(
+                L, a0=rng.normal(),
+                cos_terms=[(m, rng.normal()) for m in (1, 3)],
+                sin_terms=[(m, rng.normal()) for m in (2, 5)])
+            sym = quantum.Symbol([quantum.const_coeff(0.0)] * j + [c])
+            ref = sum(comb(j, k) * p_pow(k, c(g.x) * p_pow(j - k, psi))
+                      for k in range(j + 1)) / 2.0 ** j
+            if j <= quantum.PUBLIC_DEGREE:
+                got = quantum.weyl_quantize(sym, g, hbar) @ psi
+            else:
+                op = quantum._weyl_fourier(sym, g, hbar,
+                                           quantum.INTERNAL_DEGREE)
+                got = np.fft.ifft(op @ np.fft.fft(psi))
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(got)
 
     def test_degree_and_size_limits(self):
         g = quantum.QuantumGrid(-L / 2, L, 64)
@@ -310,6 +342,13 @@ class TestCommutatorCheck:
                            + [quantum.const_coeff(1.0)])
         rep = quantum.commutator_check(h, a, g, hbar)
         assert rep["rel_packet_norm"] >= 1e-3
+
+    def test_size_limit(self):
+        big = quantum.QuantumGrid(-L / 2, L, 2048)
+        h = quantum.kinetic_plus_potential(quantum.const_coeff(1.0))
+        a = quantum.Symbol([quantum.trig_coeff(L, cos_terms=[(1, 1.0)])])
+        with pytest.raises(GridTooLargeError):
+            quantum.commutator_check(h, a, big, 0.1)
 
 
 class TestEgorov:
