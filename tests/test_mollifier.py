@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -147,9 +149,10 @@ class TestBondIntegral:
                                    atol=1e-6)
 
 
-def per_pair_bond(eta, y, a, b, kernel, vector=False):
-    """Reference: one pair at a time, panels doubled until the worst probe's
-    change is below BOND_TOL (the loop bond_weights replaced)."""
+def per_pair_bond(eta, y, a, b, kernel, vector=False, panels=None):
+    """Reference: one pair at a time, Gauss-Legendre panels doubled until the
+    worst probe's change is below BOND_TOL, or a fixed number of
+    ``panels``."""
     d = a - b
     seg2 = float(d @ d)
     if seg2 == 0.0:
@@ -178,6 +181,9 @@ def per_pair_bond(eta, y, a, b, kernel, vector=False):
                              weights, half)
         return np.einsum("mpk,k,mp->m", vals.reshape(s.shape), weights, half)
 
+    if panels is not None:
+        out[hit] = estimate(panels)
+        return out
     panels = 1
     prev = estimate(panels)
     while panels < 64:
@@ -204,6 +210,37 @@ def mixed_pairs():
                     [-0.9, 0.0, 0.0],             # clipped interval is empty
                     [6.0, 6.0, 6.0]]])            # misses every segment
     return y, a, b
+
+
+def quadrature_items(monkeypatch, eta, y, a, b):
+    """The per-item rows ``bond_weights`` hands its tanh-sinh quadrature."""
+    rows = []
+    real = mollifier._tanh_sinh
+
+    def keep(par):
+        rows.append(par)
+        return real(par)
+
+    monkeypatch.setattr(mollifier, "_tanh_sinh", keep)
+    eta.bond_weights(y, a, b)
+    monkeypatch.setattr(mollifier, "_tanh_sinh", real)
+    return np.concatenate(rows)
+
+
+def nested_estimates(par):
+    """(h, estimate, change) per step, from running sums over the steps'
+    new nodes: estimate (items, 2) is h times the sums of w bump and
+    w bump g^2, and change (items, 2) the changes of B and of grad B
+    against the step before (None at the first step)."""
+    sums = 0.0
+    for level, (h, x, wt, w_end) in enumerate(mollifier._LEVELS):
+        new = mollifier._node_sums(par, x, wt) + w_end * par[:, 3:5]
+        change = None
+        if level:
+            change = np.abs(new - sums) * (h * par[:, 5:6])
+            change[:, 1] *= par[:, 6]
+        sums = sums + new
+        yield h, h * sums, change
 
 
 class TestBondWeights:
@@ -238,9 +275,107 @@ class TestBondWeights:
         np.testing.assert_allclose(pbw, bw[:, perm], rtol=0, atol=1e-15)
         np.testing.assert_allclose(pgbw, gbw[:, perm], rtol=0, atol=1e-15)
 
-    def test_panel_cap_raises(self, monkeypatch):
+    def test_matches_fine_reference(self):
+        eta = Mollifier(0.6)
+        y, a, b = mixed_pairs()
+        bw, gbw = eta.bond_weights(y, a, b)
+        for k in range(len(a)):
+            ref = per_pair_bond(eta, y, a[k], b[k], eta.eval, panels=1024)
+            gref = per_pair_bond(eta, y, a[k], b[k], eta.grad, vector=True,
+                                 panels=1024)
+            np.testing.assert_allclose(bw[:, k], ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gbw[:, k], gref, rtol=0, atol=1e-12)
+
+    def test_first_moment_closed_form(self):
+        # wp is orthogonal to d, so grad B . d = 2 eps^-2 |d|^2 S1 with
+        # S1 = int eta g^2 (s - beta) ds, and grad B . d is the bond
+        # integral of grad eta . d, a function of the point alone
+        eta = Mollifier(1.2)
+        rng = np.random.default_rng(31)
+        a = rng.normal(scale=0.8, size=(8, 3))
+        b = a + rng.normal(scale=0.7, size=(8, 3))
+        # probes near the endpoints clip the support interval at s = 0 or 1
+        y = np.vstack([rng.normal(scale=1.0, size=(20, 3)),
+                       a + rng.normal(scale=0.3, size=(8, 3)),
+                       b + rng.normal(scale=0.3, size=(8, 3))])
+        _, gbw = eta.bond_weights(y, a, b)
+        clipped = 0
+        for k in range(len(a)):
+            d = a[k] - b[k]
+            to_s1 = eta.epsilon ** 2 / (2.0 * (d @ d))
+            ref = per_pair_bond(eta, y, a[k], b[k],
+                                lambda v: eta.grad(v) @ d, panels=1024)
+            np.testing.assert_allclose(gbw[:, k] @ d * to_s1, ref * to_s1,
+                                       rtol=0, atol=1e-14)
+            clipped += np.sum(eta.eval(y - a[k]) > 0.0)
+        assert clipped > 0
+
+    def test_tail_weight(self):
+        # the weight tanh-sinh drops past |tau| = tau_max on each side is
+        # 1 - tanh(pi/2 sinh tau_max), below rounding of any sum
+        tau = mollifier._TAU_MAX
+        tail = 2.0 / (1.0 + np.exp(np.pi * np.sinh(tau)))
+        edge = 0.5 * np.pi * np.cosh(tau) / np.cosh(0.5 * np.pi
+                                                    * np.sinh(tau)) ** 2
+        assert tail < 1e-30 and edge < 1e-30
+
+    def test_nested_sums_match_fresh_rule(self, monkeypatch):
+        par = quadrature_items(monkeypatch, Mollifier(1.2), *mixed_pairs())
+        center, radius, gap = par[:, 0:1], par[:, 1:2], par[:, 2:3]
+        for h, estimate, _ in nested_estimates(par):
+            # a fresh rule: every node tau = k h, |tau| <= tau_max, at once
+            tau = h * np.arange(-round(mollifier._TAU_MAX / h),
+                                round(mollifier._TAU_MAX / h) + 1)
+            u = 0.5 * np.pi * np.sinh(tau)
+            w = 0.5 * np.pi * np.cosh(tau) / np.cosh(u) ** 2
+            one_minus_z2 = gap - (center + radius * np.tanh(u)) ** 2
+            inside = one_minus_z2 > 0.0
+            g = 1.0 / np.where(inside, one_minus_z2, 1.0)
+            bump = np.where(inside, np.exp(-g), 0.0)
+            fresh = h * np.stack([bump @ w, (bump * g * g) @ w], axis=1)
+            np.testing.assert_allclose(estimate, fresh, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("tol", [1e-6, mollifier.BOND_TOL])
+    def test_stop_rule(self, monkeypatch, tol):
+        # an item stops at the first step where both its B change and its
+        # grad B change are below the tolerance
+        monkeypatch.setattr(mollifier, "BOND_TOL", tol)
+        par = quadrature_items(monkeypatch, Mollifier(1.2), *mixed_pairs())
+        n = par.shape[0]
+        stop = np.zeros(n, dtype=int)
+        levels = []
+        for level, (_, estimate, change) in enumerate(
+                nested_estimates(par)):
+            levels.append(estimate)
+            if level:
+                stop[(stop == 0) & (np.max(change, axis=1) < tol)] = level
+        assert np.all(stop > 0) and len(set(stop)) > 1
+        np.testing.assert_array_equal(mollifier._tanh_sinh(par).T,
+                                      np.array(levels)[stop, np.arange(n)])
+
+    def test_memory_bounded(self):
+        # items are culled and integrated in chunks of fixed size, so the
+        # heap a call needs beyond its outputs does not grow with the items
+        eta = Mollifier(0.9)
+        rng = np.random.default_rng(4)
+        probes = rng.uniform(0.3, 1.5, size=(27, 3))
+        extra = []
+        for states in (96, 384):
+            x = rng.uniform(0.0, 1.8, size=(states, 4, 3))
+            iu, ju = np.triu_indices(4, 1)
+            tracemalloc.start()
+            try:
+                bw, gbw = eta.bond_weights(probes, x[:, iu].reshape(-1, 3),
+                                           x[:, ju].reshape(-1, 3))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - bw.nbytes - gbw.nbytes)
+        assert extra[1] < 1.5 * extra[0]
+
+    def test_level_cap_raises(self, monkeypatch):
         eta = Mollifier(0.6)
         y, a, b = mixed_pairs()
         monkeypatch.setattr(mollifier, "BOND_TOL", 0.0)
-        with pytest.raises(NoConvergenceError, match="64 panels"):
+        with pytest.raises(NoConvergenceError, match="h = 1/128"):
             eta.bond_weights(y, a, b)
