@@ -9,9 +9,11 @@ and ``CorrectedSurface`` (mass-corrected: one nonlinear eigen solve and the
 exact derivatives of its fixed point).  A surface is evaluated once per
 configuration: ``at(x, j)`` returns one ``SurfacePoint`` record (value,
 gradient, shares, share gradients) that Verlet and the fields both read.
-The Gibbs sampler reads ``shares``.  ``at``, ``shares`` and ``verlet_step``
-also take a stack of configurations (K, N, 3), item k equal to the single
-call on x[k] bit for bit; the corrected surface solves a stack in lockstep.
+The Gibbs sampler reads ``values`` (every surface's energy) and, when
+particles are weighted unequally, ``shares``.  ``at``, ``values``,
+``shares`` and ``verlet_step`` also take a stack of configurations
+(K, N, 3), item k equal to the single call on x[k] bit for bit; the
+corrected surface solves a stack in lockstep.
 """
 
 import csv
@@ -148,10 +150,18 @@ class AdiabaticSurface:
             _value(eig.lambdas[..., j]))
 
     def value(self, x, j):
-        return self.at(x, j, fields=False).value
+        """lambda_j from ``values``: ``eigvalsh``, so it may differ from
+        ``at(x, j).value`` (``eigh``) by a few ulp."""
+        return _value(self.values(x)[..., j])
 
     def gradient(self, x, j):
         return self.at(x, j, fields=False).grad
+
+    def values(self, x):
+        """Every surface's energy lambda_k, (d,), or (K, d) at a stack, from
+        one ``evaluate`` and ``eigenvalues``: no parts, no eigenvectors.
+        Within a few ulp of the ``eigh`` eigenvalues that ``at`` reads."""
+        return potential.eigenvalues(self.v_pot.evaluate(x), self.gap_tol)
 
     def shares(self, x):
         """Per-particle shares lambda_k^n of every surface, (N, d), or
@@ -166,7 +176,8 @@ class CorrectedSurface:
 
     ``at`` makes one solve and differentiates its fixed point exactly
     (``nonlinear_eigen.fixed_point_derivatives``) for the gradient and the
-    share gradients; ``value`` and ``shares`` read the solve alone.
+    share gradients; ``value``, ``values`` and ``shares`` read the solve
+    alone.
     """
 
     def __init__(self, v_pot, mass, gap_tol=potential.GAP_TOL):
@@ -189,10 +200,15 @@ class CorrectedSurface:
                             _value(cs.lambdas_bar[..., j]))
 
     def value(self, x, j):
-        return _value(self._solve(x).lambdas_bar[..., j])
+        return _value(self.values(x)[..., j])
 
     def gradient(self, x, j):
         return self.at(x, j, fields=False).grad
+
+    def values(self, x):
+        """Every corrected surface's energy, (d,), or (K, d) from one
+        lockstep solve at a stack."""
+        return self._solve(x).lambdas_bar
 
     def shares(self, x):
         """Per-particle shares of every corrected surface, (N, d), or

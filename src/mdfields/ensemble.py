@@ -20,11 +20,18 @@ on windows of displacement proposals pooled over the chains, then stops at
 detected equilibration (Chodera's t0 on the stacked scalar trace), with
 ``BURN_IN_FACTOR`` * N proposals per chain as a hard cap.
 
-A surface set is any object with ``d`` and ``shares(x)``, mapping one
-configuration (N, 3) to (N, d) and a stack (K, N, 3) to (K, N, d), item k
-equal to the single call on item k; containers' ``particle_energy`` takes
-stacks the same way.  The matrix-potential surfaces are the ``dynamics``
-surface objects themselves.
+A surface set is any object with ``d``, ``values(x)`` and ``shares(x)``.
+``values`` maps one configuration (N, 3) to the d surface energies
+lambda_k (d,) and a stack (K, N, 3) to (K, d); ``shares`` maps them to the
+per-particle shares lambda_k^n, (N, d) and (K, N, d), which sum over n to
+lambda_k.  Item k of a stacked call equals the single call on item k;
+containers' ``particle_energy`` takes stacks the same way.  The
+matrix-potential surfaces are the ``dynamics`` surface objects themselves.
+
+A chain carries the weighted surface energies E_k = sum_n w_n lambda_k^n
+of its states, (d,) per state.  In uniform mode (w = 1) they are the
+surface energies, read from ``values`` alone; local-mollified mode reads
+``shares`` and weights them.
 """
 
 import json
@@ -162,7 +169,17 @@ class HarmonicContainer:
         return np.inf
 
 
-class ZeroSurfaces:
+class _ShareSums:
+    """The energies of a surface set given by its shares: each surface's
+    column summed as ``shares(x)[..., j].sum(axis=-1)`` sums it, so a log
+    density from ``values`` equals one from the shares bit for bit."""
+
+    def values(self, x):
+        return np.ascontiguousarray(
+            np.swapaxes(self.shares(x), -1, -2)).sum(axis=-1)
+
+
+class ZeroSurfaces(_ShareSums):
     """Free particles: d surfaces identically zero."""
 
     def __init__(self, d=1):
@@ -172,7 +189,7 @@ class ZeroSurfaces:
         return np.zeros(x.shape[:-1] + (self.d,))
 
 
-class ConstantShiftSurfaces:
+class ConstantShiftSurfaces(_ShareSums):
     """Surface j adds a constant delta_j per particle (closed-form oracle)."""
 
     def __init__(self, deltas):
@@ -183,7 +200,7 @@ class ConstantShiftSurfaces:
         return np.broadcast_to(self.deltas, x.shape[:-1] + (self.d,)).copy()
 
 
-class HarmonicSurfaces:
+class HarmonicSurfaces(_ShareSums):
     """Per-particle external harmonic wells, one stiffness per surface."""
 
     def __init__(self, kappas, center=(0.0, 0.0, 0.0)):
@@ -311,28 +328,29 @@ class GibbsSampler:
 
     def log_x_density(self, x, j):
         """Log of the x-marginal density (unnormalized) on surface j, and
-        the shares (N, d) of every surface it read.
+        the weighted surface energies E_k = sum_n w_n lambda_k^n (d,).
 
-        A stack x (K, N, 3) gives (K,) log densities and (K, N, d) shares
-        from one ``shares`` call; item k equals the single call on x[k]
-        bit for bit.
+        Uniform mode reads the surfaces' ``values`` alone, local-mollified
+        mode their ``shares``.  A stack x (K, N, 3) gives (K,) log
+        densities and (K, d) energies from one surface call; item k equals
+        the single call on x[k] bit for bit.
         """
         spec = self.spec
-        sh = self.surfaces.shares(x)
         n = x.shape[-2]
         if spec.mode == "uniform":
+            e = self.surfaces.values(x)
             # w = 1: the mu and thermal-wavelength terms are a constant
             # per particle, precomputed once
-            e = sh[..., j].sum(axis=-1) \
-                + self.container.particle_energy(x).sum(axis=-1)
-            return -e / spec.T + n * self._per_particle_const, sh
+            lam = e[..., j] + self.container.particle_energy(x).sum(axis=-1)
+            return -lam / spec.T + n * self._per_particle_const, e
+        sh = self.surfaces.shares(x)
         m = self._masses(n)
         w = particle_weights(spec, x, self.mol)
         lam = sh[..., j] + self.container.particle_energy(x)
         val = -(w * (lam - m * spec.mu)).sum(axis=-1) / spec.T
         # momentum marginal (2 pi M T / w)^{3/2} per particle
         val = val + 1.5 * np.log(2.0 * np.pi * m * spec.T / w).sum(axis=-1)
-        return val, sh
+        return val, np.sum(w[..., None] * sh, axis=-2)
 
     def _masses(self, n):
         """The masses of n particles: the first n given, or the first mass
@@ -362,18 +380,18 @@ class GibbsSampler:
         BURN_IN_FACTOR * N proposals each are judged once on their whole
         trace and warn if t0 still lies in the second half.  Appends a
         ``BurnIn`` record to ``burn_ins``; returns the chains' states, log
-        densities and shares, and the step.
+        densities and weighted surface energies, and the step.
         """
         limit = BURN_IN_FACTOR * x.shape[1]
         check = TUNE_INTERVAL * x.shape[1]
         trace = []
-        logd, sh = self.log_x_density(x, j)
+        logd, e = self.log_x_density(x, j)
         # the step is tuned on displacement proposals only
         moves = accepted = window = window_acc = streak = 0
         cap = self.container.max_step()
         settled = hit_cap = False
         for n in range(1, limit + 1):
-            x, logd, sh, ok = self._move(x, j, rngs, step, logd, sh)
+            x, logd, e, ok = self._move(x, j, rngs, step, logd, e)
             trace.append((logd[0], x.shape[1]) if self.gcmc else logd)
             if ok is not None:
                 moves += len(ok)
@@ -413,37 +431,37 @@ class GibbsSampler:
         self.burn_ins.append(BurnIn(
             proposals=n, t0=t0, tau_int=tau, ess=(n - t0) / tau,
             accept=rate, step=step, step_at_cap=at_cap, hit_cap=hit_cap))
-        return x, logd, sh, step
+        return x, logd, e, step
 
-    def _move(self, x, j, rngs, step, logd, sh):
+    def _move(self, x, j, rngs, step, logd, e):
         """One proposal per chain, used by burn-in and sampling.
 
         With gcmc (one chain) a number move with probability 1/2, else a
         displacement of every chain, evaluated in one stacked call; fixed-N
         chains draw no extra random number.  Returns the new states, log
-        densities and shares, and the list of the displacements'
-        acceptances, None after a number move.
+        densities and weighted surface energies, and the list of the
+        displacements' acceptances, None after a number move.
         """
         if self.gcmc and rngs[0].random() < 0.5:
-            return self._number_move(x, j, rngs[0], logd, sh) + (None,)
+            return self._number_move(x, j, rngs[0], logd, e) + (None,)
         # rng.normal(scale=step) is step times rng.standard_normal()
         noise = np.empty(x.shape)
         for rng, out in zip(rngs, noise):
             rng.standard_normal(out=out)
         prop = self.container.wrap(x + step * noise)
-        logp, shp = self.log_x_density(prop, j)
+        logp, ep = self.log_x_density(prop, j)
         ok = [metropolis_accept(r, rng)
               for r, rng in zip((logp - logd).tolist(), rngs)]
         if all(ok):
-            return prop, logp, shp, ok
+            return prop, logp, ep, ok
         if any(ok):
             take = np.array(ok)
             x = np.where(take[:, None, None], prop, x)
             logd = np.where(take, logp, logd)
-            sh = np.where(take[:, None, None], shp, sh)
-        return x, logd, sh, ok
+            e = np.where(take[:, None], ep, e)
+        return x, logd, e, ok
 
-    def _number_move(self, x, j, rng, logd, sh):
+    def _number_move(self, x, j, rng, logd, e):
         """An insertion or a deletion on a one-chain stack x (1, N, 3)."""
         vol = self.container.volume
         n = x.shape[1]
@@ -452,16 +470,16 @@ class GibbsSampler:
                                   axis=1)
             extra = np.log(vol / (n + 1.0))
         elif n == 0:
-            return x, logd, sh
+            return x, logd, e
         else:
             prop = np.delete(x, rng.integers(n), axis=1)
             extra = np.log(n / vol)
-        logp, shp = self.log_x_density(prop, j)
+        logp, ep = self.log_x_density(prop, j)
         # the thermal factor and e^{M mu / T} are inside log_x_density
         # through the per-particle marginal and mu terms
         if metropolis_accept(logp[0] - logd[0] + extra, rng):
-            return prop, logp, shp
-        return x, logd, sh
+            return prop, logp, ep
+        return x, logd, e
 
     def run_chain(self, j, n_samples, seed, thin=None, x0=None,
                   collect=None):
@@ -472,9 +490,9 @@ class GibbsSampler:
         number moves is one chain.  Every chain retains
         ceil(n_samples / chains) states, one each ``thin`` proposals, and
         the first n_samples are returned chain by chain.  ``collect`` may be
-        a callable ``collect(x, shares)`` applied to every retained state
-        and its shares (N, d), which the chain already holds (for scalar
-        statistics cheaper than storing samples).
+        a callable ``collect(x, energies)`` applied to every retained state
+        and its weighted surface energies (d,), which the chain already
+        holds (for scalar statistics cheaper than storing samples).
         """
         n_chains = 1 if self.gcmc else max(1, min(CHAINS, n_samples))
         rngs = [np.random.default_rng(np.random.PCG64(seed))]
@@ -486,16 +504,16 @@ class GibbsSampler:
         else:
             x0 = np.asarray(x0, dtype=float)
             x = np.broadcast_to(x0, (n_chains,) + x0.shape).copy()
-        x, logd, sh, step = self._tune_step(x, j, rngs, 0.5)
+        x, logd, e, step = self._tune_step(x, j, rngs, 0.5)
         if thin is None:
             thin = max(5, x.shape[1])
         kept = [[] for _ in rngs]
         for _ in range(-(-n_samples // n_chains)):
             for _ in range(thin):
-                x, logd, sh, _ = self._move(x, j, rngs, step, logd, sh)
+                x, logd, e, _ = self._move(x, j, rngs, step, logd, e)
             for c, out in enumerate(kept):
                 out.append(x[c].copy() if collect is None
-                           else collect(x[c], sh[c]))
+                           else collect(x[c], e[c]))
         return [s for out in kept for s in out][:n_samples]
 
     def sample(self, n_samples, seed, weights):
@@ -527,7 +545,8 @@ def surface_weights(spec, surfaces, masses, container, method,
 
     direct-quadrature integrates exp(-sum_n w_n lambda_j^n / T) on a tensor
     Gauss grid (N <= 2 only); free-energy-perturbation reweights samples of
-    surface 1 by the exponentiated share differences.
+    surface 1 by exp(-(E_k - E_1) / T), E_k the weighted energy of surface
+    k that the chain carries.
     """
     d = surfaces.d
     if method == "direct-quadrature":
@@ -541,10 +560,8 @@ def surface_weights(spec, surfaces, masses, container, method,
     if method == "reweighting":
         sampler = GibbsSampler(spec, surfaces, masses, container, mol)
 
-        def collect(x, sh):
-            w = particle_weights(spec, x, mol)
-            delta = np.sum(w[:, None] * (sh - sh[:, :1]), axis=0)
-            return np.exp(-delta / spec.T)
+        def collect(x, e):
+            return np.exp(-(e - e[0]) / spec.T)
 
         ratios = np.stack(sampler.run_chain(0, n_samples, seed,
                                             collect=collect))
@@ -611,9 +628,8 @@ def _estimate_rho_e(spec, surfaces, masses, container, mol, n_samples, seed):
     """
     sampler = GibbsSampler(spec, surfaces, masses, container, mol, gcmc=True)
 
-    def collect(x, sh):
-        lam = np.sum(sh[:, 0] + container.particle_energy(x))
-        return (x.shape[0], lam)
+    def collect(x, e):
+        return (x.shape[0], e[0] + np.sum(container.particle_energy(x)))
 
     stats = sampler.run_chain(0, n_samples, seed, thin=1, collect=collect)
     counts = np.array([s[0] for s in stats], dtype=float)

@@ -413,6 +413,47 @@ def _fix_signs(psi):
     return psi
 
 
+def _gap_min(lam, gap_tol, items):
+    """The smallest adjacent gap of ascending eigenvalues (..., d): a float
+    for one spectrum (d,), one entry per item of a stack (K, d).
+
+    Raises
+    ------
+    DegenerateSpectrumError
+        If a gap falls below ``gap_tol``; for a stack, the message names
+        the first such item, by ``items[k]`` when ``items`` is given.
+    """
+    if lam.shape[-1] > 1:
+        gap_min = (lam[..., 1:] - lam[..., :-1]).min(axis=-1)
+        low = gap_min < gap_tol
+        if low.any():
+            k = int(np.flatnonzero(low)[0])
+            name = None if lam.ndim == 1 else k if items is None else items[k]
+            raise DegenerateSpectrumError(
+                f"{item_label(name)}adjacent eigenvalue gap "
+                f"{gap_min.flat[k]:.3e} below {gap_tol:.1e}")
+    else:
+        gap_min = np.full(lam.shape[:-1], np.inf)
+    return float(gap_min) if lam.ndim == 1 else gap_min
+
+
+def eigenvalues(v, gap_tol=GAP_TOL):
+    """Ascending eigenvalues of a Hermitian matrix (d, d), (d,), or of a
+    stack (K, d, d), (K, d), with the gap check of ``eigendecompose``.
+
+    ``eigvalsh`` runs a different LAPACK path from ``eigh``, so these can
+    differ from ``eigendecompose(v).lambdas`` by a few ulp.
+
+    Raises
+    ------
+    DegenerateSpectrumError
+        As ``eigendecompose`` does; a stack's item is named by its index.
+    """
+    lam = np.linalg.eigvalsh(v)
+    _gap_min(lam, gap_tol, None)
+    return lam
+
+
 def eigendecompose(v, gap_tol=GAP_TOL, items=None):
     """Eigenpairs of a Hermitian matrix with deterministic sign fixing.
 
@@ -426,21 +467,8 @@ def eigendecompose(v, gap_tol=GAP_TOL, items=None):
         If an adjacent eigenvalue gap falls below ``gap_tol``; for a stack,
         the message names the first such item.
     """
-    v = np.asarray(v)
     lam, psi = np.linalg.eigh(v)
-    if lam.shape[-1] > 1:
-        gap_min = (lam[..., 1:] - lam[..., :-1]).min(axis=-1)
-        low = gap_min < gap_tol
-        if low.any():
-            k = int(np.flatnonzero(low)[0])
-            name = None if v.ndim == 2 else k if items is None else items[k]
-            raise DegenerateSpectrumError(
-                f"{item_label(name)}adjacent eigenvalue gap "
-                f"{gap_min.flat[k]:.3e} below {gap_tol:.1e}")
-    else:
-        gap_min = np.full(lam.shape[:-1], np.inf)
-    if v.ndim == 2:
-        gap_min = float(gap_min)
+    gap_min = _gap_min(lam, gap_tol, items)
     return EigenData(lambdas=lam, psi=_fix_signs(psi), gap_min=gap_min)
 
 

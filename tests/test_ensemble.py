@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mdfields import ensemble, potential
+from mdfields import dynamics, ensemble, potential
 from mdfields.errors import (DegenerateSpectrumError,
                              InsufficientOverlapError, InvalidParameterError,
                              UnattainableTargetError)
@@ -152,7 +152,7 @@ class TestSampling:
         sampler = ensemble.GibbsSampler(spec, ensemble.ZeroSurfaces(),
                                         np.ones(1), box, gcmc=True)
         counts = sampler.run_chain(0, 40_000, seed=13, thin=1,
-                                   collect=lambda x, sh: x.shape[0])
+                                   collect=lambda x, e: x.shape[0])
         mean_n = np.mean(counts)
         expected = n_target * box.volume
         assert abs(mean_n - expected) <= 0.04 * expected
@@ -169,7 +169,7 @@ class TestSampling:
         expected = n_target * box.volume
         for seed in range(1, 6):
             first = sampler.run_chain(0, 1, seed,
-                                      collect=lambda x, sh: x.shape[0])[0]
+                                      collect=lambda x, e: x.shape[0])[0]
             assert abs(first - expected) <= 5.0 * np.sqrt(expected), seed
 
     def test_gcmc_requires_uniform_mode(self):
@@ -194,6 +194,9 @@ class OnlyStart:
         flat = np.all(x == self.x0, axis=(-2, -1))
         return np.broadcast_to(np.where(flat, 0.0, 1e6)[..., None, None],
                                x.shape[:-1] + (1,)).copy()
+
+    def values(self, x):
+        return self.shares(x).sum(axis=-2)
 
 
 class TestTuneWarning:
@@ -303,7 +306,7 @@ class TestBurnIn:
         expected = n_target * box.volume
         for seed in range(1, 6):
             first = sampler.run_chain(0, 1, seed,
-                                      collect=lambda x, sh: x.shape[0])[0]
+                                      collect=lambda x, e: x.shape[0])[0]
             assert abs(first - expected) <= 5.0 * np.sqrt(expected), seed
         recs = sampler.burn_ins
         assert sum(r.t0 > 0 for r in recs) >= 3
@@ -435,33 +438,113 @@ class TestStack:
                                         mol=Mollifier(0.9))
         x = self.configs(2)
         for j in range(2):
-            logd, sh = sampler.log_x_density(x, j)
-            assert logd.shape == (self.K,)
+            logd, e = sampler.log_x_density(x, j)
+            assert logd.shape == (self.K,) and e.shape == (self.K, 2)
             for k in range(self.K):
-                one, sh_k = sampler.log_x_density(x[k], j)
+                one, e_k = sampler.log_x_density(x[k], j)
                 assert logd[k] == one
-                np.testing.assert_array_equal(sh[k], sh_k)
+                np.testing.assert_array_equal(e[k], e_k)
+
+    @pytest.mark.parametrize("kind", ["bare", "corrected"])
+    def test_values(self, kind):
+        # the surface energies from eigenvalues alone (bare) or from the
+        # solve (corrected), against the shares they partition: within 16
+        # ulp of sum_n |lambda_k^n| (measured: at most 6, 3.6e-15 absolute)
+        surf, _ = canonical_surfaces()
+        if kind == "corrected":
+            surf = dynamics.CorrectedSurface(surf.v_pot, 1e3)
+        x = self.configs(4)
+        val, sh = surf.values(x), surf.shares(x)
+        assert val.shape == (self.K, 2)
+        for k in range(self.K):
+            np.testing.assert_array_equal(val[k], surf.values(x[k]))
+        bound = 16.0 * np.spacing(np.abs(sh).sum(axis=-2))
+        assert np.all(np.abs(val - sh.sum(axis=-2)) <= bound)
+
+    @pytest.mark.parametrize("kind", ["bare", "corrected"])
+    def test_value_matches_at(self, kind):
+        # ``value`` reads ``values``: the bare one runs ``eigvalsh``, not
+        # ``at``'s ``eigh``, so the two may differ by a few ulp (measured:
+        # none here); the corrected one reads the same solve as ``at``
+        surf, _ = canonical_surfaces()
+        n_items = self.K
+        if kind == "corrected":
+            surf, n_items = dynamics.CorrectedSurface(surf.v_pot, 1e3), 50
+        x = self.configs(4)[:n_items]
+        for k in range(n_items):
+            for j in range(2):
+                val, ref = surf.value(x[k], j), surf.at(x[k], j,
+                                                        fields=False).value
+                if kind == "corrected":
+                    assert val == ref
+                else:
+                    assert abs(val - ref) <= 16.0 * np.spacing(abs(ref))
 
     def test_degenerate_item_named(self):
+        # eigenvalues and eigendecompose share one gap check
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 2, 2))
         v = a + a.transpose(0, 2, 1)
         v[4] = np.eye(2)
-        with pytest.raises(DegenerateSpectrumError, match="item 4:"):
-            potential.eigendecompose(v)
+        for fn in (potential.eigendecompose, potential.eigenvalues):
+            with pytest.raises(DegenerateSpectrumError, match="^item 4: "):
+                fn(v)
+            with pytest.raises(DegenerateSpectrumError, match="^adjacent"):
+                fn(v[4])
 
 
 class CountingShares:
-    """A surface set that counts its shares calls."""
+    """A surface set that counts its values and shares calls."""
 
     def __init__(self, surfaces):
         self.surfaces = surfaces
         self.d = surfaces.d
         self.calls = 0
 
+    def values(self, x):
+        self.calls += 1
+        return self.surfaces.values(x)
+
     def shares(self, x):
         self.calls += 1
         return self.surfaces.shares(x)
+
+
+class ShareSums:
+    """A surface set whose energies are its shares summed over particles:
+    the arithmetic the chain used before it read ``values``."""
+
+    def __init__(self, surfaces):
+        self.surfaces = surfaces
+        self.d = surfaces.d
+
+    def values(self, x):
+        return self.surfaces.shares(x).sum(axis=-2)
+
+    def shares(self, x):
+        return self.surfaces.shares(x)
+
+
+def test_eigenvalue_energies_keep_streams():
+    # the golden canonical config (N = 2, 500 weight samples at seed 11, 16
+    # states at seed 12): the eigenvalue energies retain the states the
+    # share sums retain, bit for bit, and move q by rounding alone
+    surf, box = canonical_surfaces(2)
+    spec, masses = ensemble.GibbsSpec(T=2.0), np.full(2, 1e3)
+    runs = []
+    for s in (surf, ShareSums(surf)):
+        qw = ensemble.surface_weights(spec, s, masses, box, "reweighting",
+                                      n_samples=500, seed=11)
+        states = ensemble.GibbsSampler(spec, s, masses, box).sample(
+            16, seed=12, weights=qw)
+        runs.append((qw.q, states))
+    (q, states), (q_sums, states_sums) = runs
+    assert np.all(np.abs(q - q_sums) <= 1e-15)
+    assert len(states) == len(states_sums) == 16
+    for a, b in zip(states, states_sums):
+        assert a.surface == b.surface
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.p, b.p)
 
 
 @pytest.fixture
@@ -480,7 +563,7 @@ def density_calls(monkeypatch):
 
 class TestLockstepCalls:
     def test_surface_weights_reads_only_proposals(self, density_calls):
-        # the reweighting collects the shares its chain already holds
+        # the reweighting collects the energies its chain already holds
         surf, box = canonical_surfaces()
         counting = CountingShares(surf)
         ensemble.surface_weights(ensemble.GibbsSpec(T=2.0), counting,
