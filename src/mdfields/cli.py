@@ -2,15 +2,19 @@
 
 Subcommands: run-md, fields, conserve-check, gibbs-fit, egorov,
 commutator-check.  Configs are single JSON documents validated against
-strict schemas (unknown keys rejected).  Every output embeds the SHA-256
-hash of the config and the seed, and outputs are byte-identical across
-reruns with the same config.
+strict schemas (unknown keys rejected).  The library returns arrays and
+records; this module writes every output file, CSV through ``_write_csv``
+(a provenance line, a header, every value as %.17g) and JSON through
+``_write_report`` (provenance keys).  Every output embeds the SHA-256 hash
+of the config and the seed, and outputs are byte-identical across reruns
+with the same config.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 physics
 error.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -342,13 +346,22 @@ def _write_report(cfg, cfg_hash, name, rep):
         fh.write("\n")
 
 
-def _stamp_csv(path, cfg_hash, seed):
-    # prepend the provenance/units comment line required on numeric outputs
-    with open(path) as fh:
-        body = fh.read()
-    with open(path, "w") as fh:
-        fh.write(f"# config_sha256={cfg_hash} seed={seed} units=reduced\n")
-        fh.write(body)
+def _write_csv(cfg, cfg_hash, name, header, blocks):
+    """Write CSV output ``name``: the provenance/units comment line,
+    ``header``, then the columns of ``blocks`` (arrays with the row index
+    first), every value as %.17g."""
+    with open(_out(cfg, name), "w", newline="") as fh:
+        fh.write(f"# config_sha256={cfg_hash} seed={cfg.get('seed', 0)} "
+                 "units=reduced\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in np.column_stack(blocks):
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+def _cols(name, n):
+    """Column names name_1 ... name_n."""
+    return [f"{name}_{i + 1}" for i in range(n)]
 
 
 def _out(cfg, name):
@@ -368,9 +381,11 @@ def _cmd_run_md(cfg, cfg_hash):
                           dyn.get("surface", 0), dyn.get("mass_parameter"))
     state.surface = dyn.get("surface", 0)
     traj = dynamics.integrate(state, dyn["dt"], dyn["steps"], surf)
-    path = _out(cfg, "trajectory.csv")
-    traj.to_csv(path)
-    _stamp_csv(path, cfg_hash, cfg.get("seed", 0))
+    rows, n = len(traj.times), state.x.size
+    _write_csv(cfg, cfg_hash, "trajectory.csv",
+               ["tau"] + _cols("x", n) + _cols("p", n) + ["energy"],
+               [traj.times, traj.positions.reshape(rows, n),
+                traj.momenta.reshape(rows, n), traj.energies])
     return EXIT_OK
 
 
@@ -383,9 +398,12 @@ def _cmd_fields(cfg, cfg_hash):
     sd = fields.prepare_state(state.x, state.p, state.masses, surf)
     grid = fields.field_grid([(1.0, [sd])], mol, probes,
                              mode="per-trajectory")
-    path = _out(cfg, "fields.csv")
-    grid.to_csv(path)
-    _stamp_csv(path, cfg_hash, cfg.get("seed", 0))
+    sigma = [f"sigma_{l + 1}{j + 1}" for l in range(3) for j in range(3)]
+    _write_csv(cfg, cfg_hash, "fields.csv",
+               _cols("y", 3) + ["rho"] + _cols("mom", 3) + ["E"] + sigma
+               + _cols("q", 3),
+               [probes] + [getattr(grid, k).reshape(len(probes), -1)
+                           for k in ("rho", "mom", "energy", "sigma", "q")])
     return EXIT_OK
 
 
@@ -398,15 +416,16 @@ def _cmd_conserve_check(cfg, cfg_hash):
     probes = _build_probes(cfg["probes"])
     rep = conservation.per_trajectory_residuals(
         state, surf, surf, mol, probes, cfg["dt_check"])
-    cpath = _out(cfg, "residuals.csv")
     payload = rep.to_json_dict()
     tol = cfg.get("tolerance", 1e-6)
     rel = rep.relative_max()
     payload["tolerance"] = tol
     payload["passed"] = bool(all(v <= tol for v in rel.values()))
     _write_report(cfg, cfg_hash, "residuals.json", payload)
-    rep.to_csv(cpath)
-    _stamp_csv(cpath, cfg_hash, cfg.get("seed", 0))
+    _write_csv(cfg, cfg_hash, "residuals.csv",
+               _cols("y", 3) + ["masked", "r_mass"] + _cols("r_mom", 3)
+               + ["r_energy"],
+               [rep.probes, rep.masked, rep.r_mass, rep.r_mom, rep.r_energy])
     return EXIT_OK if payload["passed"] else EXIT_TOLERANCE
 
 
@@ -422,8 +441,18 @@ def _cmd_gibbs_fit(cfg, cfg_hash):
         targets["rho"], np.asarray(targets["rho_u"], dtype=float),
         targets["E"], template, surfaces, masses, cont,
         n_samples=n_samples, seed=cfg.get("seed", 0))
-    weights = ensemble.SurfaceWeights(q=np.ones(1), stderr=np.zeros(1))
-    rec = json.loads(ensemble.matched_spec_to_json(spec, weights, achieved))
+    rec = {
+        "probe": [float(v) for v in spec.probe],
+        "T": float(spec.T),
+        "mu": float(spec.mu),
+        "u0": [float(v) for v in spec.u0],
+        "mode": spec.mode,
+        # one flat surface holds all the weight, exactly
+        "q_weights": [1.0],
+        "stderr": {},
+        "achieved": {k: (list(map(float, v)) if np.ndim(v) else float(v))
+                     for k, v in achieved.items()},
+    }
     _write_report(cfg, cfg_hash, "gibbs.json", rec)
     return EXIT_OK
 

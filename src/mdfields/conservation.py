@@ -22,7 +22,6 @@ The provider's gradient is compared with the model's on the first state
 of each group.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,22 +85,6 @@ class ResidualReport:
         if self.richardson_order is not None:
             out["richardson_order"] = self.richardson_order
         return out
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def to_csv(self, path):
-        cols = ["y_1", "y_2", "y_3", "masked", "r_mass",
-                "r_mom_1", "r_mom_2", "r_mom_3", "r_energy"]
-        blocks = [self.probes, self.masked, self.r_mass, self.r_mom,
-                  self.r_energy]
-        if self.stderr_mass is not None:
-            cols += ["stderr_mass", "stderr_mom_1", "stderr_mom_2",
-                     "stderr_mom_3", "stderr_energy"]
-            blocks += [self.stderr_mass, self.stderr_mom, self.stderr_energy]
-        fields.write_csv(path, cols, blocks)
 
 
 def _central(states, model):

@@ -16,7 +16,6 @@ particles are weighted unequally, ``shares``.  ``at``, ``values``,
 corrected surface solves a stack in lockstep.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,22 +88,6 @@ class Trajectory:
         slope = np.polyfit(self.times, self.energies, 1)[0]
         span = self.times[-1] - self.times[0]
         return float(abs(slope * span) / max(abs(self.energies[0]), 1e-300))
-
-    def to_csv(self, path):
-        n = self.positions.shape[1]
-        header = ["tau"]
-        header += [f"x_{i + 1}" for i in range(3 * n)]
-        header += [f"p_{i + 1}" for i in range(3 * n)]
-        header += ["energy"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self.times)):
-                row = [f"{self.times[i]:.17g}"]
-                row += [f"{v:.17g}" for v in self.positions[i].reshape(-1)]
-                row += [f"{v:.17g}" for v in self.momenta[i].reshape(-1)]
-                row += [f"{self.energies[i]:.17g}"]
-                writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------

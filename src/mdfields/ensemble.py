@@ -34,7 +34,6 @@ surface energies, read from ``values`` alone; local-mollified mode reads
 ``shares`` and weights them.
 """
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -234,16 +233,6 @@ def particle_weights(spec, x, mol=None):
     if not 0.0 < floor <= mol.eval(np.zeros(3)):
         raise InvalidParameterError("eta_floor must lie in (0, eta(0)]")
     return np.maximum(mol.eval(spec.probe - x), floor)
-
-
-def gibbs_energy(x, p, masses, shares_j, spec, mol=None):
-    """The Gibbs energy H(x, p, j; y) of one state on surface j."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    w = particle_weights(spec, x, mol)
-    h_n = 0.5 * np.sum(p ** 2, axis=1) / masses + np.asarray(shares_j)
-    return float(np.sum(w * (h_n - masses * spec.mu)))
 
 
 def metropolis_accept(log_ratio, rng):
@@ -672,11 +661,16 @@ def match_thermo(rho0, rho_u0, e0, spec_template, surfaces, masses,
 
     Raises
     ------
+    InvalidParameterError
+        If the container has no finite volume, so no particle-number moves.
     UnattainableTargetError
         If the targets are not positive, the Jacobian is singular, a step
         leaves T in [1e-3, 1e3], or rho and e are not within rel_tol after
         max_iter steps.
     """
+    if container.volume is None:
+        raise InvalidParameterError(
+            "particle-number moves require a finite volume")
     if rho0 <= 0:
         raise UnattainableTargetError("target density must be positive")
     u0 = np.asarray(rho_u0, dtype=float) / rho0
@@ -716,19 +710,3 @@ def match_thermo(rho0, rho_u0, e0, spec_template, surfaces, masses,
     achieved = {"rho": rho, "rho_u": list(rho * u0),
                 "E": e_int + 0.5 * rho0 * float(u0 @ u0)}
     return spec, achieved
-
-
-def matched_spec_to_json(spec, weights, achieved, stderr=None):
-    """JSON record of a matched ensemble, deterministic key order."""
-    rec = {
-        "probe": [float(v) for v in spec.probe],
-        "T": float(spec.T),
-        "mu": float(spec.mu),
-        "u0": [float(v) for v in spec.u0],
-        "mode": spec.mode,
-        "q_weights": [float(v) for v in weights.q],
-        "achieved": {k: (list(map(float, v)) if np.ndim(v) else float(v))
-                     for k, v in achieved.items()},
-        "stderr": stderr or {},
-    }
-    return json.dumps(rec, sort_keys=True, indent=2)

@@ -50,7 +50,6 @@ one path to the fields, takes weighted groups of states, makes one
 one (Q, ...) array per field.
 """
 
-import csv
 import dataclasses
 import functools
 from dataclasses import dataclass, field
@@ -339,30 +338,6 @@ class ProbeGrid:
         """Ensemble mode: the standard errors of rho, mom, energy, sigma, q."""
         return _stderr(self.raws, self.u) if self.mode == "ensemble" \
             else None
-
-    def to_csv(self, path):
-        cols = (["y_1", "y_2", "y_3", "rho", "mom_1", "mom_2", "mom_3", "E"]
-                + [f"sigma_{l + 1}{j + 1}" for l in range(3)
-                   for j in range(3)]
-                + ["q_1", "q_2", "q_3"])
-        keys = ("rho", "mom", "energy", "sigma", "q")
-        n = len(self.points)
-        blocks = [self.points] + [getattr(self, k).reshape(n, -1)
-                                  for k in keys]
-        if self.mode == "ensemble":
-            cols += [f"{c}_err" for c in cols[3:]]
-            blocks += [self.stderr[k].reshape(n, -1) for k in keys]
-        write_csv(path, cols, blocks)
-
-
-def write_csv(path, header, blocks):
-    """Write the columns of ``blocks`` (arrays with the row index first)
-    under ``header``, every value as %.17g."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.column_stack(blocks):
-            writer.writerow([f"{v:.17g}" for v in row])
 
 
 def _grad_u(mean, u):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mdfields import cli
+from mdfields import cli, conservation, dynamics, fields
+from mdfields.mollifier import Mollifier
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -62,6 +63,52 @@ def run_md_config(out_dir):
     }
 
 
+def fields_config(out_dir):
+    cfg = conserve_config(out_dir)
+    del cfg["dt_check"], cfg["tolerance"]
+    return cfg
+
+
+def run(tmp_path, sub, cfg):
+    """Run subcommand ``sub`` on ``cfg``; its exit code."""
+    return cli.main([sub, write_config(tmp_path, cfg)])
+
+
+def read_csv(path):
+    """The named columns of a CSV output, below its provenance line."""
+    return np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+
+
+def particle_setup(cfg):
+    """State and surface of a particle config, built as the CLI builds
+    them."""
+    state = cli._build_state(cfg["particles"])
+    return state, cli._build_surface(cfg["model"], len(state.x), 0, None)
+
+
+# config, CSV output, first header column and row count per subcommand
+CSV_OUTPUTS = {
+    "run-md": (run_md_config, "trajectory.csv", "tau", 51),
+    "fields": (fields_config, "fields.csv", "y_1", 18),
+    "conserve-check": (conserve_config, "residuals.csv", "y_1", 18),
+}
+
+
+@pytest.mark.parametrize("sub", list(CSV_OUTPUTS))
+def test_csv_written_with_stamp(tmp_path, sub):
+    config, name, first, rows = CSV_OUTPUTS[sub]
+    cfg = config(str(tmp_path))
+    assert run(tmp_path, sub, cfg) == 0
+    out = (tmp_path / name).read_bytes()
+    lines = out.split(b"\n")
+    # provenance line, header, then one line per row, each ending in \n
+    assert lines[0].startswith(b"# config_sha256=")
+    assert f"seed={cfg['seed']}".encode() in lines[0]
+    assert lines[1].split(b",")[0] == first.encode()
+    assert b"\r" not in out
+    assert lines[-1] == b"" and len(lines) == 2 + rows + 1
+
+
 class TestConfigValidation:
     def test_negative_epsilon_exit_2(self, tmp_path, capsys):
         cfg = conserve_config(str(tmp_path))
@@ -87,17 +134,18 @@ class TestConfigValidation:
 
 
 class TestRunMd:
-    def test_trajectory_written_with_stamp(self, tmp_path):
+    def test_csv_roundtrip(self, tmp_path):
         cfg = run_md_config(str(tmp_path))
-        code = cli.main(["run-md", write_config(tmp_path, cfg)])
-        assert code == 0
-        out = (tmp_path / "trajectory.csv").read_text()
-        first, second = out.splitlines()[:2]
-        assert first.startswith("# config_sha256=")
-        assert "seed=3" in first
-        assert second.split(",")[0] == "tau"
-        # 50 steps -> 51 rows after the comment and header
-        assert len(out.splitlines()) == 53
+        assert run(tmp_path, "run-md", cfg) == 0
+        state, surf = particle_setup(cfg)
+        dyn = cfg["dynamics"]
+        tr = dynamics.integrate(state, dyn["dt"], dyn["steps"], surf)
+        data = read_csv(tmp_path / "trajectory.csv")
+        assert data.dtype.names[0] == "tau"
+        assert data.dtype.names[-1] == "energy"
+        np.testing.assert_allclose(data["energy"], tr.energies, rtol=1e-15)
+        np.testing.assert_allclose(data["x_4"], tr.positions[:, 1, 0],
+                                   rtol=1e-15)
 
     def test_determinism(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -122,14 +170,25 @@ class TestRunMd:
 
 class TestFields:
     def test_fields_csv(self, tmp_path):
-        cfg = conserve_config(str(tmp_path))
-        del cfg["dt_check"], cfg["tolerance"]
+        cfg = fields_config(str(tmp_path))
         code = cli.main(["fields", write_config(tmp_path, cfg)])
         assert code == 0
         lines = (tmp_path / "fields.csv").read_text().splitlines()
         assert lines[0].startswith("# config_sha256=")
         assert lines[1].split(",")[:4] == ["y_1", "y_2", "y_3", "rho"]
         assert len(lines) == 2 + 3 * 3 * 2
+
+    def test_csv_export(self, tmp_path):
+        cfg = fields_config(str(tmp_path))
+        assert run(tmp_path, "fields", cfg) == 0
+        state, surf = particle_setup(cfg)
+        mol = Mollifier(cfg["mollifier"]["epsilon"])
+        probes = cli._build_probes(cfg["probes"])
+        sd = fields.prepare_state(state.x, state.p, state.masses, surf)
+        grid = fields.field_grid([(1.0, [sd])], mol, probes)
+        data = read_csv(tmp_path / "fields.csv")
+        assert "sigma_12" in data.dtype.names
+        np.testing.assert_allclose(data["rho"], grid.rho, rtol=1e-15)
 
 
 class TestConserveCheck:
@@ -149,25 +208,54 @@ class TestConserveCheck:
         code = cli.main(["conserve-check", write_config(tmp_path, cfg)])
         assert code == 1
 
+    def test_json_and_csv(self, tmp_path):
+        cfg = conserve_config(str(tmp_path))
+        assert run(tmp_path, "conserve-check", cfg) == 0
+        state, surf = particle_setup(cfg)
+        mol = Mollifier(cfg["mollifier"]["epsilon"])
+        probes = cli._build_probes(cfg["probes"])
+        rep = conservation.per_trajectory_residuals(
+            state, surf, surf, mol, probes, cfg["dt_check"])
+        data = json.loads((tmp_path / "residuals.json").read_text())
+        assert data["mode"] == "per-trajectory"
+        assert data["n_probes"] == 18
+        rows = read_csv(tmp_path / "residuals.csv")
+        np.testing.assert_allclose(rows["r_mass"], rep.r_mass, rtol=1e-15)
+
+
+@pytest.fixture(scope="class")
+def gibbs_record(tmp_path_factory):
+    """Exit code and ``gibbs.json`` of one ideal-gas gibbs-fit."""
+    tmp_path = tmp_path_factory.mktemp("gibbs")
+    cfg = {
+        "container": {"lo": 0.0, "hi": 3.0},
+        "targets": {"rho": 1.0, "rho_u": [0.0, 0.0, 0.0], "E": 1.2},
+        "temperature_guess": 1.0,
+        "mass": 1.0,
+        "n_samples": 20000,
+        "seed": 5,
+        "output_dir": str(tmp_path),
+    }
+    code = cli.main(["gibbs-fit", write_config(tmp_path, cfg)])
+    return code, json.loads((tmp_path / "gibbs.json").read_text())
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGibbsFit:
-    def test_ideal_gas_fit(self, tmp_path):
-        cfg = {
-            "container": {"lo": 0.0, "hi": 3.0},
-            "targets": {"rho": 1.0, "rho_u": [0.0, 0.0, 0.0], "E": 1.2},
-            "temperature_guess": 1.0,
-            "mass": 1.0,
-            "n_samples": 20000,
-            "seed": 5,
-            "output_dir": str(tmp_path),
-        }
-        code = cli.main(["gibbs-fit", write_config(tmp_path, cfg)])
+    def test_ideal_gas_fit(self, gibbs_record):
+        code, rec = gibbs_record
         assert code == 0
-        rec = json.loads((tmp_path / "gibbs.json").read_text())
         assert abs(rec["achieved"]["rho"] - 1.0) <= 0.02
         assert abs(rec["achieved"]["E"] - 1.2) <= 0.024
         assert rec["q_weights"] == [1.0]
+
+    def test_record_keys(self, gibbs_record):
+        _, rec = gibbs_record
+        assert sorted(rec) == ["T", "achieved", "config_sha256", "mode",
+                               "mu", "probe", "q_weights", "seed", "stderr",
+                               "u0"]
+        assert sorted(rec["achieved"]) == ["E", "rho", "rho_u"]
+        assert rec["stderr"] == {}
 
 
 class TestQuantumCommands:

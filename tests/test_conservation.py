@@ -161,28 +161,6 @@ class TestPerTrajectory:
             for key in expect:
                 assert np.array_equal(dens[key][0], expect[key]), key
 
-    def test_json_and_csv(self, tmp_path):
-        rng = np.random.default_rng(2)
-        _, provider, model = harmonic_setup(2)
-        st = dynamics.PhaseState(
-            x=np.array([[0.0, 0.0, 0.0], [1.2, 0.0, 0.0]]),
-            p=np.array([[0.0, 0.1, 0.0], [0.0, -0.1, 0.0]]),
-            masses=np.ones(2))
-        mol = Mollifier(0.6)
-        probes = cloud_probes(st.x, 5, rng)
-        rep = conservation.per_trajectory_residuals(
-            st, provider, model, mol, probes, 1e-4, richardson=False)
-        jpath = tmp_path / "resid.json"
-        cpath = tmp_path / "resid.csv"
-        rep.to_json(jpath)
-        rep.to_csv(cpath)
-        import json
-        data = json.loads(jpath.read_text())
-        assert data["mode"] == "per-trajectory"
-        assert data["n_probes"] == 5
-        rows = np.genfromtxt(cpath, delimiter=",", names=True)
-        np.testing.assert_allclose(rows["r_mass"], rep.r_mass, rtol=1e-15)
-
 
 class TestCanonical:
     def test_single_trajectory_matches_per_trajectory(self):

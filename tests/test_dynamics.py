@@ -178,22 +178,6 @@ class TestIntegrate:
         np.testing.assert_allclose(tr.positions[-1].reshape(-1), y[:6],
                                    atol=1e-6)
 
-    def test_csv_roundtrip(self, tmp_path):
-        _, provider = harmonic_pair_surface()
-        st = dynamics.PhaseState(
-            x=np.array([[0.0, 0.0, 0.0], [1.3, 0.0, 0.0]]),
-            p=np.array([[0.0, 0.2, 0.0], [0.0, -0.2, 0.0]]),
-            masses=np.ones(2))
-        tr = dynamics.integrate(st, 1e-2, 20, provider)
-        path = tmp_path / "traj.csv"
-        tr.to_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert data.dtype.names[0] == "tau"
-        assert data.dtype.names[-1] == "energy"
-        np.testing.assert_allclose(data["energy"], tr.energies, rtol=1e-15)
-        np.testing.assert_allclose(data["x_4"], tr.positions[:, 1, 0],
-                                   rtol=1e-15)
-
 
 class TestCorrectedSurface:
     def test_value_and_gradient(self):

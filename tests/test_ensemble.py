@@ -27,34 +27,21 @@ class TestSpecValidation:
 
 
 class TestGibbsEnergy:
-    def test_uniform_closed_form(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 3))
-        p = rng.normal(size=(3, 3))
-        m = np.array([1.0, 2.0, 0.5])
-        lam = np.array([0.3, -0.1, 0.7])
-        spec = ensemble.GibbsSpec(T=1.0, mu=0.4)
-        expected = np.sum(0.5 * np.sum(p ** 2, axis=1) / m + lam - m * 0.4)
-        got = ensemble.gibbs_energy(x, p, m, lam, spec)
-        assert abs(got - expected) <= 1e-12 * abs(expected)
+    """The particle weights w_n of the Gibbs energy."""
 
     def test_local_mollified_weights(self):
         mol = Mollifier(1.0)
         x = np.array([[0.1, 0.0, 0.0], [5.0, 0.0, 0.0]])
-        p = np.zeros((2, 3))
-        m = np.ones(2)
-        lam = np.array([1.0, 1.0])
         spec = ensemble.GibbsSpec(T=1.0, mu=0.0, mode="local-mollified")
-        got = ensemble.gibbs_energy(x, p, m, lam, spec, mol)
+        got = ensemble.particle_weights(spec, x, mol)
         w_far = mol.eval(np.zeros(3)) * 1e-3  # floor for the distant particle
-        expected = mol.eval(-x[0]) * 1.0 + w_far * 1.0
-        assert abs(got - expected) <= 1e-12
+        assert abs(got[0] - mol.eval(-x[0])) <= 1e-12
+        assert got[1] == w_far
 
     def test_local_mode_needs_mollifier(self):
         spec = ensemble.GibbsSpec(T=1.0, mode="local-mollified")
         with pytest.raises(InvalidParameterError):
-            ensemble.gibbs_energy(np.zeros((1, 3)), np.zeros((1, 3)),
-                                  np.ones(1), np.zeros(1), spec)
+            ensemble.particle_weights(spec, np.zeros((1, 3)))
 
 
 class TestDetailedBalance:
@@ -660,15 +647,10 @@ class TestMatchThermo:
             ensemble.match_thermo(-1.0, np.zeros(3), 1.0, template,
                                   ensemble.ZeroSurfaces(), np.ones(1), box)
 
-
-class TestJsonExport:
-    def test_record_roundtrip(self):
-        import json
-        spec = ensemble.GibbsSpec(T=0.9, mu=-1.1, u0=np.array([0.1, 0, 0]))
-        w = ensemble.SurfaceWeights(q=np.array([0.7, 0.3]),
-                                    stderr=np.array([0.01, 0.01]))
-        txt = ensemble.matched_spec_to_json(spec, w, {"rho": 1.0})
-        rec = json.loads(txt)
-        assert rec["T"] == 0.9
-        assert rec["q_weights"] == [0.7, 0.3]
-        assert rec["achieved"]["rho"] == 1.0
+    def test_unbounded_container(self):
+        # an unbounded container has no volume for particle-number moves
+        template = ensemble.GibbsSpec(T=1.0)
+        well = ensemble.HarmonicContainer(1.0)
+        with pytest.raises(InvalidParameterError, match="finite volume"):
+            ensemble.match_thermo(1.0, np.zeros(3), 1.5, template,
+                                  ensemble.ZeroSurfaces(), np.ones(1), well)

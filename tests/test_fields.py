@@ -346,19 +346,6 @@ class TestFieldGrid:
         np.testing.assert_array_equal(grid.grad_rho[0], 0.0)
         np.testing.assert_array_equal(grid.div_mom_flux[0], 0.0)
 
-    def test_csv_export(self, tmp_path):
-        mol = Mollifier(0.8)
-        rng = np.random.default_rng(17)
-        states = random_states(3, 3, rng)
-        probes = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0]])
-        grid = fields.field_grid([(1.0, states)], mol, probes, mode="ensemble")
-        path = tmp_path / "fields.csv"
-        grid.to_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert "sigma_12" in data.dtype.names
-        assert "q_3_err" in data.dtype.names
-        np.testing.assert_allclose(data["rho"], grid.rho, rtol=1e-15)
-
 
 # ---------------------------------------------------------------------------
 # physical invariances of the ensemble fields

@@ -8,6 +8,9 @@ The files under ``tests/golden/`` hold:
 - ``fields_bare.csv`` and ``fields_mass.csv``: the ``fields`` CLI output on
   a four-particle two-state model, bare and with ``mass_parameter``;
 - ``run_md_mass.csv``: a 20-step mass-corrected ``run-md`` trajectory;
+- ``conserve_check.json`` and ``conserve_check.csv``: the
+  ``conserve-check`` CLI outputs ``residuals.json`` and ``residuals.csv``
+  on the bare two-state model of the ``fields`` goldens;
 - ``canonical.json``: a tiny canonical report (N = 2, 16 states,
   mass-corrected) with its surface weights q and their standard errors,
   its ensemble field grids at tau (with stderr) and at tau - dt_check and
@@ -29,7 +32,10 @@ Tolerances:
 - residuals are central differences over 2 dt_check, so they amplify the
   roundoff of the fields.  They match within
   C_ULP * (ulp(max |F|) / (2 dt_check) + ulp(max |div F|)) per law, with F
-  the law's field (rho, mom or E) and C_ULP = 1024;
+  the law's field (rho, mom or E) and C_ULP = 1024.  The conserve-check
+  goldens hold no fields, so their bound reads the fields recomputed from
+  the config; their provenance lines, headers, JSON keys, flags, counts
+  and probe columns match exactly;
 - the ``run-md`` trajectory CSV matches byte for byte.
 
 After an intended change, regenerate with
@@ -84,6 +90,11 @@ PARTICLES = {
     "masses": 1.0,
 }
 PARTICLE_CFG = {"model": TWO_STATE, "particles": PARTICLES, "seed": 5}
+# the mollifier and probes of the fields and conserve-check goldens
+PROBED = {"mollifier": {"epsilon": 0.8},
+          "probes": {"origin": [0.1, 0.1, 0.0],
+                     "spacing": [0.45, 0.5, 0.45], "shape": [3, 3, 2]}}
+CONSERVE = dict(PARTICLE_CFG, dt_check=1e-4, **PROBED)
 # the egorov and commutator-check configs of the cli-md-quantum workload,
 # with the commutator observable's random coefficients fixed
 BOX = {"x0": -2.0 * np.pi, "length": 4.0 * np.pi}
@@ -225,13 +236,32 @@ def _run_cli(tmp_dir, sub, output, cfg):
 
 
 def fields_csv(tmp_dir, mass_parameter=None):
-    extra = {"mollifier": {"epsilon": 0.8},
-             "probes": {"origin": [0.1, 0.1, 0.0],
-                        "spacing": [0.45, 0.5, 0.45], "shape": [3, 3, 2]}}
+    extra = dict(PROBED)
     if mass_parameter is not None:
         extra["mass_parameter"] = mass_parameter
     return _run_cli(tmp_dir, "fields", "fields.csv",
                     dict(PARTICLE_CFG, **extra)).decode()
+
+
+def conserve_check(tmp_dir):
+    """``residuals.json`` and ``residuals.csv`` of ``conserve-check`` on
+    ``CONSERVE``."""
+    rep = _run_cli(tmp_dir, "conserve-check", "residuals.json", CONSERVE)
+    with open(os.path.join(str(tmp_dir), "residuals.csv"), "rb") as fh:
+        return rep, fh.read()
+
+
+def conserve_grids():
+    """The field grids at tau and tau +/- dt_check of ``CONSERVE``, which
+    size the tolerance of its residuals."""
+    st = cli._build_state(CONSERVE["particles"])
+    model = cli._build_surface(CONSERVE["model"], len(st.x), 0, None)
+    mol = Mollifier(CONSERVE["mollifier"]["epsilon"])
+    probes = cli._build_probes(CONSERVE["probes"])
+    (sc,), _ = conservation._central([st], model)
+    sm, sp = _neighbour_states(st, model, CONSERVE["dt_check"])
+    return [_grid_dict(fields.field_grid([(1.0, [s])], mol, probes))
+            for s in (sm, sc, sp)]
 
 
 def run_md_csv(tmp_dir):
@@ -343,6 +373,44 @@ def assert_csv_close(new, old, what):
     assert_field_close(vals_n, vals_o, what)
 
 
+def compare_residuals_csv(new, old, grids):
+    """``residuals.csv`` texts: provenance line, header, probes and mask
+    exact, each law's residual columns within its C_ULP bound."""
+    stamp_n, head_n, vals_n = _parse_csv(new)
+    stamp_o, head_o, vals_o = _parse_csv(old)
+    assert (stamp_n, head_n) == (stamp_o, head_o), "residuals.csv header"
+    cols = head_o.split(",")
+    assert np.array_equal(vals_n[:, :4], vals_o[:, :4]), "probes and mask"
+    for law in LAW_FIELDS:
+        atol = residual_atol(grids, CONSERVE["dt_check"], law)
+        keep = [c.startswith(f"r_{law}") for c in cols]
+        err = np.max(np.abs(vals_n[:, keep] - vals_o[:, keep]))
+        assert err <= atol, f"r_{law}: difference {err:.3e} above {atol:.3e}"
+
+
+def compare_residuals_json(new, old, grids):
+    """Parsed ``residuals.json``: keys, flags, counts and provenance
+    exact; norms and scales within the C_ULP bound of their law, the
+    relative maxima and Richardson orders within its propagation."""
+    assert sorted(new) == sorted(old), "residuals.json keys"
+    for key, value in old.items():
+        if isinstance(value, dict):
+            assert sorted(new[key]) == sorted(value), key
+        else:
+            assert new[key] == value, key
+    for law in LAW_FIELDS:
+        atol = residual_atol(grids, old["dt_check"], law)
+        scale, top = old["scales"][law], old["max_norms"][law]
+        bounds = {"max_norms": atol, "rms_norms": atol, "scales": atol,
+                  # first-order propagation of max_norms / scales
+                  "relative_max": atol / scale * (1.0 + top / scale),
+                  # as in assert_report_close, a the max residual
+                  "richardson_order": 9.0 * atol / (top * np.log(2.0))}
+        for key, bound in bounds.items():
+            err = abs(new[key][law] - old[key][law])
+            assert err <= bound, f"{key} {law}: difference {err:.3e}"
+
+
 def compare_traj(got, want):
     for new, old, when in zip(got["grids"], want["grids"],
                               ("minus", "central", "plus")):
@@ -380,6 +448,15 @@ def test_fields_cli_mass(tmp_path):
 def test_run_md_mass_bytes(tmp_path):
     with open(os.path.join(GOLDEN, "run_md_mass.csv"), "rb") as fh:
         assert run_md_csv(tmp_path) == fh.read()
+
+
+def test_conserve_check_cli(tmp_path):
+    rep, csv_bytes = conserve_check(tmp_path)
+    grids = conserve_grids()
+    compare_residuals_json(json.loads(rep),
+                           _golden_json("conserve_check.json"), grids)
+    compare_residuals_csv(csv_bytes.decode(), _golden("conserve_check.csv"),
+                          grids)
 
 
 def compare_canonical(got, want):
@@ -537,6 +614,13 @@ def regenerate():
             write(name, quantum_json(tmp, sub).encode(), numbers(name))
         write("gibbs.json", gibbs_json(tmp).encode(), numbers("gibbs.json"))
         write("run_md_mass.csv", run_md_csv(tmp))
+        grids = conserve_grids()
+        rep, csv_bytes = conserve_check(tmp)
+        write("conserve_check.json", rep, _parsed(
+            lambda new, old: compare_residuals_json(new, old, grids)))
+        write("conserve_check.csv", csv_bytes, _parsed(
+            lambda new, old: compare_residuals_csv(new, old, grids),
+            bytes.decode))
 
 
 if __name__ == "__main__":
