@@ -25,7 +25,13 @@ CLOUD_NODES = 24  # Gauss-Hermite nodes per axis of the Wigner cloud
 # at 1e-3, far below its smallest error (3.7e-9); ``egorov_test`` checks
 # each mass by a rerun at twice the step, as it checks the split step
 CLOUD_DT = 1e-2
-SPLIT_STEP = 0.2  # largest split step, in units of hbar
+# largest split step, in units of hbar^(1/2).  The splitting error of an
+# observable stays bounded as hbar -> 0 (Lasser & Lubich, "Computing quantum
+# dynamics in the semiclassical regime", Acta Numerica 29 (2020) 229), so
+# the fourth-order step errs by about dt^4; holding that to a fixed share of
+# the O(hbar^2) Egorov error needs dt ~ hbar^(1/2).  0.2 * 0.1^(1/2) keeps
+# the step 0.2 hbar at M = 100 (hbar = 0.1)
+SPLIT_STEP = 0.2 * 0.1 ** 0.5
 # largest |q(dt) - q(2 dt)| and |c(dt) - c(2 dt)| per unit Egorov error
 STEP_CHECK_TOL = 0.01
 # Yoshida's triple jump: S(W1 dt) S(W0 dt) S(W1 dt) of the Strang step S is
@@ -110,9 +116,10 @@ def _expi_2x2(h, theta):
 
 
 def _split_steps(t_final, hbar, coarsen=1):
-    """Step count of the split-step rule dt <= coarsen * SPLIT_STEP * hbar,
-    in whole steps over ``t_final``."""
-    return int(np.ceil(t_final / (coarsen * SPLIT_STEP * hbar)))
+    """Step count of the split-step rule
+    dt <= coarsen * SPLIT_STEP * hbar^(1/2), in whole steps over
+    ``t_final``."""
+    return int(np.ceil(t_final / (coarsen * SPLIT_STEP * hbar ** 0.5)))
 
 
 def propagate(psi, v_values, grid, hbar, dt, steps):
@@ -470,7 +477,8 @@ def _auto_grid(x0, length, p_scale, hbar):
 def _quantum_expectation(v_coeff, a_symbol, mass, x0_packet, p0_packet,
                          t_final, grid_x0, grid_length, coarsen=1):
     """<a>(t_final) of the minimum-uncertainty packet at one mass, with the
-    split step ``coarsen`` times the rule's; returns it and the grid size."""
+    split step ``coarsen`` times the rule's; returns it, the grid size and
+    the step count."""
     hbar = hbar_eff(mass)
     sigma = np.sqrt(hbar / 2.0)
     p_scale = abs(p0_packet) + 12.0 * sigma + 2.0
@@ -479,15 +487,16 @@ def _quantum_expectation(v_coeff, a_symbol, mass, x0_packet, p0_packet,
     steps = _split_steps(t_final, hbar, coarsen)
     psi_t = propagate(psi, v_coeff(grid.x), grid, hbar, t_final / steps,
                       steps)
-    return expectation(a_symbol, psi_t, grid, hbar), grid.n
+    return expectation(a_symbol, psi_t, grid, hbar), grid.n, steps
 
 
 def egorov_error(v_coeff, a_symbol, mass, x0_packet, p0_packet, t_final,
                  grid_x0, grid_length):
     """|quantum - classical| expectation error at one mass; the classical
     side is fixed by ``CLOUD_NODES`` and ``CLOUD_DT``."""
-    q_val, n = _quantum_expectation(v_coeff, a_symbol, mass, x0_packet,
-                                    p0_packet, t_final, grid_x0, grid_length)
+    q_val, n, _ = _quantum_expectation(v_coeff, a_symbol, mass, x0_packet,
+                                       p0_packet, t_final, grid_x0,
+                                       grid_length)
     c_val = float(_classical_cloud_average(
         a_symbol, v_coeff.deriv, x0_packet, p0_packet,
         [np.sqrt(hbar_eff(mass) / 2.0)], t_final)[0])
@@ -503,13 +512,20 @@ def egorov_test(v_coeff, a_symbol, masses, x0_packet, p0_packet, t_final,
     and its classical one at twice the RK4 step of the cloud;
     ``ResolutionError`` is raised when either pair differs by more than
     ``STEP_CHECK_TOL`` of that mass's error, and the differences are
-    reported as ``step_diffs`` and ``cloud_step_diffs``.
+    reported as ``step_diffs`` and ``cloud_step_diffs``, next to the fine
+    runs' ``split_steps``.  ``InvalidParameterError`` is raised before any
+    propagation when ``masses`` holds fewer than two distinct values, which
+    leave the slope undetermined.
     """
     masses = np.asarray(masses, dtype=float)
+    # a set, not np.unique, whose first call imports numpy.ma (2 MB RSS)
+    if len(set(masses.tolist())) < 2:
+        raise InvalidParameterError(
+            "the Egorov slope needs at least two distinct masses")
     args = (x0_packet, p0_packet, t_final, grid_x0, grid_length)
     fine = [_quantum_expectation(v_coeff, a_symbol, m, *args)
             for m in masses]
-    q_vals = np.array([q for q, _ in fine])
+    q_vals = np.array([q for q, _, _ in fine])
     step_diffs = np.abs(q_vals - [
         _quantum_expectation(v_coeff, a_symbol, m, *args, coarsen=2)[0]
         for m in masses])
@@ -530,7 +546,8 @@ def egorov_test(v_coeff, a_symbol, masses, x0_packet, p0_packet, t_final,
     return {
         "masses": [float(m) for m in masses],
         "errors": [float(e) for e in errors],
-        "grid_sizes": [n for _, n in fine],
+        "grid_sizes": [n for _, n, _ in fine],
+        "split_steps": [steps for _, _, steps in fine],
         "slope": slope,
         "step_diffs": [float(d) for d in step_diffs],
         "cloud_step_diffs": [float(d) for d in cloud_diffs],

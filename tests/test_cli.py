@@ -282,6 +282,12 @@ class TestQuantumCommands:
         assert rep["passed"] is True
         assert rep["slope"] <= -0.8
 
+    def test_egorov_equal_masses_exit_2(self, tmp_path):
+        cfg = dict(self.egorov_config(str(tmp_path)), masses=[100.0, 100.0])
+        code = cli.main(["egorov", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert not (tmp_path / "egorov.json").exists()
+
     def test_commutator(self, tmp_path):
         L = 4.0 * np.pi
         cfg = {

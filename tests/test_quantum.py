@@ -375,17 +375,41 @@ class TestEgorov:
                                   t_final=1.0, grid_x0=-L / 2,
                                   grid_length=L)
         assert rep["slope"] <= -0.8
+        assert rep["split_steps"] == [50, 89, 159]
+        # the rule holds the split step's share of the Egorov error about
+        # flat in M: inside the self-check's tolerance, and not so far
+        # below it that the heavy masses are over-resolved
         assert len(rep["step_diffs"]) == 3
         for diff, err in zip(rep["step_diffs"], rep["errors"]):
-            assert diff <= quantum.STEP_CHECK_TOL * err
+            assert 1e-3 <= diff / err <= quantum.STEP_CHECK_TOL, diff / err
         assert len(rep["cloud_step_diffs"]) == 3
         for diff, err in zip(rep["cloud_step_diffs"], rep["errors"]):
             assert diff <= quantum.STEP_CHECK_TOL * err
 
+    def test_split_step_rule(self):
+        # dt <= SPLIT_STEP * hbar^(1/2): 0.2 hbar at M = 100, and fewer
+        # steps than a step ~ hbar would take at the heavier masses
+        assert [quantum._split_steps(1.0, quantum.hbar_eff(m))
+                for m in (100.0, 1000.0, 10_000.0)] == [50, 89, 159]
+
+    def test_masses_must_differ(self, monkeypatch):
+        # equal masses leave the slope undetermined: raise before any
+        # propagation instead of fitting a line through one point
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagated before checking the masses")
+
+        monkeypatch.setattr(quantum, "propagate", no_propagation)
+        v = quantum.trig_coeff(L, a0=1.0, cos_terms=[(1, -1.0)])
+        a = quantum.Symbol([quantum.const_coeff(1.0)])
+        with pytest.raises(InvalidParameterError, match="distinct masses"):
+            quantum.egorov_test(v, a, [100.0, 100.0], x0_packet=0.4,
+                                p0_packet=0.5, t_final=1.0, grid_x0=-L / 2,
+                                grid_length=L)
+
     def test_coarse_split_step_fails_self_check(self, monkeypatch):
         # at 5x the rule's step, the 2 dt rerun moves <a> by about 3x the
         # Egorov error at M = 100
-        monkeypatch.setattr(quantum, "SPLIT_STEP", 1.0)
+        monkeypatch.setattr(quantum, "SPLIT_STEP", 5.0 * quantum.SPLIT_STEP)
         v = quantum.trig_coeff(L, a0=1.0, cos_terms=[(1, -1.0)])
         a = quantum.Symbol([quantum.trig_coeff(L, cos_terms=[(1, 0.5)]),
                             quantum.const_coeff(0.3),
