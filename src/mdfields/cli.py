@@ -301,19 +301,26 @@ def _build_probes(cfg):
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _build_surface(model_cfg, n, surface, mass_parameter):
-    """Surface ``surface`` of the model, bare or mass-corrected.
+def _build_system(cfg, section):
+    """The initial state of ``cfg`` on its surface, and that surface.
 
+    The model and particles come from ``cfg``, the surface index and the
+    ``mass_parameter`` from ``section`` (``cfg["dynamics"]`` or ``cfg``);
+    without a mass parameter the surface is bare, else mass-corrected.
     The field model serves both Verlet (``at``) and the fields
     (``surface_data``).
     """
-    v_pot = _build_model(model_cfg, n)
-    if surface >= v_pot.d:
-        raise ConfigError(f"surface {surface} out of range for a "
+    state = _build_state(cfg["particles"])
+    j = section.get("surface", 0)
+    v_pot = _build_model(cfg["model"], state.x.shape[0])
+    if j >= v_pot.d:
+        raise ConfigError(f"surface {j} out of range for a "
                           f"{v_pot.d}-state model")
-    if mass_parameter is None:
-        return fields.AdiabaticFieldModel(v_pot, surface)
-    return fields.CorrectedFieldModel(v_pot, surface, mass_parameter)
+    state.surface = j
+    mass = section.get("mass_parameter")
+    if mass is None:
+        return state, fields.AdiabaticFieldModel(v_pot, j)
+    return state, fields.CorrectedFieldModel(v_pot, j, mass)
 
 
 def _build_coeff(cfg, length):
@@ -375,11 +382,8 @@ def _out(cfg, name):
 # subcommand handlers (return process exit code)
 
 def _cmd_run_md(cfg, cfg_hash):
-    state = _build_state(cfg["particles"])
     dyn = cfg["dynamics"]
-    surf = _build_surface(cfg["model"], state.x.shape[0],
-                          dyn.get("surface", 0), dyn.get("mass_parameter"))
-    state.surface = dyn.get("surface", 0)
+    state, surf = _build_system(cfg, dyn)
     traj = dynamics.integrate(state, dyn["dt"], dyn["steps"], surf)
     rows, n = len(traj.times), state.x.size
     _write_csv(cfg, cfg_hash, "trajectory.csv",
@@ -390,9 +394,7 @@ def _cmd_run_md(cfg, cfg_hash):
 
 
 def _cmd_fields(cfg, cfg_hash):
-    state = _build_state(cfg["particles"])
-    surf = _build_surface(cfg["model"], state.x.shape[0],
-                          cfg.get("surface", 0), cfg.get("mass_parameter"))
+    state, surf = _build_system(cfg, cfg)
     mol = Mollifier(cfg["mollifier"]["epsilon"])
     probes = _build_probes(cfg["probes"])
     sd = fields.prepare_state(state.x, state.p, state.masses, surf)
@@ -408,12 +410,15 @@ def _cmd_fields(cfg, cfg_hash):
 
 
 def _cmd_conserve_check(cfg, cfg_hash):
-    state = _build_state(cfg["particles"])
-    surf = _build_surface(cfg["model"], state.x.shape[0],
-                          cfg.get("surface", 0), cfg.get("mass_parameter"))
-    state.surface = cfg.get("surface", 0)
+    state, surf = _build_system(cfg, cfg)
     mol = Mollifier(cfg["mollifier"]["epsilon"])
     probes = _build_probes(cfg["probes"])
+    # rho does not read the shares
+    rho = fields.densities(state.x, state.p, state.masses, 0.0, mol,
+                           probes)["rho"]
+    if np.all(fields.vacuum(rho)):
+        raise ConfigError(f"density below {fields.RHO_FLOOR:g} at every "
+                          "probe: there is nothing to check")
     rep = conservation.per_trajectory_residuals(
         state, surf, surf, mol, probes, cfg["dt_check"])
     payload = rep.to_json_dict()

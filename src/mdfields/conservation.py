@@ -20,6 +20,12 @@ opens the Verlet steps, and one stacked Verlet step each way, closed by
 read.  The field grid at tau is one pass over every state of every group.
 The provider's gradient is compared with the model's on the first state
 of each group.
+
+Past that, groups are one per-state stack with per-state weights w
+(``fields.state_weights``): the densities at tau -/+ dt_check of every
+state give the per-state rates once (``_rates``), each law's rate is their
+``fields.weighted_mean``, the vacuum mask reads the weighted-mean
+densities, and the canonical standard errors read the same rate stack.
 """
 
 from dataclasses import dataclass
@@ -137,8 +143,8 @@ def _neighbours(centre, model, dt_check, mol, probes):
 
 
 def _rates(dens_m, dens_p, dt):
-    """Central-difference time derivative of each law's density, of the
-    mean densities at tau -/+ dt or of their per-state stacks (S, Q, ...)."""
+    """Central-difference time derivative of each law's density, per state
+    (S, Q, ...), from the per-state densities at tau -/+ dt."""
     return {law: (dens_p[k] - dens_m[k]) / (2 * dt) for law, k in LAWS}
 
 
@@ -170,7 +176,8 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
     """Residual report of ``mode`` on ``groups``, from the field grid at tau
     and the densities at tau -/+ dt_check."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    fields.group_sizes([(weight, states) for weight, states, *_ in groups])
+    w = fields.state_weights([(weight, states)
+                              for weight, states, *_ in groups])
     centres = [_central(states, model) for _, states, _, model in groups]
     for (_, states, provider, _), (_, centre) in zip(groups, centres):
         _check_provider(provider, states[0], centre[-1][0])
@@ -183,34 +190,34 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
 
     def residuals(dt):
         """Per-law residuals with the densities at tau -/+ dt, the mask,
-        the per-law rates and the per-state density stacks."""
-        ens_m, ens_p = [], []
-        for (weight, _, _, model), (_, centre) in zip(groups, centres):
-            dm, dp = _neighbours(centre, model, dt, mol, probes)
-            ens_m.append((weight, dm))
-            ens_p.append((weight, dp))
-        (dm, (_, sm)), (dp, (_, sp)) = map(fields.ensemble_mean,
-                                           (ens_m, ens_p))
+        the per-law mean rates and the per-state rate stacks."""
+        pairs = [_neighbours(centre, model, dt, mol, probes)
+                 for (*_, model), (_, centre) in zip(groups, centres)]
+        dm, dp = ({k: np.concatenate([pair[side][k] for pair in pairs])
+                   for k in pairs[0][side]} for side in (0, 1))
+        rate = _rates(dm, dp, dt)
+        mean = {law: fields.weighted_mean(w, v) for law, v in rate.items()}
         masked = gc.vacuum
         if mode == "ensemble":  # and the vacuum of the mean at tau -/+ dt
-            masked = masked | fields.vacuum(dm) | fields.vacuum(dp)
-        rates = _rates(dm, dp, dt)
-        return ({law: rates[law] + div[law] for law, _ in LAWS}, masked,
-                rates, (sm, sp))
+            for dens in (dm, dp):
+                masked = masked | fields.vacuum(
+                    fields.weighted_mean(w, dens["rho"]))
+        return ({law: mean[law] + div[law] for law, _ in LAWS}, masked,
+                mean, rate)
 
-    r, masked, rates, (sm, sp) = residuals(dt_check)
+    r, masked, mean_rate, rate = residuals(dt_check)
 
     def peak(a):  # over the probes that are not vacuum at tau
         return float(np.max(np.abs(a[~gc.vacuum]), initial=0.0))
 
     # each law's field scale: the larger of its two terms
-    scales = {law: max(peak(rates[law]), peak(div[law])) for law, _ in LAWS}
+    scales = {law: max(peak(mean_rate[law]), peak(div[law]))
+              for law, _ in LAWS}
     err = {}
     if mode == "ensemble":
         # each state's rate and pre-split divergence are single-sample
         # estimates of the law's two terms; their errors add in quadrature
-        w, stack = gc.raws
-        rate, dv = _rates(sm, sp, dt_check), fields.presplit_divergences(stack)
+        dv = fields.presplit_divergences(gc.raws[1])
         err = {f"stderr_{law}": np.sqrt(
             fields.weighted_mean_variance(w, rate[law])
             + fields.weighted_mean_variance(w, dv[law])) for law, _ in LAWS}

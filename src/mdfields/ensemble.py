@@ -587,21 +587,21 @@ def _quadrature_weights(spec, surfaces, container, mol, n, n_quad):
         scale = np.sqrt(spec.T / container.kappa)
         pts = container.center[0] + nodes * scale
         wts = wts * scale
-    dim = 3 * n
-    mesh = np.meshgrid(*([pts] * dim), indexing="ij")
-    coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*([wts] * dim), indexing="ij")
-    wprod = np.prod(np.stack([w.reshape(-1) for w in wmesh]), axis=0)
+    # the tensor-grid nodes in row-major order, built chunk by chunk
+    shape = (n_quad,) * (3 * n)
+    size = n_quad ** (3 * n)
     vals = np.zeros(surfaces.d)
-    for lo in range(0, len(coords), QUAD_CHUNK):
-        x = coords[lo:lo + QUAD_CHUNK].reshape(-1, n, 3)
+    for lo in range(0, size, QUAD_CHUNK):
+        idx = np.stack(np.unravel_index(
+            np.arange(lo, min(lo + QUAD_CHUNK, size)), shape))
+        x = pts[idx.T].reshape(-1, n, 3)
         w = particle_weights(spec, x, mol)
         sh = surfaces.shares(x)
         if isinstance(container, BoxContainer):
             # a harmonic container is carried by the Gauss-Hermite weights
             sh = sh + container.particle_energy(x)[..., None]
         boltz = np.exp(-np.sum(w[..., None] * sh, axis=1) / spec.T)
-        vals += wprod[lo:lo + QUAD_CHUNK] @ boltz
+        vals += np.prod(wts[idx], axis=0) @ boltz
     return vals
 
 

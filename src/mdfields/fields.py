@@ -40,12 +40,13 @@ the pairs through the eigenvectors, and q moves.
 Data are arrays with the probe index first, after a state index where
 states are stacked.  ``densities`` gives rho, mom and E of one state or of
 a stack, and ``_raw_fields`` every per-state moment of a stack on top of
-it, with one bond quadrature for all states.  ``ensemble_mean`` averages
-groups of per-state moment stacks and keeps them as one stack
-(w, moments): w (S,) weights each state in the ensemble mean, moments[k]
-is (S, Q, ...), and the mean, sigma, q and their standard errors are array
-expressions over it, as is ``presplit_divergences``.  ``field_grid``, the
-one path to the fields, takes weighted groups of states, makes one
+it, with one bond quadrature for all states.  Groups of states exist only
+at the API boundary: ``state_weights`` turns weighted groups into one
+weight per state, w (S,), and an ensemble is the per-state stack
+(w, moments) with moments[k] (S, Q, ...).  The mean is the one
+``weighted_mean`` of that stack, and sigma, q, their standard errors and
+``presplit_divergences`` are array expressions over it.  ``field_grid``,
+the one path to the fields, takes weighted groups of states, makes one
 ``_raw_fields`` pass over all of them and returns a ``ProbeGrid`` holding
 one (Q, ...) array per field.
 """
@@ -220,8 +221,11 @@ def _raw_fields(sd, mol, probes):
     return out
 
 
-def group_sizes(ensembles):
-    """The sizes of the (weight, states) groups of an ensemble.
+def state_weights(ensembles):
+    """Each state's weight in the ensemble mean, (S,): its group's weight
+    (surface weight q_j*) over the group's size, in group and state order.
+
+    ``ensembles`` is a list of (weight, states) groups.
 
     Raises
     ------
@@ -231,39 +235,19 @@ def group_sizes(ensembles):
     sizes = [len(group) for _, group in ensembles]
     if not sizes or not all(sizes):
         raise InvalidParameterError("empty ensemble or ensemble group")
-    return sizes
+    return np.repeat([wt / n for (wt, _), n in zip(ensembles, sizes)], sizes)
 
 
-def ensemble_mean(ensembles):
-    """Weighted ensemble mean of per-state moments, and their stack.
-
-    ``ensembles`` is a list of (weight, moments) groups, each moments a
-    dict of the group's per-state arrays stacked to (n, Q, ...)
-    (``_raw_fields`` or ``densities`` of a stack); the group means are
-    combined with the given weights (surface weights q_j*).  The stack is
-    (w, moments): w (S,) is each state's weight in the mean, its group
-    weight over the group size, and moments[k] stacks moment k of every
-    state to (S, Q, ...).  Accumulation order is fixed, so results are
-    bit-reproducible.
-    """
-    sizes = group_sizes([(weight, group["rho"])
-                         for weight, group in ensembles])
-    w = np.repeat([wt / n for (wt, _), n in zip(ensembles, sizes)], sizes)
-    total = None
-    for (weight, group), n in zip(ensembles, sizes):
-        group = {k: sum(v) / n for k, v in group.items()}
-        if total is None:
-            total = {k: weight * g for k, g in group.items()}
-        else:
-            total = {k: total[k] + weight * g for k, g in group.items()}
-    moments = {k: np.concatenate([group[k] for _, group in ensembles])
-               for k in total}
-    return total, (w, moments)
+def weighted_mean(weights, vals):
+    """sum_s w_s vals_s, the weighted mean of a per-state stack ``vals``
+    (S, Q, ...) with weights (S,), summed in state order."""
+    wview = weights.reshape(weights.shape + (1,) * (vals.ndim - 1))
+    return np.sum(wview * vals, axis=0)
 
 
-def vacuum(mean):
-    """The probes where the mean density falls below RHO_FLOOR."""
-    return mean["rho"] < RHO_FLOOR
+def vacuum(rho):
+    """The probes where the density ``rho`` falls below RHO_FLOOR."""
+    return rho < RHO_FLOOR
 
 
 def presplit_divergences(moments):
@@ -407,12 +391,10 @@ def field_grid(ensembles, mol, probes, mode="per-trajectory"):
     errors; vacuum probes are flagged, not filled).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    ends = np.cumsum(group_sizes(ensembles))
+    w = state_weights(ensembles)
     raw = _raw_fields(_stack([sd for _, group in ensembles for sd in group]),
                       mol, probes)
-    mean, raws = ensemble_mean(
-        [(weight, {k: v[end - len(group):end] for k, v in raw.items()})
-         for (weight, group), end in zip(ensembles, ends)])
+    mean = {k: weighted_mean(w, v) for k, v in raw.items()}
     nq = probes.shape[0]
     pre = presplit_divergences(mean)
     extra = {"vacuum": np.zeros(nq, dtype=bool)}
@@ -421,7 +403,7 @@ def field_grid(ensembles, mol, probes, mode="per-trajectory"):
         sigma = -mean["kin"] + mean["w"]
         q = mean["t1"] + mean["t2"]
     elif mode == "ensemble":
-        empty = vacuum(mean)
+        empty = vacuum(mean["rho"])
         u = np.zeros((nq, 3))
         ok = ~empty
         u[ok] = mean["mom"][ok] / mean["rho"][ok, None]
@@ -440,7 +422,7 @@ def field_grid(ensembles, mol, probes, mode="per-trajectory"):
         grad_mom=mean["grad_mom"], grad_energy=mean["grad_energy"],
         div_mom=pre["mass"],
         div_mom_flux=div_mom_flux, div_energy_flux=div_energy_flux,
-        raws=raws, **extra)
+        raws=(w, raw), **extra)
 
 
 def _stderr(raws, u):
@@ -463,5 +445,5 @@ def weighted_mean_variance(weights, vals):
     """sum_i w_i^2 (x_i - mean)^2, the variance of the weighted mean of the
     per-state values ``vals`` (S, Q, ...) with weights (S,)."""
     wview = weights.reshape(weights.shape + (1,) * (vals.ndim - 1))
-    mean = np.sum(wview * vals, axis=0)
+    mean = weighted_mean(weights, vals)
     return np.sum(wview ** 2 * (vals - mean) ** 2, axis=0)

@@ -79,13 +79,6 @@ def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
 
 
-def particle_setup(cfg):
-    """State and surface of a particle config, built as the CLI builds
-    them."""
-    state = cli._build_state(cfg["particles"])
-    return state, cli._build_surface(cfg["model"], len(state.x), 0, None)
-
-
 # config, CSV output, first header column and row count per subcommand
 CSV_OUTPUTS = {
     "run-md": (run_md_config, "trajectory.csv", "tau", 51),
@@ -137,7 +130,7 @@ class TestRunMd:
     def test_csv_roundtrip(self, tmp_path):
         cfg = run_md_config(str(tmp_path))
         assert run(tmp_path, "run-md", cfg) == 0
-        state, surf = particle_setup(cfg)
+        state, surf = cli._build_system(cfg, cfg["dynamics"])
         dyn = cfg["dynamics"]
         tr = dynamics.integrate(state, dyn["dt"], dyn["steps"], surf)
         data = read_csv(tmp_path / "trajectory.csv")
@@ -181,7 +174,7 @@ class TestFields:
     def test_csv_export(self, tmp_path):
         cfg = fields_config(str(tmp_path))
         assert run(tmp_path, "fields", cfg) == 0
-        state, surf = particle_setup(cfg)
+        state, surf = cli._build_system(cfg, cfg)
         mol = Mollifier(cfg["mollifier"]["epsilon"])
         probes = cli._build_probes(cfg["probes"])
         sd = fields.prepare_state(state.x, state.p, state.masses, surf)
@@ -208,10 +201,20 @@ class TestConserveCheck:
         code = cli.main(["conserve-check", write_config(tmp_path, cfg)])
         assert code == 1
 
+    def test_all_vacuum_probes_exit_2(self, tmp_path):
+        # probes outside every particle's mollifier support check nothing:
+        # a config error before any output, not a pass on zero residuals
+        cfg = conserve_config(str(tmp_path))
+        cfg["probes"] = {"origin": [50.0, 50.0, 50.0],
+                         "spacing": [0.5, 0.5, 0.5], "shape": [2, 2, 2]}
+        assert run(tmp_path, "conserve-check", cfg) == 2
+        assert not (tmp_path / "residuals.json").exists()
+        assert not (tmp_path / "residuals.csv").exists()
+
     def test_json_and_csv(self, tmp_path):
         cfg = conserve_config(str(tmp_path))
         assert run(tmp_path, "conserve-check", cfg) == 0
-        state, surf = particle_setup(cfg)
+        state, surf = cli._build_system(cfg, cfg)
         mol = Mollifier(cfg["mollifier"]["epsilon"])
         probes = cli._build_probes(cfg["probes"])
         rep = conservation.per_trajectory_residuals(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -346,6 +348,22 @@ class TestSurfaceWeights:
         wr = ensemble.surface_weights(spec, surf, np.ones(n), box,
                                       "reweighting", n_samples=3000)
         assert abs(wr.q[1] / wr.q[0] - expected) <= 0.02 * expected
+
+    def test_quadrature_memory_bounded(self):
+        # the tensor grid is built one chunk of nodes at a time: at N = 2,
+        # n_quad = 8 (262,144 nodes) the heap peak stays near 1 MB, while
+        # the whole grid's nodes and weights at once take about 53 MB
+        spec = ensemble.GibbsSpec(T=0.8)
+        box = ensemble.BoxContainer(0.0, 1.0)
+        surf = ensemble.ConstantShiftSurfaces([0.0, 0.5])
+        tracemalloc.start()
+        try:
+            ensemble.surface_weights(spec, surf, np.ones(2), box,
+                                     "direct-quadrature", n_quad=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_quadrature_vs_reweighting(self):
         spec = ensemble.GibbsSpec(T=1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdfields import fields, geometry, potential
+from mdfields.errors import InvalidParameterError
 from mdfields.mollifier import Mollifier
 
 
@@ -311,17 +312,30 @@ class TestFieldGrid:
         probes = rng.uniform(-0.5, 0.5, size=(6, 3))
         groups = [(0.3, states[:1]), (0.7, states[1:])]
         grid = fields.field_grid(groups, mol, probes)
-        raws = [(wt, fields._raw_fields(fields._stack(group), mol, probes))
-                for wt, group in groups]
+        raws = [fields._raw_fields(fields._stack(group), mol, probes)
+                for _, group in groups]
         stacked = fields.presplit_divergences(grid.raws[1])
         for k, sd in enumerate(states):
             mo = fields._raw_fields(fields._stack([sd]), mol, probes)
             for law, div in fields.presplit_divergences(mo).items():
                 np.testing.assert_array_equal(stacked[law][k], div[0])
-        mean = fields.presplit_divergences(fields.ensemble_mean(raws)[0])
+        w = fields.state_weights(groups)
+        mean = fields.presplit_divergences(
+            {k: fields.weighted_mean(w, np.concatenate([r[k] for r in raws]))
+             for k in raws[0]})
         np.testing.assert_array_equal(grid.div_mom, mean["mass"])
         np.testing.assert_array_equal(grid.div_mom_flux, mean["mom"])
         np.testing.assert_array_equal(grid.div_energy_flux, mean["energy"])
+
+    def test_empty_ensemble_rejected(self):
+        # an ensemble without states, or with a group without states, has
+        # no mean to take
+        states = random_states(2, 2, np.random.default_rng(19))
+        probes = np.zeros((1, 3))
+        for ensembles in ([], [(1.0, [])], [(0.5, states), (0.5, [])]):
+            with pytest.raises(InvalidParameterError):
+                fields.field_grid(ensembles, Mollifier(0.8), probes,
+                                  mode="ensemble")
 
     def test_vacuum_probe_flagged(self):
         mol = Mollifier(0.4)

@@ -254,8 +254,7 @@ def conserve_check(tmp_dir):
 def conserve_grids():
     """The field grids at tau and tau +/- dt_check of ``CONSERVE``, which
     size the tolerance of its residuals."""
-    st = cli._build_state(CONSERVE["particles"])
-    model = cli._build_surface(CONSERVE["model"], len(st.x), 0, None)
+    st, model = cli._build_system(CONSERVE, CONSERVE)
     mol = Mollifier(CONSERVE["mollifier"]["epsilon"])
     probes = cli._build_probes(CONSERVE["probes"])
     (sc,), _ = conservation._central([st], model)
