@@ -413,12 +413,6 @@ def _cmd_conserve_check(cfg, cfg_hash):
     state, surf = _build_system(cfg, cfg)
     mol = Mollifier(cfg["mollifier"]["epsilon"])
     probes = _build_probes(cfg["probes"])
-    # rho does not read the shares
-    rho = fields.densities(state.x, state.p, state.masses, 0.0, mol,
-                           probes)["rho"]
-    if np.all(fields.vacuum(rho)):
-        raise ConfigError(f"density below {fields.RHO_FLOOR:g} at every "
-                          "probe: there is nothing to check")
     rep = conservation.per_trajectory_residuals(
         state, surf, surf, mol, probes, cfg["dt_check"])
     payload = rep.to_json_dict()

@@ -155,6 +155,10 @@ def per_trajectory_residuals(state, provider, model, mol, probes, dt_check,
     mass:     d rho / dt + div mom
     momentum: d mom / dt + div (K - W)
     energy:   d E / dt + div (T1 + T2)
+
+    Nothing is masked.  Raises ``InvalidParameterError`` when the density
+    at tau is vacuum (``fields.vacuum``) at every probe: there is nothing
+    to check.
     """
     return _check([(1.0, [state], provider, model)], mol, probes, dt_check,
                   richardson, "per-trajectory")
@@ -184,6 +188,10 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
     gc = fields.field_grid(
         [(weight, sds) for (weight, *_), (sds, _) in zip(groups, centres)],
         mol, probes, mode=mode)
+    if mode == "per-trajectory" and np.all(fields.vacuum(gc.rho)):
+        raise InvalidParameterError(
+            f"density below {fields.RHO_FLOOR:g} at every probe: there is "
+            "nothing to check")
 
     div = {"mass": gc.div_mom, "mom": gc.div_mom_flux,
            "energy": gc.div_energy_flux}

@@ -17,8 +17,12 @@ depend on how many chains run beside it, and a one-chain run consumes its
 stream as a single chain always has.  A run with number moves changes N, so
 it is one chain through the same loop.  The burn-in tunes one shared step
 on windows of displacement proposals pooled over the chains, then stops at
-detected equilibration (Chodera's t0 on the stacked scalar trace), with
-``BURN_IN_FACTOR`` * N proposals per chain as a hard cap.
+detected equilibration (Chodera's t0 on the stacked scalar trace).  It
+tests first at ceil(``TUNE_INTERVAL`` / C) * N proposals per chain for C
+chains, since a tuning window pools its proposals over the chains and every
+proposal moves all N particles, then at twice as many each time, with
+``BURN_IN_FACTOR`` * N proposals per chain as a hard cap.  Each run records
+its burn-in, with the split-R-hat of the chains' log-density tails.
 
 A surface set is any object with ``d``, ``values(x)`` and ``shares(x)``.
 ``values`` maps one configuration (N, 3) to the d surface energies
@@ -81,13 +85,17 @@ class BurnIn:
     """The record of one run's burn-in (``GibbsSampler.burn_ins``).
 
     Proposals, t0, tau_int and ESS count per chain: the largest t0 and
-    tau_int over the lockstep chains' traces, and the ESS of one chain.
+    tau_int over the lockstep chains' traces, and the ESS of one chain, so
+    the pooled ESS is ``chains * ess``.  ``rhat`` says how well the chains
+    mixed; no stop rule reads it.
     """
 
     proposals: int      # proposals per chain, at most BURN_IN_FACTOR * N
     t0: int             # Chodera's equilibration time, in proposals
     tau_int: float      # integrated autocorrelation time of the tail after t0
     ess: float          # effective size of that tail, (proposals - t0) / tau
+    chains: int         # lockstep chains C
+    rhat: float         # split_rhat of the chains' log-density tails after t0
     accept: float       # displacement acceptance rate, pooled over chains
     step: float         # the tuned displacement step, shared by the chains
     step_at_cap: bool   # rate warning skipped: high rate, step at max_step
@@ -280,6 +288,29 @@ def equilibration(trace):
     return t0, tau
 
 
+def split_rhat(chains):
+    """Split-R-hat of the rows of a (M, n) trace, each row split in halves.
+
+    The 2M half-chains of length L = n // 2 (an odd row drops its middle
+    draw) give the within-chain variance W and the between-chain variance
+    B of their means; R-hat = sqrt(((L - 1) / L W + B / L) / W) (Vehtari,
+    Gelman, Simpson, Carpenter & Buerkner, Bayesian Analysis 16 (2021) 667,
+    without rank normalization).  It is 1 when every half is constant at
+    one value, inf when the halves are constant at different values, and
+    nan with fewer than two draws per half.
+    """
+    half = chains.shape[1] // 2
+    if half < 2:
+        return float("nan")
+    halves = np.concatenate([chains[:, :half], chains[:, -half:]])
+    within = halves.var(axis=1, ddof=1).mean()
+    between = half * halves.mean(axis=1).var(ddof=1)
+    pooled = (half - 1) / half * within + between / half
+    if pooled == 0.0:
+        return 1.0
+    return float(np.sqrt(pooled / within)) if within > 0.0 else np.inf
+
+
 class GibbsSampler:
     """Metropolis sampler of the local Gibbs density at one probe.
 
@@ -363,16 +394,19 @@ class GibbsSampler:
         row with a rate in [ACCEPT_LO, ACCEPT_HI], or with the step held at
         the container's cap.  The scalar trace (each chain's log density,
         and N with number moves) covers every proposal; once the step has
-        settled, at TUNE_INTERVAL * N proposals per chain times a power of
-        two, the burn-in stops when the stacked trace's equilibration time
-        t0 lies in its first half.  Chains that reach the cap of
-        BURN_IN_FACTOR * N proposals each are judged once on their whole
-        trace and warn if t0 still lies in the second half.  Appends a
-        ``BurnIn`` record to ``burn_ins``; returns the chains' states, log
-        densities and weighted surface energies, and the step.
+        settled, at ceil(TUNE_INTERVAL / C) * N proposals per chain times a
+        power of two, C = x.shape[0], the burn-in stops when the stacked
+        trace's equilibration time t0 lies in its first half; one chain
+        keeps the tests at TUNE_INTERVAL * N times a power of two.  Chains
+        that reach the cap of BURN_IN_FACTOR * N proposals each are judged
+        once on their whole trace and warn if t0 still lies in the second
+        half.  Appends a ``BurnIn`` record, with the split-R-hat of the
+        log-density tails after t0, to ``burn_ins``; returns the chains'
+        states, log densities and weighted surface energies, and the step.
         """
+        chains = x.shape[0]
         limit = BURN_IN_FACTOR * x.shape[1]
-        check = TUNE_INTERVAL * x.shape[1]
+        check = -(-TUNE_INTERVAL // chains) * x.shape[1]
         trace = []
         logd, e = self.log_x_density(x, j)
         # the step is tuned on displacement proposals only
@@ -417,9 +451,13 @@ class GibbsSampler:
             warnings.warn(f"acceptance rate {rate:.2f} outside "
                           f"[{WARN_LO}, {WARN_HI}] after tuning",
                           RuntimeWarning)
+        # the log-density rows: every chain's, or the one chain's with
+        # number moves, whose trace also holds N
+        logds = np.array(trace).T[:chains, t0:]
         self.burn_ins.append(BurnIn(
             proposals=n, t0=t0, tau_int=tau, ess=(n - t0) / tau,
-            accept=rate, step=step, step_at_cap=at_cap, hit_cap=hit_cap))
+            chains=chains, rhat=split_rhat(logds), accept=rate, step=step,
+            step_at_cap=at_cap, hit_cap=hit_cap))
         return x, logd, e, step
 
     def _move(self, x, j, rngs, step, logd, e):

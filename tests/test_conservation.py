@@ -267,6 +267,24 @@ class TestCanonical:
         assert rep.max_norms() == {"mass": 0.0, "mom": 0.0, "energy": 0.0}
         assert all(np.isnan(v) for v in rep.richardson_order.values())
 
+    def test_all_vacuum_per_trajectory_raises(self):
+        # per-trajectory mode masks nothing, so a check of nothing would
+        # read as zero residuals on zero scales; it raises instead
+        rng = np.random.default_rng(5)
+        _, provider, model = harmonic_setup(2)
+        st = dynamics.PhaseState(
+            x=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+            p=rng.normal(scale=0.1, size=(2, 3)), masses=np.ones(2))
+        probes = np.array([[30.0, 0.0, 0.0], [0.0, 30.0, 0.0]])
+        with pytest.raises(InvalidParameterError, match="every probe"):
+            conservation.per_trajectory_residuals(
+                st, provider, model, Mollifier(0.7), probes, 1e-4)
+        # one probe in the support is a check
+        rep = conservation.per_trajectory_residuals(
+            st, provider, model, Mollifier(0.7),
+            np.vstack([probes, [[0.5, 0.0, 0.0]]]), 1e-4)
+        assert rep.scales["mass"] > 0.0
+
     def test_raw_moments_computed_once_per_state(self, monkeypatch):
         # the field grid at tau and the stderr pass share one set of
         # per-state raw moments, from one pass over every state with one

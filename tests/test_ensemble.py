@@ -220,6 +220,27 @@ class TestTuneWarning:
             self.tune(OnlyStart(x0), x0, box)
 
 
+# a bound on the split-R-hat of a canonical-corrected burn-in: the largest
+# over the 1,800 burn-ins of 600 jobs of that benchmark workload (seed 1
+# jobs 0-399, seed 13 jobs 0-199) was 1.022
+RHAT_CANONICAL = 1.05
+
+
+@pytest.fixture
+def burn_in_records(monkeypatch):
+    """Every BurnIn record appended by any sampler so far."""
+    records = []
+    tune_step = ensemble.GibbsSampler._tune_step
+
+    def recorded(self, *args):
+        out = tune_step(self, *args)
+        records.append(self.burn_ins[-1])
+        return out
+
+    monkeypatch.setattr(ensemble.GibbsSampler, "_tune_step", recorded)
+    return records
+
+
 def corner_chain():
     """Four free particles in a harmonic well, started at one far corner:
     96 T of energy each, against 1.5 T typical."""
@@ -323,6 +344,48 @@ class TestBurnIn:
         rec = sampler.burn_ins[-1]
         assert rec.proposals == ensemble.BURN_IN_FACTOR and rec.hit_cap
         assert rec.accept == 0.0 and not rec.step_at_cap
+
+    def test_split_rhat(self):
+        rng = np.random.default_rng(4)
+        iid = rng.normal(size=(8, 1000))
+        assert abs(ensemble.split_rhat(iid) - 1.0) < 0.01
+        # a drift that each chain's halves split, and chains that disagree
+        drift = iid + np.linspace(0.0, 3.0, 1000)
+        assert ensemble.split_rhat(drift) > 1.1
+        assert ensemble.split_rhat(iid + np.arange(8)[:, None]) > 1.1
+        assert ensemble.split_rhat(np.full((2, 10), 0.3)) == 1.0
+        assert ensemble.split_rhat(np.repeat([[0.0], [1.0]], 10, 1)) \
+            == np.inf
+        assert np.isnan(ensemble.split_rhat(iid[:, :3]))
+
+    def test_canonical_corrected_chains_mix(self, burn_in_records):
+        # the canonical-corrected sampling (N = 4: 2,000 weight samples,
+        # then 96 states): every burn-in's split-R-hat stays below
+        # RHAT_CANONICAL
+        surf, box = canonical_surfaces()
+        spec, masses = ensemble.GibbsSpec(T=2.0), np.full(4, 1e3)
+        for seed in range(1, 4):
+            qw = ensemble.surface_weights(spec, surf, masses, box,
+                                          "reweighting", n_samples=2000,
+                                          seed=seed)
+            ensemble.GibbsSampler(spec, surf, masses, box).sample(
+                96, seed=seed, weights=qw)
+        assert len(burn_in_records) >= 6
+        for rec in burn_in_records:
+            assert 1 <= rec.chains <= ensemble.CHAINS
+            assert rec.rhat < RHAT_CANONICAL, rec
+
+    def test_corner_chains_do_not_mix(self, monkeypatch):
+        # negative control: eight chains from the corner start, stopped at
+        # the cap before their descent ends, disagree
+        monkeypatch.setattr(ensemble, "BURN_IN_FACTOR", 50)
+        sampler, x0 = corner_chain()
+        for seed in range(1, 4):
+            with pytest.warns(RuntimeWarning, match="not equilibrated"):
+                sampler.run_chain(0, 8, seed, x0=x0)
+            rec = sampler.burn_ins[-1]
+            assert rec.hit_cap and rec.chains == 8
+            assert rec.rhat > 1.1, seed
 
 
 class TestSurfaceWeights:
@@ -589,7 +652,7 @@ class TestLockstepCalls:
         samples = sampler.run_chain(0, 2000, 2)
         assert len(samples) == 2000
         assert 4 * lockstep <= density_calls[0]
-        assert [r.proposals for r in sampler.burn_ins] == [800, 1600]
+        assert [r.proposals for r in sampler.burn_ins] == [200, 1600]
 
     def test_chains_retained_chain_by_chain(self):
         # 21 samples over 8 chains: 3 per chain, the last three dropped;
@@ -600,7 +663,59 @@ class TestLockstepCalls:
         xs = sampler.run_chain(1, 21, 4, thin=1)
         assert len(xs) == 21
         assert all(x.shape == (2, 3) and x.base is None for x in xs)
-        assert sampler.burn_ins[-1].proposals == 400
+        assert sampler.burn_ins[-1].proposals == 200
+
+    @pytest.mark.parametrize("chains, first", [(1, 800), (3, 268),
+                                               (8, 100)])
+    def test_first_test_pools_the_chains(self, equilibration_tests, chains,
+                                         first):
+        # ceil(TUNE_INTERVAL / C) * N proposals per chain at N = 4: the
+        # tuning windows pool their proposals over the C chains
+        sampler = settled_chains()
+        sampler.run_chain(0, chains, 5)
+        assert equilibration_tests[0] == first
+        rec = sampler.burn_ins[-1]
+        assert rec.chains == chains and rec.proposals == first
+
+    def test_one_chain_keeps_its_stream(self, equilibration_tests):
+        # one chain tests first at TUNE_INTERVAL * N, and retains the state
+        # that the floor of TUNE_INTERVAL * N per chain retained
+        x = settled_chains().run_chain(0, 1, 5)[0]
+        assert equilibration_tests == [ensemble.TUNE_INTERVAL * 4]
+        assert [float.hex(float(a)) for a in x.ravel()] == ONE_CHAIN_STATE
+
+
+def settled_chains():
+    """Four particles in a harmonic well in a box of side 0.5, shorter than
+    the first step of 0.5: the step is at the box's cap from the first
+    window on, so it settles after two windows."""
+    return ensemble.GibbsSampler(
+        ensemble.GibbsSpec(T=1.0),
+        ensemble.HarmonicSurfaces([1.0], center=(0.25, 0.25, 0.25)),
+        np.ones(4), ensemble.BoxContainer(0.0, 0.5))
+
+
+# run_chain(0, 1, 5) of settled_chains() with the first equilibration test
+# at TUNE_INTERVAL * N proposals for every chain count
+ONE_CHAIN_STATE = [
+    "0x1.b76b245ecb988p-2", "0x1.9a26a8653ea1cp-2", "0x1.cc908613eb3d0p-4",
+    "0x1.3cdbe6bf5961ap-2", "0x1.6f7ebaf919790p-3", "0x1.2b587c60ff577p-2",
+    "0x1.7efcc68eead90p-5", "0x1.db993ad5bc648p-2", "0x1.bbb6bdeb7b17fp-2",
+    "0x1.ed74671b28c58p-3", "0x1.912b62e50332cp-2", "0x1.a48d738912886p-2"]
+
+
+@pytest.fixture
+def equilibration_tests(monkeypatch):
+    """The trace length of every ensemble.equilibration call so far."""
+    lengths = []
+    equilibration = ensemble.equilibration
+
+    def counted(trace):
+        lengths.append(trace.shape[1])
+        return equilibration(trace)
+
+    monkeypatch.setattr(ensemble, "equilibration", counted)
+    return lengths
 
 
 @pytest.fixture
