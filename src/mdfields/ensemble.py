@@ -9,20 +9,20 @@ per-coordinate variance M_n T / w_n.  Uniform mode supports grand-canonical
 insert/delete moves tied to the chemical potential.
 
 A fixed-N run advances ``CHAINS`` chains in lockstep (fewer when fewer
-samples are asked for): each proposal step draws one move per chain from
-the chain's own generator and evaluates all proposals in one stacked
-``log_x_density`` call.  Chain 0 draws from ``PCG64(seed)``, chain c >= 1
-from child c - 1 of ``SeedSequence(seed).spawn``, so a chain's states do not
-depend on how many chains run beside it, and a one-chain run consumes its
-stream as a single chain always has.  A run with number moves changes N, so
-it is one chain through the same loop.  The burn-in tunes one shared step
-on windows of displacement proposals pooled over the chains, then stops at
-detected equilibration (Chodera's t0 on the stacked scalar trace).  It
-tests first at ceil(``TUNE_INTERVAL`` / C) * N proposals per chain for C
-chains, since a tuning window pools its proposals over the chains and every
-proposal moves all N particles, then at twice as many each time, with
-``BURN_IN_FACTOR`` * N proposals per chain as a hard cap.  Each run records
-its burn-in, with the split-R-hat of the chains' log-density tails.
+samples are asked for) on one generator, ``PCG64(seed)``: each proposal
+step draws every chain's noise in one call, evaluates all proposals in one
+stacked ``log_x_density`` call and accepts them by one array rule, which
+draws a uniform, in chain order, only for each negative log ratio, so a
+one-chain run consumes its stream as a single chain always has.  A run with
+number moves changes N, so it is one chain through the same loop.  The
+burn-in tunes one shared step on windows of displacement proposals pooled
+over the chains, then stops at detected equilibration (Chodera's t0 on the
+stacked scalar trace).  It tests first at ceil(``TUNE_INTERVAL`` / C) * N
+proposals per chain for C chains, since a tuning window pools its proposals
+over the chains and every proposal moves all N particles, then at twice as
+many each time, with ``BURN_IN_FACTOR`` * N proposals per chain as a hard
+cap.  Each run records its burn-in, with the split-R-hat of the chains'
+log-density tails.
 
 A surface set is any object with ``d``, ``values(x)`` and ``shares(x)``.
 ``values`` maps one configuration (N, 3) to the d surface energies
@@ -244,8 +244,17 @@ def particle_weights(spec, x, mol=None):
 
 
 def metropolis_accept(log_ratio, rng):
-    """Standard Metropolis acceptance on a log density ratio."""
-    return log_ratio >= 0.0 or rng.random() < np.exp(log_ratio)
+    """Standard Metropolis acceptance on one log density ratio."""
+    return bool(metropolis_accept_array(np.array([log_ratio]), rng)[0])
+
+
+def metropolis_accept_array(log_ratios, rng):
+    """Metropolis acceptance of each log density ratio of an array, with a
+    uniform drawn, in order, only for each negative ratio."""
+    ok = log_ratios >= 0.0
+    draw = ~ok
+    ok[draw] = rng.random(np.count_nonzero(draw)) < np.exp(log_ratios[draw])
+    return ok
 
 
 def autocorrelation_time(y):
@@ -385,9 +394,9 @@ class GibbsSampler:
         return m[:, None] * self.spec.u0[None, :] \
             + rng.normal(size=(x.shape[0], 3)) * scale[:, None]
 
-    def _tune_step(self, x, j, rngs, step):
-        """Burn-in of lockstep chains x (C, N, 3), one generator per chain:
-        tune the shared step, then run until the chains have equilibrated.
+    def _tune_step(self, x, j, rng, step):
+        """Burn-in of lockstep chains x (C, N, 3) on one generator: tune
+        the shared step, then run until the chains have equilibrated.
 
         The step is tuned in windows of ``TUNE_INTERVAL`` displacement
         proposals pooled over the chains until it settles: two windows in a
@@ -414,13 +423,13 @@ class GibbsSampler:
         cap = self.container.max_step()
         settled = hit_cap = False
         for n in range(1, limit + 1):
-            x, logd, e, ok = self._move(x, j, rngs, step, logd, e)
+            x, logd, e, ok = self._move(x, j, rng, step, logd, e)
             trace.append((logd[0], x.shape[1]) if self.gcmc else logd)
             if ok is not None:
-                moves += len(ok)
-                window += len(ok)
-                accepted += sum(ok)
-                window_acc += sum(ok)
+                moves += ok.size
+                window += ok.size
+                accepted += np.count_nonzero(ok)
+                window_acc += np.count_nonzero(ok)
                 if not settled and window >= TUNE_INTERVAL:
                     rate = window_acc / window
                     if rate < ACCEPT_LO:
@@ -460,33 +469,22 @@ class GibbsSampler:
             step_at_cap=at_cap, hit_cap=hit_cap))
         return x, logd, e, step
 
-    def _move(self, x, j, rngs, step, logd, e):
+    def _move(self, x, j, rng, step, logd, e):
         """One proposal per chain, used by burn-in and sampling.
 
         With gcmc (one chain) a number move with probability 1/2, else a
         displacement of every chain, evaluated in one stacked call; fixed-N
         chains draw no extra random number.  Returns the new states, log
-        densities and weighted surface energies, and the list of the
+        densities and weighted surface energies, and the array of the
         displacements' acceptances, None after a number move.
         """
-        if self.gcmc and rngs[0].random() < 0.5:
-            return self._number_move(x, j, rngs[0], logd, e) + (None,)
-        # rng.normal(scale=step) is step times rng.standard_normal()
-        noise = np.empty(x.shape)
-        for rng, out in zip(rngs, noise):
-            rng.standard_normal(out=out)
-        prop = self.container.wrap(x + step * noise)
+        if self.gcmc and rng.random() < 0.5:
+            return self._number_move(x, j, rng, logd, e) + (None,)
+        prop = self.container.wrap(x + step * rng.standard_normal(x.shape))
         logp, ep = self.log_x_density(prop, j)
-        ok = [metropolis_accept(r, rng)
-              for r, rng in zip((logp - logd).tolist(), rngs)]
-        if all(ok):
-            return prop, logp, ep, ok
-        if any(ok):
-            take = np.array(ok)
-            x = np.where(take[:, None, None], prop, x)
-            logd = np.where(take, logp, logd)
-            e = np.where(take[:, None], ep, e)
-        return x, logd, e, ok
+        ok = metropolis_accept_array(logp - logd, rng)
+        return (np.where(ok[:, None, None], prop, x), np.where(ok, logp, logd),
+                np.where(ok[:, None], ep, e), ok)
 
     def _number_move(self, x, j, rng, logd, e):
         """An insertion or a deletion on a one-chain stack x (1, N, 3)."""
@@ -513,31 +511,32 @@ class GibbsSampler:
         """Retained x-samples on surface j after burn-in and tuning.
 
         A fixed-N run advances min(CHAINS, n_samples) chains in lockstep,
-        each from ``x0`` or its own draw of the container; a run with
-        number moves is one chain.  Every chain retains
+        each from ``x0`` or from one draw of the container for them all; a
+        run with number moves is one chain.  Every chain retains
         ceil(n_samples / chains) states, one each ``thin`` proposals, and
         the first n_samples are returned chain by chain.  ``collect`` may be
         a callable ``collect(x, energies)`` applied to every retained state
         and its weighted surface energies (d,), which the chain already
-        holds (for scalar statistics cheaper than storing samples).
+        holds (for scalar statistics cheaper than storing samples).  A
+        count below 1 raises ``InvalidParameterError`` before any draw.
         """
-        n_chains = 1 if self.gcmc else max(1, min(CHAINS, n_samples))
-        rngs = [np.random.default_rng(np.random.PCG64(seed))]
-        rngs += [np.random.default_rng(child) for child in
-                 np.random.SeedSequence(seed).spawn(n_chains - 1)]
+        if n_samples < 1:
+            raise InvalidParameterError(f"n_samples = {n_samples} is below 1")
+        n_chains = 1 if self.gcmc else min(CHAINS, n_samples)
+        rng = np.random.default_rng(np.random.PCG64(seed))
         if x0 is None:
-            x = np.stack([self.container.draw(rng, len(self.masses))
-                          for rng in rngs])
+            n = len(self.masses)
+            x = self.container.draw(rng, n_chains * n).reshape(n_chains, n, 3)
         else:
             x0 = np.asarray(x0, dtype=float)
             x = np.broadcast_to(x0, (n_chains,) + x0.shape).copy()
-        x, logd, e, step = self._tune_step(x, j, rngs, 0.5)
+        x, logd, e, step = self._tune_step(x, j, rng, 0.5)
         if thin is None:
             thin = max(5, x.shape[1])
-        kept = [[] for _ in rngs]
+        kept = [[] for _ in range(n_chains)]
         for _ in range(-(-n_samples // n_chains)):
             for _ in range(thin):
-                x, logd, e, _ = self._move(x, j, rngs, step, logd, e)
+                x, logd, e, _ = self._move(x, j, rng, step, logd, e)
             for c, out in enumerate(kept):
                 out.append(x[c].copy() if collect is None
                            else collect(x[c], e[c]))

@@ -320,8 +320,7 @@ class ProbeGrid:
     @functools.cached_property
     def stderr(self):
         """Ensemble mode: the standard errors of rho, mom, energy, sigma, q."""
-        return _stderr(self.raws, self.u) if self.mode == "ensemble" \
-            else None
+        return _stderr(self) if self.mode == "ensemble" else None
 
 
 def _grad_u(mean, u):
@@ -425,20 +424,38 @@ def field_grid(ensembles, mol, probes, mode="per-trajectory"):
         raws=(w, raw), **extra)
 
 
-def _stderr(raws, u):
-    """Monte Carlo standard errors of the canonical fields from the
-    per-state stack (w, moments).
-
-    Per-state sigma and q contributions are evaluated at the plug-in
-    ensemble u; the variance of u itself is not propagated.
-    """
-    w, moments = raws
-    per_state = {"rho": moments["rho"], "mom": moments["mom"],
-                 "energy": moments["energy"],
-                 "sigma": _sigma_from_mean(moments, u),
-                 "q": _q_from_mean(moments, u)}
+def _stderr(grid):
+    """Monte Carlo standard errors of the canonical fields of an ensemble
+    grid: the spread of the weighted mean of each ``_state_values``
+    stack."""
+    w, _ = grid.raws
     return {key: np.sqrt(weighted_mean_variance(w, vals))
-            for key, vals in per_state.items()}
+            for key, vals in _state_values(grid).items()}
+
+
+def _state_values(grid):
+    """Per-state values (S, Q, ...) of rho, mom, energy, sigma and q whose
+    weighted mean is the grid's field, u varying with the state.
+
+    By the delta method a state moves u = mom/rho by
+    du_s = (mom_s - rho_s u) / rho.  sigma does not move with u to first
+    order at u = mom/rho; q does, by dq_l/du_a = sigma_la - delta_la e_int
+    with e_int = E - rho |u|^2 / 2, so each state's q at the ensemble u
+    gains (sigma - e_int I) du_s.  These terms have weighted mean zero.
+    Vacuum probes (u = 0) gain none.
+    """
+    _, moments = grid.raws
+    u, ok = grid.u, ~grid.vacuum
+    rho = np.where(ok, grid.rho, 1.0)
+    du = np.where(ok[:, None],
+                  moments["mom"] - moments["rho"][..., None] * u, 0.0) \
+        / rho[:, None]
+    e_int = grid.energy - 0.5 * grid.rho * np.sum(u ** 2, axis=-1)
+    dq = np.einsum("qla,sqa->sql", grid.sigma, du) - e_int[:, None] * du
+    return {"rho": moments["rho"], "mom": moments["mom"],
+            "energy": moments["energy"],
+            "sigma": _sigma_from_mean(moments, u),
+            "q": _q_from_mean(moments, u) + dq}
 
 
 def weighted_mean_variance(weights, vals):

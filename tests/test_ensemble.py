@@ -62,6 +62,55 @@ class TestDetailedBalance:
         ratio = counts[1] / counts[0]
         assert abs(ratio - np.exp(-d_e)) <= 0.01 * np.exp(-d_e)
 
+    def test_two_state_toy_lockstep(self):
+        # eight toys stepped together by the array rule, one generator
+        rng = np.random.default_rng(1)
+        d_e = 0.9
+        state = np.zeros(8, dtype=int)
+        counts = np.zeros(2)
+        for _ in range(25_000):
+            log_ratio = np.where(state == 0, -d_e, d_e)
+            state = np.where(ensemble.metropolis_accept_array(log_ratio, rng),
+                             1 - state, state)
+            counts += np.bincount(state, minlength=2)
+        ratio = counts[1] / counts[0]
+        assert abs(ratio - np.exp(-d_e)) <= 0.01 * np.exp(-d_e)
+
+    def test_array_rule_is_the_scalar_rule(self):
+        # mixed signs, zero and -inf: the array rule and the scalar rule
+        # element by element accept alike and leave their generators alike
+        log_ratios = np.array([0.3, -0.2, -5.0, 0.0, -0.7, 2.0, -np.inf,
+                               -1e-3, -0.05, 1.0])
+        rng_a, rng_s = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(200):
+            got = ensemble.metropolis_accept_array(log_ratios, rng_a)
+            want = [ensemble.metropolis_accept(r, rng_s) for r in log_ratios]
+            assert got.tolist() == want
+        # one uniform per negative ratio, none for the others
+        rng_n = np.random.default_rng(9)
+        rng_n.random(200 * np.count_nonzero(log_ratios < 0.0))
+        assert rng_a.random() == rng_s.random() == rng_n.random()
+        assert type(ensemble.metropolis_accept(-0.2, rng_s)) is bool
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_run_chain_rejects_below_one(self, n_samples):
+        # no burn-in runs before the count is checked
+        sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=1.0),
+                                        ensemble.ZeroSurfaces(), np.ones(2),
+                                        ensemble.BoxContainer(0.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="below 1"):
+            sampler.run_chain(0, n_samples, seed=1)
+        assert sampler.burn_ins == []
+
+    def test_reweighting_rejects_zero_samples(self):
+        with pytest.raises(InvalidParameterError, match="below 1"):
+            ensemble.surface_weights(
+                ensemble.GibbsSpec(T=1.0), ensemble.ConstantShiftSurfaces(
+                    [0.0, 0.1]), np.ones(2), ensemble.BoxContainer(0.0, 1.0),
+                "reweighting", n_samples=0)
+
 
 class TestSampling:
     def test_ideal_gas_positions_uniform(self):
@@ -192,7 +241,7 @@ class TestTuneWarning:
     def tune(self, surfaces, x0, box):
         sampler = ensemble.GibbsSampler(ensemble.GibbsSpec(T=2.0), surfaces,
                                         np.ones(x0.shape[0]), box)
-        return sampler._tune_step(x0[None], 0, [np.random.default_rng(1)],
+        return sampler._tune_step(x0[None], 0, np.random.default_rng(1),
                                   0.5)[3]
 
     def test_high_rate_at_cap_is_silent(self):

@@ -481,3 +481,49 @@ class TestInvariance:
             assert_field_close(getattr(moved, key), getattr(grid, key)
                                @ rot.T, key)
         assert_field_close(moved.sigma, rot @ grid.sigma @ rot.T, "sigma")
+
+
+class TestStderr:
+    @pytest.mark.parametrize("kind", sorted(INVARIANCE_MODELS))
+    def test_q_deviation_is_delta_method(self, kind):
+        # each state's q deviation from the mean is the derivative of q at
+        # the mean moved towards that state, mean + eps (m_s - mean), with
+        # u recomputed from the moved mean: a central difference in eps
+        model = fields.AdiabaticFieldModel(INVARIANCE_MODELS[kind](), 0)
+        grid = ensemble_grid(model, ensemble_configs(25))
+        w, moments = grid.raws
+        mean = {k: fields.weighted_mean(w, v) for k, v in moments.items()}
+        q_states = fields._state_values(grid)["q"]
+        assert not np.any(grid.vacuum)
+        np.testing.assert_allclose(fields.weighted_mean(w, q_states), grid.q,
+                                   rtol=0, atol=1e-12 * np.abs(grid.q).max())
+
+        def q_at(s, eps):
+            moved = {k: mean[k] + eps * (moments[k][s] - mean[k])
+                     for k in mean}
+            return fields._q_from_mean(moved,
+                                       moved["mom"] / moved["rho"][:, None])
+
+        # truncation about eps^2, roundoff about 1e-16 / eps
+        eps = 1e-5
+        for s in range(len(w)):
+            fd = (q_at(s, eps) - q_at(s, -eps)) / (2 * eps)
+            dev = q_states[s] - grid.q
+            assert np.max(np.abs(dev - fd)) <= 1e-8 * np.max(np.abs(fd)), s
+
+    def test_only_q_error_moves(self):
+        # the delta-method term of q leaves the other errors as they were
+        model = fields.AdiabaticFieldModel(INVARIANCE_MODELS["two_state"](),
+                                           0)
+        grid = ensemble_grid(model, ensemble_configs(26))
+        w, moments = grid.raws
+        plug_in = {"rho": moments["rho"], "mom": moments["mom"],
+                   "energy": moments["energy"],
+                   "sigma": fields._sigma_from_mean(moments, grid.u),
+                   "q": fields._q_from_mean(moments, grid.u)}
+        for key, vals in plug_in.items():
+            old = np.sqrt(fields.weighted_mean_variance(w, vals))
+            if key == "q":
+                assert not np.allclose(grid.stderr[key], old)
+            else:
+                np.testing.assert_array_equal(grid.stderr[key], old)
