@@ -9,7 +9,8 @@ per-coordinate variance M_n T / w_n.  Uniform mode supports grand-canonical
 insert/delete moves tied to the chemical potential.
 
 A fixed-N run advances ``CHAINS`` chains in lockstep (fewer when fewer
-samples are asked for) on one generator, ``PCG64(seed)``: each proposal
+samples are asked for) on one generator, ``PCG64(seed)``; many short chains
+spread the fixed numpy cost of a step over more proposals.  Each proposal
 step draws every chain's noise in one call, evaluates all proposals in one
 stacked ``log_x_density`` call and accepts them by one array rule, which
 draws a uniform, in chain order, only for each negative log ratio, so a
@@ -17,12 +18,12 @@ one-chain run consumes its stream as a single chain always has.  A run with
 number moves changes N, so it is one chain through the same loop.  The
 burn-in tunes one shared step on windows of displacement proposals pooled
 over the chains, then stops at detected equilibration (Chodera's t0 on the
-stacked scalar trace).  It tests first at ceil(``TUNE_INTERVAL`` / C) * N
-proposals per chain for C chains, since a tuning window pools its proposals
-over the chains and every proposal moves all N particles, then at twice as
-many each time, with ``BURN_IN_FACTOR`` * N proposals per chain as a hard
-cap.  Each run records its burn-in, with the split-R-hat of the chains'
-log-density tails.
+stacked scalar trace, every chain's tails in one array pass).  It tests
+first at ceil(``TUNE_INTERVAL`` / C) * N proposals per chain for C chains,
+since a tuning window pools its proposals over the chains and every
+proposal moves all N particles, then at twice as many each time, with
+``BURN_IN_FACTOR`` * N proposals per chain as a hard cap.  Each run records
+its burn-in, with the split-R-hat of the chains' log-density tails.
 
 A surface set is any object with ``d``, ``values(x)`` and ``shares(x)``.
 ``values`` maps one configuration (N, 3) to the d surface energies
@@ -56,6 +57,8 @@ TUNE_INTERVAL = 200
 ACCEPT_LO, ACCEPT_HI = 0.20, 0.50
 WARN_LO, WARN_HI = 0.05, 0.80
 ESS_MIN = 100.0
+# elements per chunk of the equilibration test's padded tails (1 MiB)
+TAIL_BUDGET = 2 ** 17
 # configurations per stacked surface call of the quadrature
 QUAD_CHUNK = 4096
 
@@ -286,15 +289,73 @@ def equilibration(trace):
     it, g its integrated autocorrelation time (Chodera, J. Chem. Theory
     Comput. 12 (2016) 1799), over 64 evenly spaced starts.  The trace's t0
     is the largest of the rows', and tau_int the largest of their tails' g.
+
+    Every (row, start) tail's g is ``autocorrelation_time``'s estimator,
+    computed in one array pass: a tail constant from its start on has
+    g = 1, and the others are taken in chunks of consecutive (row, start)
+    tails of at most ``TAIL_BUDGET`` = 2^17 elements (1 MiB of floats; one
+    tail when a tail alone is longer), so memory stays bounded for long
+    traces.  g may differ from the scalar function's by rounding in the
+    last bits.
     """
     n = trace.shape[1]
     starts = np.array(sorted({k * n // 64 for k in range(64)}))
-    t0, tau = 0, 1.0
-    for row in trace:
-        g = np.array([autocorrelation_time(row[s:]) for s in starts])
-        best = int(np.argmax((n - starts) / g))
-        t0, tau = max(t0, int(starts[best])), max(tau, float(g[best]))
-    return t0, tau
+    flat = (np.maximum.accumulate(trace[:, ::-1], axis=1)
+            == np.minimum.accumulate(trace[:, ::-1], axis=1))[:, ::-1]
+    g = np.ones((len(trace), len(starts)))
+    rows, cols = np.nonzero(~flat[:, starts] & (starts < n - 1))
+    per_chunk = max(1, TAIL_BUDGET // n)
+    for lo in range(0, len(rows), per_chunk):
+        r, c = rows[lo:lo + per_chunk], cols[lo:lo + per_chunk]
+        g[r, c] = _geyer_taus(trace, r, starts[c])
+    best = np.argmax((n - starts) / g, axis=1)
+    return int(starts[best].max()), float(g[np.arange(len(g)), best].max())
+
+
+def _geyer_taus(trace, rows, starts):
+    """Geyer's initial monotone tau of each tail trace[rows[i], starts[i]:],
+    as ``autocorrelation_time`` runs it, for tails that are not constant.
+
+    Each tail is centred and zero-padded in front to the width of the
+    earliest start, so one lag product over the columns is every tail's
+    own sum; finished tails are dropped once they are half of the rows.
+    """
+    first = starts.min()
+    y = trace[rows, first:].astype(float, copy=False)
+    width = y.shape[1]
+    pad = (starts - first)[:, None] > np.arange(width)
+    last = width - (starts - first) - 1
+    y[pad] = 0.0
+    y -= (y.sum(axis=1) / (last + 1))[:, None]
+    y[pad] = 0.0
+    c0 = _row_dots(y, y)
+    sigma2, out = -c0, np.empty(len(y))
+    pair = np.full(len(y), np.inf)
+    # the rows of y are the tails idx; finished tails stay in y, adding
+    # zero, until they are half of it
+    idx = np.arange(len(y))
+    going = np.ones(len(y), dtype=bool)
+    for t in range(0, width, 2):
+        going &= t < last
+        if 2 * np.count_nonzero(going) <= len(idx):
+            out[idx[~going]] = sigma2[~going]
+            y, idx, last = y[going], idx[going], last[going]
+            sigma2, pair = sigma2[going], pair[going]
+            going = going[going]
+            if not len(idx):
+                break
+        lag = _row_dots(y[:, :width - t], y[:, t:]) \
+            + _row_dots(y[:, :width - t - 1], y[:, t + 1:])
+        np.minimum(pair, lag, out=pair)
+        going &= pair > 0.0
+        sigma2 += np.where(going, 2.0 * pair, 0.0)
+    out[idx] = sigma2
+    return np.maximum(1.0, out / c0)
+
+
+def _row_dots(a, b):
+    """The dot product of each row of a with the same row of b."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def split_rhat(chains):

@@ -290,6 +290,19 @@ def burn_in_records(monkeypatch):
     return records
 
 
+def scalar_equilibration(trace):
+    """Chodera's t0 with autocorrelation_time tail by tail: the reference
+    of ensemble.equilibration."""
+    n = trace.shape[1]
+    starts = np.array(sorted({k * n // 64 for k in range(64)}))
+    t0, tau = 0, 1.0
+    for row in trace:
+        g = np.array([ensemble.autocorrelation_time(row[s:]) for s in starts])
+        best = int(np.argmax((n - starts) / g))
+        t0, tau = max(t0, int(starts[best])), max(tau, float(g[best]))
+    return t0, tau
+
+
 def corner_chain():
     """Four free particles in a harmonic well, started at one far corner:
     96 T of energy each, against 1.5 T typical."""
@@ -322,6 +335,67 @@ class TestBurnIn:
         assert 300 <= t0 <= 1000
         assert tau < 2.0
         assert ensemble.equilibration(trace[:, 1000:])[0] == 0
+
+    def test_equilibration_matches_scalar(self):
+        # the array pass against autocorrelation_time tail by tail: the
+        # same t0, and tau within 1e-13 relative
+        rng = np.random.default_rng(6)
+        e = rng.normal(size=12_800)
+        ar1 = np.empty_like(e)
+        ar1[0] = e[0]
+        for i in range(1, len(e)):
+            ar1[i] = 0.98 * ar1[i - 1] + e[i]   # tau_int = 99
+        tail_flat = rng.normal(size=(2, 300))
+        tail_flat[:, 120:] = 0.5
+        traces = [np.full((3, 200), 0.3), tail_flat,
+                  rng.normal(size=(4, 40)),
+                  rng.integers(20, 40, size=(2, 500)).astype(float),
+                  ar1[None], rng.normal(size=(8, 200)).cumsum(axis=1)]
+        for trace in traces:
+            t0, tau = ensemble.equilibration(trace)
+            ref_t0, ref_tau = scalar_equilibration(trace)
+            assert t0 == ref_t0
+            assert abs(tau - ref_tau) <= 1e-13 * ref_tau
+
+    def test_equilibration_matches_scalar_on_chains(self, monkeypatch):
+        # every trace the canonical-corrected sampling tests at seeds 1
+        # and 13: the same t0 as the scalar reference, tau within 1e-13
+        traces = []
+        equilibration = ensemble.equilibration
+
+        def recorded(trace):
+            traces.append(trace)
+            return equilibration(trace)
+
+        monkeypatch.setattr(ensemble, "equilibration", recorded)
+        surf, box = canonical_surfaces()
+        spec, masses = ensemble.GibbsSpec(T=2.0), np.full(4, 1e3)
+        for seed in (1, 13):
+            qw = ensemble.surface_weights(spec, surf, masses, box,
+                                          "reweighting", n_samples=2000,
+                                          seed=seed)
+            ensemble.GibbsSampler(spec, surf, masses, box).sample(
+                96, seed=seed, weights=qw)
+        assert len(traces) >= 6
+        for trace in traces:
+            t0, tau = equilibration(trace)
+            ref_t0, ref_tau = scalar_equilibration(trace)
+            assert t0 == ref_t0
+            assert abs(tau - ref_tau) <= 1e-13 * ref_tau
+
+    def test_equilibration_memory_bounded(self):
+        # tails are padded in chunks of TAIL_BUDGET elements: all of a
+        # (2, 12800) or (32, 400) trace's tails at once take 13 or 6.5 MB
+        rng = np.random.default_rng(7)
+        for shape in ((2, 12_800), (32, 400)):
+            trace = rng.normal(size=shape).cumsum(axis=1)
+            tracemalloc.start()
+            try:
+                ensemble.equilibration(trace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, shape
 
     def test_fast_chain_stops_early(self):
         # the canonical-corrected surfaces: two-state, N = 2, box 1.8, T = 2
