@@ -52,7 +52,7 @@ from .errors import (InsufficientOverlapError, InvalidParameterError,
 # per chain
 BURN_IN_FACTOR = 10_000
 # chains a fixed-N run advances in lockstep
-CHAINS = 8
+CHAINS = 32
 TUNE_INTERVAL = 200
 ACCEPT_LO, ACCEPT_HI = 0.20, 0.50
 WARN_LO, WARN_HI = 0.05, 0.80
