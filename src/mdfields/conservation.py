@@ -2,11 +2,12 @@
 
 The time derivatives are central differences of rho, mom and E at
 tau +/- dt_check (states advanced by single Verlet steps), so the check
-exercises the whole pipeline instead of sharing the analytic chain rule
-with the quantities being tested.  Spatial divergences come from the
-analytic probe-space gradients of the field grid at tau and are exact; the
-stress and the heat flux enter only there, so the states at tau +/- dt_check
-are reduced to their densities (``fields.densities``).
+exercises the whole pipeline instead of sharing the derivatives of the
+quantities being tested.  Spatial divergences come from the exact
+probe-space gradients of the field grid at tau; the stress and the heat
+flux enter only there, so the states at tau +/- dt_check are reduced to
+their densities (``fields.densities``).  A canonical residual must equal
+the weighted mean of the per-state pre-split ones to rounding.
 
 Every law is the time derivative of a density plus the divergence of a
 flux, and one table, ``LAWS``, drives the check: residuals, field scales,
@@ -33,10 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, fields, geometry
-from .errors import InvalidParameterError
+from .errors import IdentityGapError, InvalidParameterError
 
 # each law and the density whose time derivative it reads
 LAWS = (("mass", "rho"), ("mom", "mom"), ("energy", "energy"))
+# rounding bound on a canonical residual minus the weighted mean of the
+# per-state pre-split ones, relative to the law's scale
+IDENTITY_GAP_TOL = 1e-12
 
 
 @dataclass
@@ -229,6 +233,12 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
         err = {f"stderr_{law}": np.sqrt(
             fields.weighted_mean_variance(w, rate[law])
             + fields.weighted_mean_variance(w, dv[law])) for law, _ in LAWS}
+        for law, _ in LAWS:  # canonical = pre-split, u being mom/rho
+            gap = np.abs(r[law] - fields.weighted_mean(w, rate[law] + dv[law]))
+            if np.any(gap[~masked] > IDENTITY_GAP_TOL * scales[law]):
+                raise IdentityGapError(
+                    f"{law}: canonical and pre-split residuals differ by "
+                    f"{gap[~masked].max():.3e}, scale {scales[law]:.3e}")
     order = None
     if richardson:
         fine, fine_mask, _, _ = residuals(dt_check / 2.0)

@@ -57,6 +57,10 @@ class UnattainableTargetError(PhysicsError):
     """Thermodynamic matching could not reach the requested target."""
 
 
+class IdentityGapError(PhysicsError):
+    """Canonical and pre-split flux divergences differ beyond rounding."""
+
+
 def item_label(index):
     """The ``"item k: "`` prefix that names item k of a stacked call in a
     message; ``""`` for a single call (``index`` None)."""

@@ -12,8 +12,9 @@ probe point y and a state (x, p):
 with v^n = p^n/M_n - u(y) the peculiar velocity and u the ensemble velocity
 field.  Bond terms carry the line-integrated mollifier
 B = int_0^1 eta(y - s x^n - (1-s) x^k) ds, which is what turns pair forces
-into divergence form.  All fields come with analytic y-gradients so
-divergences in the conservation checks are exact.
+into divergence form.  Every moment comes with its analytic y-gradient;
+the canonical flux divergences push those through the sigma and q formula
+by complex step, so divergences in the conservation checks are exact.
 
 The per-particle shares lambda^n, the surface gradient and the share
 gradients come from the same surface object that drives the trajectory
@@ -61,6 +62,9 @@ from . import dynamics, geometry, potential
 from .errors import InvalidParameterError
 
 RHO_FLOOR = 1e-12
+# complex step h of the canonical divergences: Im f(m + i h dm) / h has no
+# truncation error at this h and, unlike a difference, no cancellation
+CS_STEP = 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -323,61 +327,30 @@ class ProbeGrid:
         return _stderr(self) if self.mode == "ensemble" else None
 
 
-def _grad_u(mean, u):
-    """gu[q, c, j] = d u_j / d y_c from the quotient rule."""
-    rho = mean["rho"][:, None, None]
-    return (mean["grad_mom"] - mean["grad_rho"][:, :, None]
-            * u[:, None, :]) / rho
+def _velocity(mean, ok):
+    """u = mom / rho at the probes ``ok`` (axis -2 of mom), else 0."""
+    u = np.zeros_like(mean["mom"])
+    u[..., ok, :] = mean["mom"][..., ok, :] / mean["rho"][..., ok, None]
+    return u
 
 
-def _canonical_divergences(mean, u):
-    """Analytic divergences of the canonical momentum and energy fluxes.
-
-    The chain rule runs through every u(y) occurrence, so the result tests
-    the canonical rearrangement rather than assuming it.
+def _canonical_divergences(mean, ok):
+    """div(rho u u - sigma) and div(E u + q - sigma u), u = mom/rho at the
+    probes ``ok``, by complex step: the fluxes of the moments m + i h dm/dy_c
+    (c the leading axis) through ``_sigma_from_mean`` and ``_q_from_mean``
+    have Im(flux[c]) / h = d flux / dy_c.  Their identity with the
+    pre-split divergences is what tests sigma and q.
     """
-    gu = _grad_u(mean, u)
-    rho, grho = mean["rho"], mean["grad_rho"]
-    mom, gmom = mean["mom"], mean["grad_mom"]
-    # convective tensor P_lj = mom_l mom_j / rho and its gradient
-    gp = (gmom[:, :, :, None] * mom[:, None, None, :]
-          + mom[:, None, :, None] * gmom[:, :, None, :]) \
-        / rho[:, None, None, None] \
-        - (mom[:, None, :, None] * mom[:, None, None, :]
-           * grho[:, :, None, None]) / (rho ** 2)[:, None, None, None]
-    # sum_n M eta v v = K - P, so grad sigma = -(grad K - grad P) + grad W
-    gsigma = -(mean["grad_kin"] - gp) + mean["grad_w"]
-    div_mom_flux = np.einsum("qccj->qj", gp - gsigma)
-
-    sigma = _sigma_from_mean(mean, u)
-    q = _q_from_mean(mean, u)
-    e, ge = mean["energy"], mean["grad_energy"]
-    kin, gkin = mean["kin"], mean["grad_kin"]
-    w, gw = mean["w"], mean["grad_w"]
-    u2 = np.sum(u ** 2, axis=1)
-    mom_u = np.einsum("qj,qj->q", mom, u)
-    u_gu = np.einsum("qj,qcj->qc", u, gu)           # d(|u|^2/2)/dy_c
-    gq = (mean["grad_t1"]
-          - np.einsum("qclj,qj->qcl", gkin, u)
-          - np.einsum("qlj,qcj->qcl", kin, gu)
-          - gu * e[:, None, None] - u[:, None, :] * ge[:, :, None]
-          + gu * mom_u[:, None, None]
-          + u[:, None, :] * (np.einsum("qcj,qj->qc", gmom, u)
-                             + np.einsum("qj,qcj->qc", mom, gu))[:, :, None]
-          + gmom * (0.5 * u2)[:, None, None] + mom[:, None, :] * u_gu[:, :, None]
-          - gu * (0.5 * rho * u2)[:, None, None]
-          - u[:, None, :] * (0.5 * u2[:, None] * grho
-                             + rho[:, None] * u_gu)[:, :, None]
-          + mean["grad_t2"]
-          + np.einsum("qclj,qj->qcl", gw, u)
-          + np.einsum("qlj,qcj->qcl", w, gu))
-    # energy flux G_l = E u_l + q_l - sum_j sigma_lj u_j
-    div_energy_flux = (np.einsum("qc,qc->q", ge, u)
-                       + e * np.einsum("qcc->q", gu)
-                       + np.einsum("qcc->q", gq)
-                       - np.einsum("qccj,qj->q", gsigma, u)
-                       - np.einsum("qcj,qcj->q", sigma, gu))
-    return sigma, q, div_mom_flux, div_energy_flux
+    mc = {k: mean[k] + 1j * CS_STEP * np.moveaxis(mean[f"grad_{k}"], 1, 0)
+          for k in ("rho", "mom", "energy", "kin", "t1", "w", "t2")}
+    u = _velocity(mc, ok)
+    sigma = _sigma_from_mean(mc, u)
+    mom_flux = mc["rho"][..., None, None] * u[..., :, None] \
+        * u[..., None, :] - sigma
+    energy_flux = mc["energy"][..., None] * u + _q_from_mean(mc, u) \
+        - np.einsum("...lj,...j->...l", sigma, u)
+    return (np.einsum("cqcj->qj", mom_flux.imag) / CS_STEP,
+            np.einsum("cqc->q", energy_flux.imag) / CS_STEP)
 
 
 def field_grid(ensembles, mol, probes, mode="per-trajectory"):
@@ -403,15 +376,9 @@ def field_grid(ensembles, mol, probes, mode="per-trajectory"):
         q = mean["t1"] + mean["t2"]
     elif mode == "ensemble":
         empty = vacuum(mean["rho"])
-        u = np.zeros((nq, 3))
-        ok = ~empty
-        u[ok] = mean["mom"][ok] / mean["rho"][ok, None]
-        # replace the vacuum density by 1 inside the quotient rules; every
-        # numerator vanishes there, so the outputs stay zero
-        safe = dict(mean)
-        safe["rho"] = np.where(empty, 1.0, mean["rho"])
-        sigma, q, div_mom_flux, div_energy_flux = \
-            _canonical_divergences(safe, u)
+        u = _velocity(mean, ~empty)
+        sigma, q = _sigma_from_mean(mean, u), _q_from_mean(mean, u)
+        div_mom_flux, div_energy_flux = _canonical_divergences(mean, ~empty)
         extra = {"vacuum": empty, "u": u}
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")

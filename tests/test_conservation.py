@@ -5,8 +5,9 @@ import pytest
 
 from mdfields import (conservation, dynamics, fields, geometry,
                       nonlinear_eigen, potential)
-from mdfields.errors import InvalidParameterError
+from mdfields.errors import IdentityGapError, InvalidParameterError
 from mdfields.mollifier import Mollifier
+from test_fields import PLANTED_DEFECTS, plant_defect
 
 
 class ZeroModel:
@@ -162,6 +163,22 @@ class TestPerTrajectory:
                 assert np.array_equal(dens[key][0], expect[key]), key
 
 
+def ensemble_report():
+    """Canonical report of 16 harmonic pair states at two probes."""
+    rng = np.random.default_rng(4)
+    _, provider, model = harmonic_setup(2)
+    states = []
+    for _ in range(16):
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) \
+            + rng.normal(scale=0.1, size=(2, 3))
+        p = rng.normal(scale=0.2, size=(2, 3))
+        states.append(dynamics.PhaseState(x=x, p=p, masses=np.ones(2)))
+    probes = np.array([[0.5, 0.0, 0.0], [0.3, 0.2, -0.1]])
+    return conservation.canonical_residuals(
+        [(1.0, states, provider, model)], Mollifier(0.8), probes, 1e-4,
+        richardson=False)
+
+
 class TestCanonical:
     def test_single_trajectory_matches_per_trajectory(self):
         rng = np.random.default_rng(3)
@@ -187,23 +204,19 @@ class TestCanonical:
                                    atol=1e-10 * max(pre.scales["energy"], 1))
 
     def test_ensemble_within_stderr(self):
-        rng = np.random.default_rng(4)
-        _, provider, model = harmonic_setup(2)
-        states = []
-        for _ in range(16):
-            x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) \
-                + rng.normal(scale=0.1, size=(2, 3))
-            p = rng.normal(scale=0.2, size=(2, 3))
-            states.append(dynamics.PhaseState(x=x, p=p, masses=np.ones(2)))
-        mol = Mollifier(0.8)
-        probes = np.array([[0.5, 0.0, 0.0], [0.3, 0.2, -0.1]])
-        rep = conservation.canonical_residuals(
-            [(1.0, states, provider, model)], mol, probes, 1e-4,
-            richardson=False)
+        rep = ensemble_report()
         assert not np.any(rep.masked)
         assert np.all(np.abs(rep.r_mass) <= 5.0 * rep.stderr_mass)
         assert np.all(np.abs(rep.r_mom) <= 5.0 * rep.stderr_mom)
         assert np.all(np.abs(rep.r_energy) <= 5.0 * rep.stderr_energy)
+
+    @pytest.mark.parametrize("defect", sorted(PLANTED_DEFECTS))
+    def test_identity_gap_raises(self, monkeypatch, defect):
+        # a canonical residual that is not the weighted mean of the
+        # per-state pre-split ones is a defect in sigma or q
+        plant_defect(monkeypatch, defect)
+        with pytest.raises(IdentityGapError):
+            ensemble_report()
 
     def test_vacuum_probes_masked(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -219,6 +222,52 @@ class TestStressHeat:
                                    atol=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# the canonical-vs-pre-split identity
+
+def identity_inputs():
+    """(groups, probes) pairs: one harmonic state, and a two-group ensemble
+    of two-state surface states with distinct masses."""
+    sd = random_states(3, 1, np.random.default_rng(13))[0]
+    single = ([(1.0, [sd])], sd.x[0] + np.array([[0.05, 0.02, -0.1],
+                                                  [0.3, 0.0, 0.1],
+                                                  [-0.2, 0.15, 0.0]]))
+    rng = np.random.default_rng(17)
+    v = INVARIANCE_MODELS["two_state"]()
+    groups = [(wt, [fields.prepare_state(x, p, MASSES,
+                                         fields.AdiabaticFieldModel(v, j))
+                    for x, p in ensemble_configs(seed, count)])
+              for j, (wt, seed, count) in enumerate(((0.35, 1, 3),
+                                                     (0.65, 2, 4)))]
+    return [single, (groups, rng.uniform(0.0, 1.0, size=(10, 3)))]
+
+
+def assert_canonical_equals_presplit(groups, probes):
+    """Canonical divergences equal the pre-split ones within 1e-12 of each
+    law's largest pre-split divergence."""
+    pre = fields.field_grid(groups, Mollifier(0.9), probes)
+    can = fields.field_grid(groups, Mollifier(0.9), probes, mode="ensemble")
+    assert not np.any(can.vacuum)
+    for key in ("div_mom_flux", "div_energy_flux"):
+        new, old = getattr(can, key), getattr(pre, key)
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old)), key
+
+
+# each planted defect drops one term of the canonical sigma or q
+PLANTED_DEFECTS = {
+    "sigma_without_w": ("_sigma_from_mean",
+                        lambda f, mean, u: f(mean, u) - mean["w"]),
+    "q_without_w_u": ("_q_from_mean", lambda f, mean, u: f(mean, u)
+                      - np.einsum("...lj,...j->...l", mean["w"], u)),
+}
+
+
+def plant_defect(monkeypatch, defect):
+    name, broken = PLANTED_DEFECTS[defect]
+    monkeypatch.setattr(fields, name,
+                        functools.partial(broken, getattr(fields, name)))
+
+
 class TestFieldGrid:
     def test_single_surface_weight_one(self):
         # a second surface of weight zero leaves the weight-one surface's
@@ -246,26 +295,40 @@ class TestFieldGrid:
         np.testing.assert_allclose(half.q[0], one.q[0], atol=1e-14)
 
     def test_canonical_equals_presplit_single_state(self):
-        # with a one-state ensemble, u = mom/rho pointwise, so the canonical
-        # divergences must reproduce the pre-split ones algebraically
-        mol = Mollifier(0.9)
-        rng = np.random.default_rng(13)
-        sd = random_states(3, 1, rng)[0]
-        probes = sd.x[0] + np.array([[0.05, 0.02, -0.1],
-                                     [0.3, 0.0, 0.1],
-                                     [-0.2, 0.15, 0.0]])
-        pre = fields.field_grid([(1.0, [sd])], mol, probes,
-                                mode="per-trajectory")
-        can = fields.field_grid([(1.0, [sd])], mol, probes, mode="ensemble")
-        for i in range(len(probes)):
-            scale = max(1.0, np.abs(pre.div_mom_flux[i]).max())
-            np.testing.assert_allclose(can.div_mom_flux[i],
-                                       pre.div_mom_flux[i],
-                                       atol=1e-10 * scale)
-            scale = max(1.0, abs(pre.div_energy_flux[i]))
-            np.testing.assert_allclose(can.div_energy_flux[i],
-                                       pre.div_energy_flux[i],
-                                       atol=1e-10 * scale)
+        # u = mom/rho of the mean makes the canonical divergences an exact
+        # rearrangement of the pre-split ones, for one state as for a
+        # two-group ensemble of many
+        for groups, probes in identity_inputs():
+            assert_canonical_equals_presplit(groups, probes)
+
+    @pytest.mark.parametrize("defect", sorted(PLANTED_DEFECTS))
+    def test_identity_catches_planted_defects(self, monkeypatch, defect):
+        plant_defect(monkeypatch, defect)
+        for groups, probes in identity_inputs():
+            with pytest.raises(AssertionError):
+                assert_canonical_equals_presplit(groups, probes)
+
+    def test_complex_step_size(self, monkeypatch):
+        # the divergences do not depend on the step beyond a few ulps, and
+        # no complex value reaches the grid
+        groups, probes = identity_inputs()[1]
+
+        def grid():
+            return fields.field_grid(groups, Mollifier(0.9), probes,
+                                     mode="ensemble")
+
+        ref = grid()
+        monkeypatch.setattr(fields, "CS_STEP", fields.CS_STEP * 1e-10)
+        small = grid()
+        for key in ("div_mom_flux", "div_energy_flux"):
+            new, old = getattr(small, key), getattr(ref, key)
+            assert np.max(np.abs(new - old)) <= 8 * np.spacing(
+                np.max(np.abs(old))), key
+        for f in dataclasses.fields(fields.ProbeGrid):
+            value = getattr(ref, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.dtype == (bool if f.name == "vacuum"
+                                       else np.float64), f.name
 
     def test_divergences_match_fd(self):
         mol = Mollifier(0.9)

@@ -31,11 +31,16 @@ Tolerances:
   reorders the operator arithmetic regenerates them;
 - residuals are central differences over 2 dt_check, so they amplify the
   roundoff of the fields.  They match within
-  C_ULP * (ulp(max |F|) / (2 dt_check) + ulp(max |div F|)) per law, with F
-  the law's field (rho, mom or E) and C_ULP = 1024.  The conserve-check
-  goldens hold no fields, so their bound reads the fields recomputed from
-  the config; their provenance lines, headers, JSON keys, flags, counts
-  and probe columns match exactly;
+  c * (ulp(max |F|) / (2 dt_check) + ulp(max |div F|)) per law, with F
+  the law's field (rho, mom or E), c = C_ULP = 32 and, for
+  ``canonical.json``, c = C_ULP_CANONICAL = 4.  Each c is at least 10
+  times the largest move of its goldens' residuals when the particles,
+  the states and the probes are permuted (2 and 0.4 units of the bracket),
+  so a 1 % change of a law's residuals or a 1e-9 shift at one probe fails
+  the per-trajectory goldens.  The conserve-check goldens hold no fields,
+  so their bound reads the fields recomputed from the config; their
+  provenance lines, headers, JSON keys, flags, counts and probe columns
+  match exactly;
 - the ``run-md`` trajectory CSV matches byte for byte.
 
 After an intended change, regenerate with
@@ -51,6 +56,7 @@ move of the surface weights q in combined standard errors from the stored
 and new ``q_stderr``.  Report those before/after differences.
 """
 
+import copy
 import csv
 import io
 import json
@@ -67,7 +73,8 @@ from mdfields.mollifier import Mollifier
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RTOL = 1e-12
-C_ULP = 1024.0
+C_ULP = 32.0
+C_ULP_CANONICAL = 4.0
 FIELD_KEYS = ("rho", "mom", "energy", "sigma", "q", "div_mom",
               "div_mom_flux", "div_energy_flux")
 # the field each conservation law differentiates in time, and its flux
@@ -318,17 +325,18 @@ def _ulp(v):
     return float(np.spacing(np.max(np.abs(np.asarray(v, dtype=float)))))
 
 
-def residual_atol(grids, dt_check, law):
-    """C_ULP ulps of the field over 2 dt_check, plus of the divergence."""
+def residual_atol(grids, dt_check, law, c_ulp=C_ULP):
+    """``c_ulp`` ulps of the field over 2 dt_check, plus of the
+    divergence."""
     field_key, div_key = LAW_FIELDS[law]
     f = max(_ulp(g[field_key]) for g in grids)
     div = max(_ulp(g[div_key]) for g in grids)
-    return C_ULP * (f / (2.0 * dt_check) + div)
+    return c_ulp * (f / (2.0 * dt_check) + div)
 
 
-def assert_report_close(new, old, grids, dt_check):
+def assert_report_close(new, old, grids, dt_check, c_ulp=C_ULP):
     for law in LAW_FIELDS:
-        atol = residual_atol(grids, dt_check, law)
+        atol = residual_atol(grids, dt_check, law, c_ulp)
         key = f"r_{law}"
         err = np.max(np.abs(np.asarray(new[key]) - np.asarray(old[key])))
         assert err <= atol, f"{key}: difference {err:.3e} above {atol:.3e}"
@@ -339,7 +347,7 @@ def assert_report_close(new, old, grids, dt_check):
         # dt_check / 2; with b about a / 4 and twice the tolerance at the
         # half step, first-order propagation gives 9 atol / (a ln 2)
         for law in LAW_FIELDS:
-            atol = residual_atol(grids, dt_check, law)
+            atol = residual_atol(grids, dt_check, law, c_ulp)
             a = np.max(np.abs(old[f"r_{law}"]))
             tol = 9.0 * atol / (a * np.log(2.0))
             err = abs(new["richardson_order"][law]
@@ -378,11 +386,20 @@ def compare_residuals_csv(new, old, grids):
     stamp_n, head_n, vals_n = _parse_csv(new)
     stamp_o, head_o, vals_o = _parse_csv(old)
     assert (stamp_n, head_n) == (stamp_o, head_o), "residuals.csv header"
-    cols = head_o.split(",")
+    compare_residual_columns(vals_n, vals_o, head_o, grids)
+
+
+def _law_columns(head, law):
+    return [c.startswith(f"r_{law}") for c in head.split(",")]
+
+
+def compare_residual_columns(vals_n, vals_o, head, grids):
+    """Parsed ``residuals.csv`` rows: probes and mask exact, each law's
+    residual columns within its C_ULP bound."""
     assert np.array_equal(vals_n[:, :4], vals_o[:, :4]), "probes and mask"
     for law in LAW_FIELDS:
         atol = residual_atol(grids, CONSERVE["dt_check"], law)
-        keep = [c.startswith(f"r_{law}") for c in cols]
+        keep = _law_columns(head, law)
         err = np.max(np.abs(vals_n[:, keep] - vals_o[:, keep]))
         assert err <= atol, f"r_{law}: difference {err:.3e} above {atol:.3e}"
 
@@ -434,6 +451,32 @@ def test_negative_control_bond_tol(monkeypatch):
         compare_traj(traj_conserve(), _golden_json("traj_conserve.json"))
 
 
+def perturbed(values, change):
+    """A law's residuals times 1.01 ("scale"), or shifted by 1e-9 at the
+    probe of the largest one ("shift")."""
+    values = np.array(values, dtype=float)
+    if change == "scale":
+        return values * 1.01
+    at = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    values[at] += 1e-9
+    return values
+
+
+NEGATIVE = pytest.mark.parametrize("law,change", [
+    (law, change) for law in LAW_FIELDS for change in ("scale", "shift")])
+
+
+@NEGATIVE
+def test_negative_control_traj_residuals(law, change):
+    # a 1 % or a 1e-9 change of one law's residuals exceeds the bound
+    want = _golden_json("traj_conserve.json")
+    got = copy.deepcopy(want)
+    got["report"][f"r_{law}"] = perturbed(want["report"][f"r_{law}"],
+                                          change).tolist()
+    with pytest.raises(AssertionError):
+        compare_traj(got, want)
+
+
 def test_fields_cli_bare(tmp_path):
     assert_csv_close(fields_csv(tmp_path), _golden("fields_bare.csv"),
                      "fields bare")
@@ -458,6 +501,26 @@ def test_conserve_check_cli(tmp_path):
                           grids)
 
 
+@NEGATIVE
+def test_negative_control_conserve_check(law, change):
+    # as for traj_conserve.json, on the residual columns of the CSV and,
+    # scaled, on the norms of the JSON
+    grids = conserve_grids()
+    _, head, vals = _parse_csv(_golden("conserve_check.csv"))
+    moved = vals.copy()
+    keep = _law_columns(head, law)
+    moved[:, keep] = perturbed(vals[:, keep], change)
+    with pytest.raises(AssertionError):
+        compare_residual_columns(moved, vals, head, grids)
+    if change == "scale":
+        old = _golden_json("conserve_check.json")
+        new = copy.deepcopy(old)
+        for key in ("max_norms", "rms_norms", "relative_max"):
+            new[key][law] *= 1.01
+        with pytest.raises(AssertionError):
+            compare_residuals_json(new, old, grids)
+
+
 def compare_canonical(got, want):
     assert got["q_weights"] == want["q_weights"]
     assert_field_close(got["q_stderr"], want["q_stderr"], "q_stderr")
@@ -470,7 +533,8 @@ def compare_canonical(got, want):
     for law in LAW_FIELDS:
         assert_field_close(new[f"stderr_{law}"], old[f"stderr_{law}"],
                            f"stderr_{law}")
-    assert_report_close(new, old, [want["grid"]], want["dt_check"])
+    assert_report_close(new, old, [want["grid"]], want["dt_check"],
+                        C_ULP_CANONICAL)
     for got_grid, want_grid, when in zip(got["neighbours"],
                                          want["neighbours"],
                                          ("minus", "plus")):
