@@ -42,7 +42,7 @@ st = traj.state(-1)
 sd = fields.prepare_state(st.x, st.p, st.masses, model)
 y = st.x.mean(axis=0)
 
-grid = fields.field_grid([(1.0, [sd])], mol, [y], mode="ensemble")
+grid = fields.field_grid([(1.0, sd)], mol, [y], mode="ensemble")
 rho, u, sigma, q = grid.rho[0], grid.u[0], grid.sigma[0], grid.q[0]
 print(f"\nat the center y = {np.round(y, 3)}:")
 print(f"  rho   = {rho:.6f}")

@@ -398,7 +398,7 @@ def _cmd_fields(cfg, cfg_hash):
     mol = Mollifier(cfg["mollifier"]["epsilon"])
     probes = _build_probes(cfg["probes"])
     sd = fields.prepare_state(state.x, state.p, state.masses, surf)
-    grid = fields.field_grid([(1.0, [sd])], mol, probes,
+    grid = fields.field_grid([(1.0, sd)], mol, probes,
                              mode="per-trajectory")
     sigma = [f"sigma_{l + 1}{j + 1}" for l in range(3) for j in range(3)]
     _write_csv(cfg, cfg_hash, "fields.csv",

@@ -15,10 +15,11 @@ standard errors and Richardson orders are each one expression over it.
 
 Each configuration is evaluated once, from the model's own record, and the
 states of a group are evaluated together as one stack: one stacked ``at``
-at tau with the share gradients, which give the fields and the force that
-opens the Verlet steps, and one stacked Verlet step each way, closed by
-``at(x, j, fields=False)``, whose shares the densities at tau +/- dt_check
-read.  The field grid at tau is one pass over every state of every group.
+at tau with the share gradients, which gives the group's ``StateData``
+stack (one gradient lift) and the force that opens the Verlet steps, and
+one stacked Verlet step each way, closed by ``at(x, j, fields=False)``,
+whose shares the densities at tau +/- dt_check read.  The field grid at
+tau is one pass over every state of every group.
 The provider's gradient is compared with the model's on the first state
 of each group.
 
@@ -98,16 +99,12 @@ class ResidualReport:
 
 
 def _central(states, model):
-    """The StateData of each state at tau, shared by every dt_check, and
-    the group's stack (x, p, masses, force), from one stacked evaluation
-    of the model."""
+    """The group's StateData at tau, shared by every dt_check, and the
+    force there, from one stacked evaluation of the model."""
     x, p, masses = (np.stack([getattr(s, k) for s in states])
                     for k in ("x", "p", "masses"))
     point = model.at(x, model.j)
-    sds = [fields.state_data(x[k], p[k], masses[k],
-                             [a[k] for a in point[:3]])
-           for k in range(len(states))]
-    return sds, (x, p, masses, -point.grad)
+    return fields.state_data(x, p, masses, point[:3]), -point.grad
 
 
 def _check_provider(provider, state, f):
@@ -124,25 +121,25 @@ def _check_provider(provider, state, f):
             f"(limit {limit:.1e}) on surface {state.surface}")
 
 
-def _neighbours(centre, model, dt_check, mol, probes):
+def _neighbours(sd, f, model, dt_check, mol, probes):
     """Densities of a group's states at tau - dt_check and tau + dt_check,
     each (S, Q, ...).
 
-    One stacked Verlet step each way from the group's stack ``centre`` =
-    (x, p, masses, force at tau), closed by the model without share
-    gradients; the backward step runs forward from the reversed momenta.
+    One stacked Verlet step each way from the group's StateData ``sd`` and
+    force ``f`` at tau, closed by the model without share gradients; the
+    backward step runs forward from the reversed momenta.
     """
-    x, p, masses, f = centre
 
     def at(xx):
         return model.at(xx, model.j, fields=False)
 
     out = []
     for sign in (-1.0, 1.0):
-        xn, pn, point = dynamics.verlet_step(at, x, sign * p,
-                                             masses[..., None], f, dt_check)
-        out.append(fields.densities(xn, sign * pn, masses, point.lam_n, mol,
-                                    probes))
+        xn, pn, point = dynamics.verlet_step(at, sd.x, sign * sd.p,
+                                             sd.masses[..., None], f,
+                                             dt_check)
+        out.append(fields.densities(xn, sign * pn, sd.masses, point.lam_n,
+                                    mol, probes))
     return out
 
 
@@ -187,10 +184,10 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
     w = fields.state_weights([(weight, states)
                               for weight, states, *_ in groups])
     centres = [_central(states, model) for _, states, _, model in groups]
-    for (_, states, provider, _), (_, centre) in zip(groups, centres):
-        _check_provider(provider, states[0], centre[-1][0])
+    for (_, states, provider, _), (_, f) in zip(groups, centres):
+        _check_provider(provider, states[0], f[0])
     gc = fields.field_grid(
-        [(weight, sds) for (weight, *_), (sds, _) in zip(groups, centres)],
+        [(weight, sd) for (weight, *_), (sd, _) in zip(groups, centres)],
         mol, probes, mode=mode)
     if mode == "per-trajectory" and np.all(fields.vacuum(gc.rho)):
         raise InvalidParameterError(
@@ -203,8 +200,8 @@ def _check(groups, mol, probes, dt_check, richardson, mode):
     def residuals(dt):
         """Per-law residuals with the densities at tau -/+ dt, the mask,
         the per-law mean rates and the per-state rate stacks."""
-        pairs = [_neighbours(centre, model, dt, mol, probes)
-                 for (*_, model), (_, centre) in zip(groups, centres)]
+        pairs = [_neighbours(*centre, model, dt, mol, probes)
+                 for (*_, model), centre in zip(groups, centres)]
         dm, dp = ({k: np.concatenate([pair[side][k] for pair in pairs])
                    for k in pairs[0][side]} for side in (0, 1))
         rate = _rates(dm, dp, dt)

@@ -38,18 +38,19 @@ lifted pair derivative.  The bracket vanishes when each pair's share
 gradients lie along the pair (pair-additive shares); two-state shares mix
 the pairs through the eigenvectors, and q moves.
 
-Data are arrays with the probe index first, after a state index where
-states are stacked.  ``densities`` gives rho, mom and E of one state or of
-a stack, and ``_raw_fields`` every per-state moment of a stack on top of
-it, with one bond quadrature for all states.  Groups of states exist only
-at the API boundary: ``state_weights`` turns weighted groups into one
-weight per state, w (S,), and an ensemble is the per-state stack
-(w, moments) with moments[k] (S, Q, ...).  The mean is the one
-``weighted_mean`` of that stack, and sigma, q, their standard errors and
-``presplit_divergences`` are array expressions over it.  ``field_grid``,
-the one path to the fields, takes weighted groups of states, makes one
-``_raw_fields`` pass over all of them and returns a ``ProbeGrid`` holding
-one (Q, ...) array per field.
+States come in stacks: a ``StateData`` holds S states, S leading every
+array, from one surface evaluation and one gradient lift of the stack
+(``prepare_state``; one state is a stack of one).  Data are arrays with
+the probe index first, after the state index.  ``densities`` gives rho,
+mom and E of one state or of a stack, and ``_raw_fields`` every per-state
+moment of a stack, with one bond quadrature for all states.  A group is a
+(weight, StateData) pair; ``state_weights`` gives each state its weight,
+w (S,), and an ensemble is the per-state stack (w, moments), moments[k]
+(S, Q, ...).  The mean is the one ``weighted_mean`` of that stack, and
+sigma, q, their standard errors and ``presplit_divergences`` are array
+expressions over it.  ``field_grid``, the one path to the fields, makes
+one ``_raw_fields`` pass over the groups' stacks, concatenated, and
+returns a ``ProbeGrid`` holding one (Q, ...) array per field.
 """
 
 import dataclasses
@@ -72,11 +73,10 @@ CS_STEP = 1e-20
 
 @dataclass
 class StateData:
-    """One phase-space state with the surface data the fields need.
-
-    ``lam_n`` are the per-particle potential energies, ``pair_derivs`` the
-    lifted pair-distance derivatives of the total surface, ``pp_grads`` the
-    per-particle gradients grad_{x^m} lambda^n indexed [n, m, :].
+    """S phase-space states with the surface data the fields need, S
+    leading every array: ``lam_n`` the per-particle potential energies,
+    ``pair_derivs`` the lifted pair-distance derivatives of the total
+    surface, ``pp_grads`` the share gradients grad_{x^m} lambda^n [s, n, m].
     """
 
     x: np.ndarray
@@ -85,6 +85,9 @@ class StateData:
     lam_n: np.ndarray
     pair_derivs: np.ndarray
     pp_grads: np.ndarray
+
+    def __len__(self):
+        return len(self.x)
 
 
 class AdiabaticFieldModel(dynamics.AdiabaticSurface):
@@ -112,9 +115,10 @@ class CorrectedFieldModel(dynamics.CorrectedSurface):
 
 
 def prepare_state(x, p, masses, model):
-    """Assemble StateData for one state.
+    """The StateData of states x, p (S, N, 3), masses (S, N) on one
+    surface, or of one state (N, 3), (N,) as S = 1.
 
-    ``model.surface_data(x)`` returns (lam_n, grad, pp) of the state's
+    ``model.surface_data(x)`` returns (lam_n, grad, pp) of the states'
     surface; ``AdiabaticFieldModel`` and ``CorrectedFieldModel`` bind a
     ``dynamics`` surface to its index.
     """
@@ -123,14 +127,13 @@ def prepare_state(x, p, masses, model):
 
 
 def state_data(x, p, masses, data):
-    """StateData from surface data (lam_n, grad, pp) evaluated at x."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    masses = np.asarray(masses, dtype=float)
+    """The StateData of ``prepare_state`` from surface data (lam_n, grad,
+    pp) evaluated at x, with one gradient lift for all the states."""
     lam_n, grad, pp = data
-    pair_derivs = geometry.lift_gradient_to_distances(x, grad)
-    return StateData(x=x, p=p, masses=masses, lam_n=np.asarray(lam_n),
-                     pair_derivs=pair_derivs, pp_grads=pp)
+    arrays = (x, p, masses, lam_n,
+              geometry.lift_gradient_to_distances(x, grad), pp)
+    lead = (None,) * (3 - np.ndim(x))   # one state: a stack of one
+    return StateData(*(np.asarray(a, dtype=float)[lead] for a in arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +155,10 @@ def _particle_energies(p, masses, lam_n):
     return 0.5 * np.sum(p ** 2, axis=-1) / masses + lam_n
 
 
-def _stack(states):
-    """One StateData whose arrays stack those of ``states`` (S leading)."""
-    return StateData(**{f.name: np.stack([getattr(sd, f.name)
-                                          for sd in states])
-                        for f in dataclasses.fields(StateData)})
-
-
 def _raw_fields(sd, mol, probes):
     """All per-state moments and their y-gradients at the probes.
 
-    ``sd`` is a stack of S states (``_stack``) and every moment is
+    ``sd`` is a StateData stack of S states and every moment is
     (S, Q, ...); item s equals the call on the stack of state s alone bit
     for bit.  Gradient arrays carry the derivative index after the probe:
     grad_mom[s, q, c, j] is d mom_j / d y_c at probe q.  The bond terms of
@@ -229,7 +225,8 @@ def state_weights(ensembles):
     """Each state's weight in the ensemble mean, (S,): its group's weight
     (surface weight q_j*) over the group's size, in group and state order.
 
-    ``ensembles`` is a list of (weight, states) groups.
+    ``ensembles`` is a list of (weight, states) groups, ``states`` a
+    sequence or a StateData stack.
 
     Raises
     ------
@@ -356,16 +353,17 @@ def _canonical_divergences(mean, ok):
 def field_grid(ensembles, mol, probes, mode="per-trajectory"):
     """Evaluate all fields on a probe grid.
 
-    ``ensembles`` is a list of (weight, [StateData, ...]) groups, one state
-    of weight 1 being ``[(1.0, [sd])]``.  ``mode`` is "per-trajectory"
+    ``ensembles`` is a list of (weight, StateData) groups, one state of
+    weight 1 being ``[(1.0, sd)]``.  ``mode`` is "per-trajectory"
     (pre-split fluxes of the weighted mean; the reported sigma and q use
     u = 0) or "ensemble" (canonical fields with u and Monte Carlo standard
     errors; vacuum probes are flagged, not filled).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     w = state_weights(ensembles)
-    raw = _raw_fields(_stack([sd for _, group in ensembles for sd in group]),
-                      mol, probes)
+    sd = StateData(*(np.concatenate([getattr(g, f.name) for _, g in ensembles])
+                     for f in dataclasses.fields(StateData)))
+    raw = _raw_fields(sd, mol, probes)
     mean = {k: weighted_mean(w, v) for k, v in raw.items()}
     nq = probes.shape[0]
     pre = presplit_divergences(mean)

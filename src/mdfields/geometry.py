@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 
-from .errors import CoincidentPointsError, ResidualTooLargeError
+from .errors import CoincidentPointsError, ResidualTooLargeError, item_label
 
 # relative cutoff for the pseudoinverse; the Jacobian has rank <= 3N-6 for
 # N >= 3 because of rigid-motion invariance, so a hard inverse is unusable
@@ -34,49 +34,51 @@ def pair_distances(x):
 
 
 def distance_jacobian(x):
-    """Jacobian dr/dx as a (P, 3N) matrix, P = N(N-1)/2.
-
-    Row (i, j) carries (x^i - x^j)/r^{ij} in block i and its negation in
-    block j; all other entries are zero.
-    """
+    """Jacobian dr/dx, (P, 3N) with P = N(N-1)/2, or (K, P, 3N) at a stack
+    (K, N, 3): row (i, j) carries (x^i - x^j)/r^{ij} in block i and its
+    negation in block j.  Coincident particles raise CoincidentPointsError,
+    naming the first such item of a stack."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
+    n = x.shape[-2]
     iu, ju = pair_indices(n)
-    diff = x[iu] - x[ju]
-    r = np.linalg.norm(diff, axis=1)
+    diff = x[..., iu, :] - x[..., ju, :]
+    r = np.linalg.norm(diff, axis=-1)
     if np.any(r == 0.0):
-        bad = int(np.argmin(r))
+        *item, bad = np.argwhere(r == 0.0)[0]
         raise CoincidentPointsError(
-            f"particles {iu[bad]} and {ju[bad]} coincide")
-    unit = diff / r[:, None]
-    jac = np.zeros((len(iu), 3 * n))
+            f"{item_label(item[0] if item else None)}particles {iu[bad]} "
+            f"and {ju[bad]} coincide")
+    unit = diff / r[..., None]
+    jac = np.zeros(r.shape + (n, 3))
     rows = np.arange(len(iu))
-    for a in range(3):
-        jac[rows, 3 * iu + a] = unit[:, a]
-        jac[rows, 3 * ju + a] = -unit[:, a]
-    return jac
+    jac[..., rows, iu, :] = unit
+    jac[..., rows, ju, :] = -unit
+    return jac.reshape(r.shape + (3 * n,))
 
 
 def lift_gradient_to_distances(x, g):
     """Minimal-norm v with (dr/dx)^T v = g, i.e. the pair derivatives of an
-    invariant potential whose configuration gradient is ``g``.
-
-    ``g`` may be shaped (N, 3) or (3N,).  Uses an SVD pseudoinverse with
-    relative cutoff ``SVD_CUTOFF``.
+    invariant potential whose configuration gradient is ``g``, (N, 3) or
+    (3N,); at a stack x (K, N, 3), g is (K, N, 3) or (K, 3N) and item k
+    equals the single call on item k bit for bit.  One SVD least-squares
+    solve per item, relative cutoff ``SVD_CUTOFF``.
 
     Raises
     ------
     ResidualTooLargeError
         If the residual exceeds ``LIFT_RESIDUAL_TOL`` max(1, |g|), which
         signals a non-invariant gradient or a geometry degenerate beyond the
-        cutoff.
+        cutoff; the message names the first such item of a stack.
     """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    a = distance_jacobian(x).T  # (3N, P)
-    v, *_ = np.linalg.lstsq(a, g, rcond=SVD_CUTOFF)
-    resid = np.linalg.norm(a @ v - g)
-    tol = LIFT_RESIDUAL_TOL * max(1.0, np.linalg.norm(g))
-    if resid > tol:
-        raise ResidualTooLargeError(
-            f"chain-rule residual {resid:.3e} exceeds {tol:.3e}")
+    a = np.swapaxes(distance_jacobian(x), -1, -2)  # (..., 3N, P)
+    g = np.asarray(g, dtype=float).reshape(a.shape[:-1])
+    v = np.empty(a.shape[:-2] + a.shape[-1:])
+    for k in np.ndindex(a.shape[:-2]):
+        v[k], *_ = np.linalg.lstsq(a[k], g[k], rcond=SVD_CUTOFF)
+        resid = np.linalg.norm(a[k] @ v[k] - g[k])
+        tol = LIFT_RESIDUAL_TOL * max(1.0, np.linalg.norm(g[k]))
+        if resid > tol:
+            raise ResidualTooLargeError(
+                f"{item_label(k[0] if k else None)}chain-rule residual "
+                f"{resid:.3e} exceeds {tol:.3e}")
     return v

@@ -178,7 +178,7 @@ class TestFields:
         mol = Mollifier(cfg["mollifier"]["epsilon"])
         probes = cli._build_probes(cfg["probes"])
         sd = fields.prepare_state(state.x, state.p, state.masses, surf)
-        grid = fields.field_grid([(1.0, [sd])], mol, probes)
+        grid = fields.field_grid([(1.0, sd)], mol, probes)
         data = read_csv(tmp_path / "fields.csv")
         assert "sigma_12" in data.dtype.names
         np.testing.assert_allclose(data["rho"], grid.rho, rtol=1e-15)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -58,6 +59,12 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def stacked(states):
+    """The stacks (x, p, masses) of a list of PhaseStates."""
+    return [np.stack([getattr(s, k) for s in states])
+            for k in ("x", "p", "masses")]
 
 
 def cloud_probes(x, count, rng, margin=0.3):
@@ -149,8 +156,9 @@ class TestPerTrajectory:
         mol = Mollifier(0.8)
         probes = cloud_probes(st.x, 6, np.random.default_rng(6))
         f = -provider.gradient(st.x, st.surface)
-        centre = (st.x[None], st.p[None], st.masses[None], f[None])
-        dm, dp = conservation._neighbours(centre, model, 1e-3, mol, probes)
+        sd = fields.prepare_state(st.x, st.p, st.masses, model)
+        dm, dp = conservation._neighbours(sd, f[None], model, 1e-3, mol,
+                                          probes)
         fwd = dynamics.integrate(st, 1e-3, 1, provider).state(1)
         back = dynamics.integrate(
             dynamics.PhaseState(x=st.x, p=-st.p, masses=st.masses),
@@ -301,7 +309,7 @@ class TestCanonical:
     def test_raw_moments_computed_once_per_state(self, monkeypatch):
         # the field grid at tau and the stderr pass share one set of
         # per-state raw moments, from one pass over every state with one
-        # bond quadrature, and one lift per state; tau - dt and tau + dt
+        # bond quadrature, and one lift per group; tau - dt and tau + dt
         # need only densities.  Each configuration is evaluated once, a
         # group's states as one stack: at tau, the only evaluation with
         # share gradients, which gives the force that opens both Verlet
@@ -324,7 +332,7 @@ class TestCanonical:
             richardson=False)
         assert [len(c["sd"].x) for c in calls] == [len(states)]
         assert [len(c["a"]) for c in bonds] == [len(states)]  # one pair each
-        assert len(lifts) == len(states)
+        assert [len(c["x"]) for c in lifts] == [2, 3]
         assert len(grads) == 2
         # at tau per group, then tau - dt and tau + dt per group
         assert [len(c["x"]) for c in points] == [2, 3, 2, 2, 3, 3]
@@ -388,9 +396,8 @@ class TestCanonicalStderr:
             plus.append(fields.densities(xp, pp, s.masses, dp.lam_n, mol,
                                          probes))
         grid = fields.field_grid(
-            [(wt, [fields.prepare_state(s.x, s.p, s.masses, model)
-                   for s in sts]) for wt, sts in groups],
-            mol, probes, mode="ensemble")
+            [(wt, fields.prepare_state(*stacked(sts), model))
+             for wt, sts in groups], mol, probes, mode="ensemble")
         w, stack = grid.raws
         div = fields.presplit_divergences(stack)
         assert not np.all(rep.masked)
@@ -429,6 +436,20 @@ class TestCorrectedCanonical:
                    if c["shares"]) == len(states)
         # the model's stacks and the provider's single configuration
         assert [np.ndim(c["x"]) for c in solves] == [3, 2, 3, 3]
+
+    def test_central_stack_is_prepare_state(self):
+        # the group's stack at tau, from one stacked ``at`` and one lift,
+        # holds as item k what prepare_state gives state k, bit for bit
+        v, states = two_state_states(4, 5, np.random.default_rng(8), MASS)
+        model = fields.CorrectedFieldModel(v, 0, MASS)
+        sd, force = conservation._central(states, model)
+        assert len(sd) == len(states)
+        for k, s in enumerate(states):
+            one = fields.prepare_state(s.x, s.p, s.masses, model)
+            for f in dataclasses.fields(fields.StateData):
+                np.testing.assert_array_equal(getattr(sd, f.name)[k],
+                                              getattr(one, f.name)[0])
+            np.testing.assert_array_equal(force[k], -model.gradient(s.x, 0))
 
 
 def configs(x):

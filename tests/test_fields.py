@@ -10,14 +10,16 @@ from mdfields.mollifier import Mollifier
 
 
 class ZeroModel:
-    """Free particles: no potential energy anywhere."""
+    """Free particles: no potential energy anywhere, at one configuration
+    or a stack."""
 
     def __init__(self, n):
         self.n = n
 
     def surface_data(self, x):
-        return np.zeros(self.n), np.zeros((self.n, 3)), \
-            np.zeros((self.n, self.n, 3))
+        lead = np.shape(x)[:-2]
+        return np.zeros(lead + (self.n,)), np.zeros(lead + (self.n, 3)), \
+            np.zeros(lead + (self.n, self.n, 3))
 
 
 def scalar_model(n, kappa=1.0, r0=1.0):
@@ -26,27 +28,44 @@ def scalar_model(n, kappa=1.0, r0=1.0):
 
 
 def random_states(n, count, rng, model=None, spread=0.7):
+    """One StateData stack of ``count`` random states of unit masses."""
     model = model or scalar_model(n)
-    out = []
+    xs, ps = [], []
     for _ in range(count):
         while True:
             x = rng.normal(scale=spread, size=(n, 3))
             if geometry.pair_distances(x).min() > 0.4:
                 break
-        p = rng.normal(scale=0.5, size=(n, 3))
-        out.append(fields.prepare_state(x, p, np.ones(n), model))
-    return out
+        xs.append(x)
+        ps.append(rng.normal(scale=0.5, size=(n, 3)))
+    return fields.prepare_state(np.stack(xs), np.stack(ps),
+                                np.ones((count, n)), model)
+
+
+def take(sd, index):
+    """The StateData stack of items ``index`` (a slice) of ``sd``."""
+    return fields.StateData(*(getattr(sd, f.name)[index]
+                              for f in dataclasses.fields(sd)))
+
+
+def concat(stacks):
+    """One StateData stack of every item of ``stacks`` in order."""
+    return fields.StateData(*(np.concatenate([getattr(sd, f.name)
+                                              for sd in stacks])
+                              for f in dataclasses.fields(fields.StateData)))
 
 
 def densities(sd, mol, probes):
-    """rho, mom and E of one state at probes (Q, 3)."""
-    return fields.densities(sd.x, sd.p, sd.masses, sd.lam_n, mol,
-                            np.asarray(probes, dtype=float))
+    """rho, mom and E of a stack of one state at probes (Q, 3)."""
+    return {k: v[0] for k, v in fields.densities(
+        sd.x, sd.p, sd.masses, sd.lam_n, mol,
+        np.asarray(probes, dtype=float)).items()}
 
 
 def momentum_flux(sd, mol, y):
-    """Pre-split momentum flux K - W of one state at one probe."""
-    return -fields.field_grid([(1.0, [sd])], mol, [y]).sigma[0]
+    """Pre-split momentum flux K - W of a stack of one state at one
+    probe."""
+    return -fields.field_grid([(1.0, sd)], mol, [y]).sigma[0]
 
 
 class TestInstantaneousDensity:
@@ -62,8 +81,8 @@ class TestInstantaneousDensity:
     def test_far_probe_vanishes(self):
         mol = Mollifier(0.5)
         rng = np.random.default_rng(0)
-        sd = random_states(3, 1, rng)[0]
-        far = sd.x.max(axis=0) + 10.0
+        sd = random_states(3, 1, rng)
+        far = sd.x[0].max(axis=0) + 10.0
         d = densities(sd, mol, [far])
         assert d["rho"][0] == 0.0 and d["energy"][0] == 0.0
         np.testing.assert_allclose(d["mom"][0], 0.0)
@@ -71,9 +90,9 @@ class TestInstantaneousDensity:
     def test_density_integral_is_total_mass(self):
         mol = Mollifier(0.4)
         rng = np.random.default_rng(1)
-        sd = random_states(3, 1, rng)[0]
-        lo = sd.x.min(axis=0) - 0.5
-        hi = sd.x.max(axis=0) + 0.5
+        sd = random_states(3, 1, rng)
+        lo = sd.x[0].min(axis=0) - 0.5
+        hi = sd.x[0].max(axis=0) + 0.5
         npts = 40
         axes = [np.linspace(lo[a], hi[a], npts) for a in range(3)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"),
@@ -86,12 +105,13 @@ class TestInstantaneousDensity:
     def test_energy_includes_lambda_shares(self):
         mol = Mollifier(0.6)
         rng = np.random.default_rng(2)
-        sd = random_states(2, 1, rng)[0]
-        y = sd.x[0]
+        sd = random_states(2, 1, rng)
+        y = sd.x[0, 0]
         en = densities(sd, mol, [y])["energy"][0]
-        dy = y - sd.x
+        dy = y - sd.x[0]
         eta = mol.eval(dy)
-        expect = np.sum(eta * (0.5 * np.sum(sd.p ** 2, axis=1) + sd.lam_n))
+        expect = np.sum(eta * (0.5 * np.sum(sd.p[0] ** 2, axis=1)
+                               + sd.lam_n[0]))
         np.testing.assert_allclose(en, expect, rtol=1e-14)
 
 
@@ -101,9 +121,8 @@ class TestVelocityField:
         rng = np.random.default_rng(3)
         w = np.array([0.3, -0.2, 0.1])
         states = random_states(3, 5, rng)
-        for sd in states:
-            sd.p[:] = w * sd.masses[:, None]
-        y = states[0].x[0]
+        states.p[:] = w * states.masses[..., None]
+        y = states.x[0, 0]
         grid = fields.field_grid([(1.0, states)], mol, [y], mode="ensemble")
         np.testing.assert_allclose(grid.u[0], w, atol=1e-13)
 
@@ -123,10 +142,10 @@ class TestVelocityField:
         y = np.array([0.1, 0.0, -0.1])
         u = fields.field_grid([(1.0, states)], mol, [y], mode="ensemble").u[0]
         acc = np.zeros(3)
-        for sd in states:
-            eta = mol.eval(y - sd.x)
-            v = sd.p / sd.masses[:, None] - u
-            acc += np.einsum("n,nj->j", eta * sd.masses, v) / len(states)
+        for x, p, m in zip(states.x, states.p, states.masses):
+            eta = mol.eval(y - x)
+            v = p / m[:, None] - u
+            acc += np.einsum("n,nj->j", eta * m, v) / len(states)
         np.testing.assert_allclose(acc, 0.0, atol=1e-12)
 
 
@@ -160,9 +179,9 @@ class TestMomentumFlux:
     def test_potential_part_symmetric(self):
         mol = Mollifier(0.8)
         rng = np.random.default_rng(7)
-        sd = random_states(4, 1, rng)[0]
+        sd = random_states(4, 1, rng)
         sd.p[:] = 0.0  # isolate the potential part
-        y = sd.x.mean(axis=0)
+        y = sd.x[0].mean(axis=0)
         flux = momentum_flux(sd, mol, y)
         np.testing.assert_allclose(flux, flux.T, atol=1e-12)
 
@@ -175,12 +194,12 @@ class TestStressHeat:
         t = 0.7
         count = 4000
         box = 1.0
-        states = []
+        xs, ps = [], []
         for _ in range(count):
-            x = rng.uniform(-box, box, size=(4, 3))
-            p = rng.normal(scale=np.sqrt(t), size=(4, 3))
-            states.append(fields.prepare_state(x, p, np.ones(4),
-                                               ZeroModel(4)))
+            xs.append(rng.uniform(-box, box, size=(4, 3)))
+            ps.append(rng.normal(scale=np.sqrt(t), size=(4, 3)))
+        states = fields.prepare_state(np.stack(xs), np.stack(ps),
+                                      np.ones((count, 4)), ZeroModel(4))
         # per-trajectory mode reports the mean sigma at u = 0
         sigma = fields.field_grid([(1.0, states)], mol, [np.zeros(3)]).sigma[0]
         n_density = 4.0 / (2.0 * box) ** 3
@@ -192,15 +211,8 @@ class TestStressHeat:
     def test_symmetric_ensemble_zero_heat(self):
         mol = Mollifier(0.8)
         rng = np.random.default_rng(9)
-        states = []
         base = random_states(3, 40, rng)
-        for sd in base:
-            states.append(sd)
-            flipped = fields.StateData(x=sd.x, p=-sd.p, masses=sd.masses,
-                                       lam_n=sd.lam_n,
-                                       pair_derivs=sd.pair_derivs,
-                                       pp_grads=sd.pp_grads)
-            states.append(flipped)
+        states = concat([base, dataclasses.replace(base, p=-base.p)])
         y = np.array([0.1, -0.05, 0.0])
         q = fields.field_grid([(1.0, states)], mol, [y]).q[0]  # at u = 0
         np.testing.assert_allclose(q, 0.0, atol=1e-12)
@@ -215,7 +227,8 @@ class TestStressHeat:
         u, sigma = grid.u[0], grid.sigma[0]
         flux = np.zeros((3, 3))
         rho = 0.0
-        for sd in states:
+        for k in range(len(states)):
+            sd = take(states, slice(k, k + 1))
             flux += momentum_flux(sd, mol, y) / len(states)
             rho += densities(sd, mol, [y])["rho"][0] / len(states)
         np.testing.assert_allclose(flux, rho * np.outer(u, u) - sigma,
@@ -228,15 +241,14 @@ class TestStressHeat:
 def identity_inputs():
     """(groups, probes) pairs: one harmonic state, and a two-group ensemble
     of two-state surface states with distinct masses."""
-    sd = random_states(3, 1, np.random.default_rng(13))[0]
-    single = ([(1.0, [sd])], sd.x[0] + np.array([[0.05, 0.02, -0.1],
-                                                  [0.3, 0.0, 0.1],
-                                                  [-0.2, 0.15, 0.0]]))
+    sd = random_states(3, 1, np.random.default_rng(13))
+    single = ([(1.0, sd)], sd.x[0, 0] + np.array([[0.05, 0.02, -0.1],
+                                                   [0.3, 0.0, 0.1],
+                                                   [-0.2, 0.15, 0.0]]))
     rng = np.random.default_rng(17)
     v = INVARIANCE_MODELS["two_state"]()
-    groups = [(wt, [fields.prepare_state(x, p, MASSES,
-                                         fields.AdiabaticFieldModel(v, j))
-                    for x, p in ensemble_configs(seed, count)])
+    groups = [(wt, ensemble_states(fields.AdiabaticFieldModel(v, j),
+                                   ensemble_configs(seed, count)))
               for j, (wt, seed, count) in enumerate(((0.35, 1, 3),
                                                      (0.65, 2, 4)))]
     return [single, (groups, rng.uniform(0.0, 1.0, size=(10, 3)))]
@@ -276,7 +288,8 @@ class TestFieldGrid:
         rng = np.random.default_rng(11)
         states = random_states(3, 4, rng)
         probes = np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.1]])
-        g1 = fields.field_grid([(1.0, states), (0.0, states[:1])], mol,
+        g1 = fields.field_grid([(1.0, states), (0.0, take(states, slice(1)))],
+                               mol,
                                probes, mode="ensemble")
         g2 = fields.field_grid([(1.0, states)], mol, probes, mode="ensemble")
         np.testing.assert_array_equal(g1.sigma, g2.sigma)
@@ -373,13 +386,15 @@ class TestFieldGrid:
         rng = np.random.default_rng(18)
         states = random_states(3, 4, rng)
         probes = rng.uniform(-0.5, 0.5, size=(6, 3))
-        groups = [(0.3, states[:1]), (0.7, states[1:])]
+        groups = [(0.3, take(states, slice(1))),
+                  (0.7, take(states, slice(1, None)))]
         grid = fields.field_grid(groups, mol, probes)
-        raws = [fields._raw_fields(fields._stack(group), mol, probes)
+        raws = [fields._raw_fields(group, mol, probes)
                 for _, group in groups]
         stacked = fields.presplit_divergences(grid.raws[1])
-        for k, sd in enumerate(states):
-            mo = fields._raw_fields(fields._stack([sd]), mol, probes)
+        for k in range(len(states)):
+            mo = fields._raw_fields(take(states, slice(k, k + 1)), mol,
+                                    probes)
             for law, div in fields.presplit_divergences(mo).items():
                 np.testing.assert_array_equal(stacked[law][k], div[0])
         w = fields.state_weights(groups)
@@ -390,12 +405,33 @@ class TestFieldGrid:
         np.testing.assert_array_equal(grid.div_mom_flux, mean["mom"])
         np.testing.assert_array_equal(grid.div_energy_flux, mean["energy"])
 
+    @pytest.mark.parametrize("mode", ["per-trajectory", "ensemble"])
+    def test_groups_are_their_concatenation(self, mode):
+        # two groups of three states at weight 1/2 each are the six states
+        # at weight 1, every array bit for bit
+        rng = np.random.default_rng(20)
+        a, b = random_states(3, 3, rng), random_states(3, 3, rng)
+        probes = rng.uniform(-0.5, 0.5, size=(4, 3))
+        two = fields.field_grid([(0.5, a), (0.5, b)], Mollifier(0.9), probes,
+                                mode=mode)
+        one = fields.field_grid([(1.0, concat([a, b]))], Mollifier(0.9),
+                                probes, mode=mode)
+        for f in dataclasses.fields(fields.ProbeGrid):
+            if isinstance(getattr(one, f.name), np.ndarray):
+                np.testing.assert_array_equal(getattr(two, f.name),
+                                              getattr(one, f.name), f.name)
+        (w2, raw2), (w1, raw1) = two.raws, one.raws
+        np.testing.assert_array_equal(w2, w1)
+        for k in raw1:
+            np.testing.assert_array_equal(raw2[k], raw1[k], k)
+
     def test_empty_ensemble_rejected(self):
         # an ensemble without states, or with a group without states, has
         # no mean to take
         states = random_states(2, 2, np.random.default_rng(19))
+        empty = take(states, slice(0))
         probes = np.zeros((1, 3))
-        for ensembles in ([], [(1.0, [])], [(0.5, states), (0.5, [])]):
+        for ensembles in ([], [(1.0, empty)], [(0.5, states), (0.5, empty)]):
             with pytest.raises(InvalidParameterError):
                 fields.field_grid(ensembles, Mollifier(0.8), probes,
                                   mode="ensemble")
@@ -413,9 +449,9 @@ class TestFieldGrid:
     def test_support_locality(self):
         mol = Mollifier(0.5)
         rng = np.random.default_rng(16)
-        sd = random_states(3, 1, rng)[0]
-        far = sd.x.mean(axis=0) + np.array([20.0, 0.0, 0.0])
-        grid = fields.field_grid([(1.0, [sd])], mol, [far],
+        sd = random_states(3, 1, rng)
+        far = sd.x[0].mean(axis=0) + np.array([20.0, 0.0, 0.0])
+        grid = fields.field_grid([(1.0, sd)], mol, [far],
                                  mode="per-trajectory")
         assert grid.rho[0] == 0.0 and grid.energy[0] == 0.0
         np.testing.assert_array_equal(grid.sigma[0], 0.0)
@@ -452,10 +488,15 @@ def ensemble_configs(seed, count=5):
 PROBES = np.random.default_rng(0).uniform(0.0, 1.0, size=(8, 3))
 
 
+def ensemble_states(model, configs, masses=MASSES):
+    """The StateData stack of the states (x, p) of ``configs``."""
+    x, p = (np.stack(a) for a in zip(*configs))
+    return fields.prepare_state(x, p, np.tile(masses, (len(x), 1)), model)
+
+
 def ensemble_grid(model, configs, masses=MASSES, probes=PROBES):
-    states = [fields.prepare_state(x, p, masses, model) for x, p in configs]
-    return fields.field_grid([(1.0, states)], Mollifier(0.9), probes,
-                             mode="ensemble")
+    return fields.field_grid([(1.0, ensemble_states(model, configs, masses))],
+                             Mollifier(0.9), probes, mode="ensemble")
 
 
 def boost_shift(states, mol, probes, boost):
@@ -463,13 +504,13 @@ def boost_shift(states, mol, probes, boost):
     docstring writes it: <sum_pairs B_k dx_k [U.(grad_{x^j} lambda^i -
     grad_{x^i} lambda^j) + (dx_k.U) lambda'_k / r_k]>."""
     total = 0.0
-    for sd in states:
-        iu, ju = geometry.pair_indices(len(sd.x))
-        dx = sd.x[iu] - sd.x[ju]
+    for x, pp, lift in zip(states.x, states.pp_grads, states.pair_derivs):
+        iu, ju = geometry.pair_indices(len(x))
+        dx = x[iu] - x[ju]
         r = np.linalg.norm(dx, axis=1)
-        b, _ = mol.bond_weights(probes, sd.x[iu], sd.x[ju])
-        bracket = (sd.pp_grads[iu, ju] - sd.pp_grads[ju, iu]) @ boost \
-            + (dx @ boost) * sd.pair_derivs / r
+        b, _ = mol.bond_weights(probes, x[iu], x[ju])
+        bracket = (pp[iu, ju] - pp[ju, iu]) @ boost \
+            + (dx @ boost) * lift / r
         total = total + b @ (dx * bracket[:, None])
     return total / len(states)
 
@@ -515,9 +556,8 @@ class TestInvariance:
                                       for x, p in configs])
         assert_field_close(moved.u, grid.u + boost, "u")
         assert_field_close(moved.sigma, grid.sigma, "sigma")
-        shift = boost_shift([fields.prepare_state(x, p, MASSES, model)
-                             for x, p in configs], Mollifier(0.9), PROBES,
-                            boost)
+        shift = boost_shift(ensemble_states(model, configs), Mollifier(0.9),
+                            PROBES, boost)
         if kind == "harmonic":
             assert np.max(np.abs(shift)) <= RTOL * np.max(np.abs(grid.q))
             assert_field_close(moved.q, grid.q, "q")

@@ -130,20 +130,21 @@ def _grid_dict(grid):
     return {k: getattr(grid, k).tolist() for k in FIELD_KEYS}
 
 
-def _neighbour_states(st, model, dt_check):
-    """Full states at tau - dt_check and tau + dt_check, stepped as the
-    conservation check steps them: one Verlet step each way, opened by the
-    model's force at tau and closed by the model's surface data, whose
-    gradient is that of the check's ``at(x, j, fields=False)``; the
-    backward step runs forward from the reversed momenta."""
-    f = -model.gradient(st.x, model.j)
-    m = st.masses[:, None]
-    xm, pm, dm = dynamics.verlet_step(model.surface_data, st.x, -st.p, m, f,
+def _neighbour_states(x, p, masses, model, dt_check):
+    """StateData stacks at tau - dt_check and tau + dt_check of the states
+    (x, p, masses), one or a stack, stepped as the conservation check
+    steps them: one Verlet step each way, opened by the model's force at
+    tau and closed by the model's surface data, whose gradient is that of
+    the check's ``at(x, j, fields=False)``; the backward step runs forward
+    from the reversed momenta."""
+    f = -model.gradient(x, model.j)
+    m = masses[..., None]
+    xm, pm, dm = dynamics.verlet_step(model.surface_data, x, -p, m, f,
                                       dt_check)
-    xp, pp, dp = dynamics.verlet_step(model.surface_data, st.x, st.p, m, f,
+    xp, pp, dp = dynamics.verlet_step(model.surface_data, x, p, m, f,
                                       dt_check)
-    return (fields.state_data(xm, -pm, st.masses, dm),
-            fields.state_data(xp, pp, st.masses, dp))
+    return (fields.state_data(xm, -pm, masses, dm),
+            fields.state_data(xp, pp, masses, dp))
 
 
 def traj_conserve():
@@ -163,9 +164,9 @@ def traj_conserve():
                          size=(24, 3))
     rep = conservation.per_trajectory_residuals(
         st, provider, model, mol, probes, dt_check, richardson=True)
-    (sc,), _ = conservation._central([st], model)
-    sm, sp = _neighbour_states(st, model, dt_check)
-    grids = [_grid_dict(fields.field_grid([(1.0, [s])], mol, probes))
+    sc, _ = conservation._central([st], model)
+    sm, sp = _neighbour_states(st.x, st.p, st.masses, model, dt_check)
+    grids = [_grid_dict(fields.field_grid([(1.0, s)], mol, probes))
              for s in (sm, sc, sp)]
     return {"dt_check": dt_check, "grids": grids,
             "report": _report_dict(rep)}
@@ -194,14 +195,16 @@ def canonical():
     groups = [g for g in groups if g[1]]
     rep = conservation.canonical_residuals(groups, mol, probes, dt_check,
                                            richardson=False)
+    stacks = [(wt, [np.stack([getattr(s, k) for s in sts])
+                    for k in ("x", "p", "masses")], model)
+              for wt, sts, _, model in groups]
     minus, plus = [], []
-    for wt, sts, _, model in groups:
-        pairs = [_neighbour_states(s, model, dt_check) for s in sts]
-        minus.append((wt, [sm for sm, _ in pairs]))
-        plus.append((wt, [sp for _, sp in pairs]))
+    for wt, xpm, model in stacks:
+        sm, sp = _neighbour_states(*xpm, model, dt_check)
+        minus.append((wt, sm))
+        plus.append((wt, sp))
     central = fields.field_grid(
-        [(wt, [fields.prepare_state(s.x, s.p, s.masses, model)
-               for s in sts]) for wt, sts, _, model in groups],
+        [(wt, fields.prepare_state(*xpm, model)) for wt, xpm, model in stacks],
         mol, probes, mode="ensemble")
     grid = _grid_dict(central)
     grid["stderr"] = {k: central.stderr[k].tolist()
@@ -264,9 +267,10 @@ def conserve_grids():
     st, model = cli._build_system(CONSERVE, CONSERVE)
     mol = Mollifier(CONSERVE["mollifier"]["epsilon"])
     probes = cli._build_probes(CONSERVE["probes"])
-    (sc,), _ = conservation._central([st], model)
-    sm, sp = _neighbour_states(st, model, CONSERVE["dt_check"])
-    return [_grid_dict(fields.field_grid([(1.0, [s])], mol, probes))
+    sc, _ = conservation._central([st], model)
+    sm, sp = _neighbour_states(st.x, st.p, st.masses, model,
+                               CONSERVE["dt_check"])
+    return [_grid_dict(fields.field_grid([(1.0, s)], mol, probes))
             for s in (sm, sc, sp)]
 
 

@@ -5,12 +5,13 @@ give, as item k, what the single call on item k gives, bit for bit; a
 failing item's error or warning names it ("item k: ...").
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from mdfields import dynamics, fields, nonlinear_eigen, potential
+from mdfields import dynamics, fields, geometry, nonlinear_eigen, potential
 from mdfields.errors import (CoincidentPointsError, DegenerateSpectrumError,
                              NoConvergenceError, ResidualTooLargeError)
 from mdfields.mollifier import Mollifier
@@ -75,6 +76,40 @@ class TestPotential:
             two_state().deriv(x)
         with pytest.raises(CoincidentPointsError, match="^particles 0 and 2"):
             two_state().deriv(x[3])
+
+
+class TestGeometry:
+    def test_jacobian_and_lift(self):
+        # the lift of a surface gradient: one least-squares solve per item
+        x = configs(12)
+        grad = dynamics.CorrectedSurface(two_state(), MASS).at(
+            x, 0, fields=False).grad
+        jac = geometry.distance_jacobian(x)
+        assert jac.shape == (K, N * (N - 1) // 2, 3 * N)
+        assert_items([jac, geometry.lift_gradient_to_distances(x, grad)],
+                     lambda k: [geometry.distance_jacobian(x[k]),
+                                geometry.lift_gradient_to_distances(
+                                    x[k], grad[k])])
+
+    def test_lift_residual_item_named(self):
+        # a pure translation is not in the Jacobian's range
+        x = configs(13, 5)
+        g = np.zeros((5, 3 * N))
+        g[2, 0] = 1.0
+        with pytest.raises(ResidualTooLargeError,
+                           match="^item 2: chain-rule residual"):
+            geometry.lift_gradient_to_distances(x, g)
+        with pytest.raises(ResidualTooLargeError, match="^chain-rule"):
+            geometry.lift_gradient_to_distances(x[2], g[2])
+
+    def test_coincident_item_named(self):
+        x = configs(14, 5)
+        x[3, 2] = x[3, 1]
+        with pytest.raises(CoincidentPointsError,
+                           match="^item 3: particles 1 and 2 coincide"):
+            geometry.lift_gradient_to_distances(x, np.zeros((5, N, 3)))
+        with pytest.raises(CoincidentPointsError, match="^particles 1 and 2"):
+            geometry.distance_jacobian(x[3])
 
 
 class TestSurfaces:
@@ -194,38 +229,53 @@ class TestFields:
     S = 1000
 
     def states(self, seed):
-        """S states of the two-state model with corrected surface data at
-        tau, and two free-particle states (no bond terms) among them."""
+        """One StateData stack of S states of the two-state model with
+        corrected surface data at tau, two of them free particles (no bond
+        terms)."""
         rng = np.random.default_rng(seed)
         x = configs(seed, self.S)
         p = rng.normal(scale=0.3, size=x.shape)
         masses = rng.uniform(1.0, 2.0, size=(self.S, N))
         point = dynamics.CorrectedSurface(two_state(), MASS).at(x, 0)
-        sds = [fields.state_data(x[k], p[k], masses[k],
+        sd = fields.state_data(x, p, masses, point[:3])
+        sd.pair_derivs[[5, 17]] = 0.0
+        sd.pp_grads[[5, 17]] = 0.0
+        return sd
+
+    def test_state_data(self):
+        # one lift for the stack, item k the single state's record
+        sd = self.states(7)
+        x, point = sd.x, dynamics.CorrectedSurface(two_state(), MASS).at(
+            sd.x[:3], 0)
+        one = [fields.state_data(x[k], sd.p[k], sd.masses[k],
                                  [a[k] for a in point[:3]])
-               for k in range(self.S)]
-        for k in (5, 17):
-            sds[k].pair_derivs = np.zeros_like(sds[k].pair_derivs)
-            sds[k].pp_grads = np.zeros_like(sds[k].pp_grads)
-        return sds
+               for k in range(3)]
+        for f in dataclasses.fields(fields.StateData):
+            assert all(getattr(o, f.name).shape[0] == 1 for o in one)
+            assert_items([getattr(sd, f.name)[:3]],
+                         lambda k: [getattr(one[k], f.name)[0]], 3)
 
     def test_densities(self):
-        sds = self.states(8)
-        st = fields._stack(sds)
+        sd = self.states(8)
         probes = np.random.default_rng(9).uniform(0.0, 1.8, size=(5, 3))
         mol = Mollifier(0.9)
-        dens = fields.densities(st.x, st.p, st.masses, st.lam_n, mol, probes)
+        dens = fields.densities(sd.x, sd.p, sd.masses, sd.lam_n, mol, probes)
         assert_items(list(dens.values()), lambda k: list(fields.densities(
-            sds[k].x, sds[k].p, sds[k].masses, sds[k].lam_n, mol,
+            sd.x[k], sd.p[k], sd.masses[k], sd.lam_n[k], mol,
             probes).values()), self.S)
 
     def test_raw_fields(self):
         # one bond quadrature for every state's (probe, pair) items
-        sds = self.states(10)
+        sd = self.states(10)
         probes = np.random.default_rng(11).uniform(0.0, 1.8, size=(3, 3))
         mol = Mollifier(0.9)
-        raw = fields._raw_fields(fields._stack(sds), mol, probes)
+        raw = fields._raw_fields(sd, mol, probes)
         assert not np.any(raw["w"][[5, 17]]) and np.any(raw["w"])
-        assert_items(list(raw.values()), lambda k: [
-            v[0] for v in fields._raw_fields(fields._stack([sds[k]]), mol,
-                                             probes).values()], self.S)
+
+        def single(k):
+            one = fields.StateData(*(getattr(sd, f.name)[k:k + 1]
+                                     for f in dataclasses.fields(sd)))
+            return [v[0] for v in fields._raw_fields(one, mol,
+                                                     probes).values()]
+
+        assert_items(list(raw.values()), single, self.S)
