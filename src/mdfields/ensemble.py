@@ -61,6 +61,8 @@ ESS_MIN = 100.0
 TAIL_BUDGET = 2 ** 17
 # configurations per stacked surface call of the quadrature
 QUAD_CHUNK = 4096
+# surface weights q_j* must sum to one within this
+WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass
@@ -120,7 +122,7 @@ class SurfaceWeights:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
-        if np.any(self.q < 0) or abs(self.q.sum() - 1.0) > 1e-12:
+        if np.any(self.q < 0) or abs(self.q.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidParameterError(
                 "weights must be nonnegative and sum to one")
 
@@ -449,11 +451,14 @@ class GibbsSampler:
             else np.full(n, self.masses[0])
 
     def draw_momenta(self, x, rng):
-        m = self._masses(x.shape[0])
+        """Exact momenta of one configuration (N, 3), or of a stack
+        (K, N, 3) from one draw, item k equal to the k-th of K single calls
+        on the same generator."""
+        m = self._masses(x.shape[-2])
         w = particle_weights(self.spec, x, self.mol)
         scale = np.sqrt(m * self.spec.T / w)
-        return m[:, None] * self.spec.u0[None, :] \
-            + rng.normal(size=(x.shape[0], 3)) * scale[:, None]
+        return m[:, None] * self.spec.u0 \
+            + rng.normal(size=x.shape) * scale[..., None]
 
     def _tune_step(self, x, j, rng, step):
         """Burn-in of lockstep chains x (C, N, 3) on one generator: tune
@@ -615,11 +620,11 @@ class GibbsSampler:
             if counts[j] == 0:
                 continue
             xs = self.run_chain(j, int(counts[j]), seed ^ (j + 1))
-            for x in xs:
-                p = self.draw_momenta(x, rng)
-                out.append(PhaseState(x=x, p=p,
-                                      masses=self._masses(x.shape[0]),
-                                      surface=j))
+            # number moves vary N: a grand-canonical run draws per state
+            ps = [self.draw_momenta(x, rng) for x in xs] if self.gcmc \
+                else self.draw_momenta(np.stack(xs), rng)
+            out += [PhaseState(x=x, p=p, masses=self._masses(x.shape[0]),
+                               surface=j) for x, p in zip(xs, ps)]
         return out
 
 

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, geometry, potential
+from .ensemble import WEIGHT_SUM_TOL
 from .errors import InvalidParameterError
 
 RHO_FLOOR = 1e-12
@@ -231,11 +232,17 @@ def state_weights(ensembles):
     Raises
     ------
     InvalidParameterError
-        For an empty ensemble or an empty group.
+        For an empty ensemble or an empty group, or when the group weights
+        do not sum to one within ``ensemble.WEIGHT_SUM_TOL``: a dropped
+        group would take its weight out of the mean unseen.
     """
     sizes = [len(group) for _, group in ensembles]
     if not sizes or not all(sizes):
         raise InvalidParameterError("empty ensemble or ensemble group")
+    total = sum(wt for wt, _ in ensembles)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise InvalidParameterError(
+            f"group weights sum to {total!r}, not one")
     return np.repeat([wt / n for (wt, _), n in zip(ensembles, sizes)], sizes)
 
 

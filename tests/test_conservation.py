@@ -263,10 +263,12 @@ class TestCanonical:
         assert not np.any(pre.masked)
 
     def test_empty_ensemble_rejected(self):
+        # so is an ensemble whose surface weights miss one group's
         _, provider, model = harmonic_setup(2)
         st = pair_states(1, np.random.default_rng(7))[0]
         for groups in ([], [(0.5, [st], provider, model),
-                            (0.5, [], provider, model)]):
+                            (0.5, [], provider, model)],
+                       [(0.92, [st], provider, model)]):
             with pytest.raises(InvalidParameterError):
                 conservation.canonical_residuals(
                     groups, Mollifier(0.8), np.array([[0.5, 0.0, 0.0]]),

@@ -638,6 +638,22 @@ class TestStack:
                 assert logd[k] == one
                 np.testing.assert_array_equal(e[k], e_k)
 
+    @pytest.mark.parametrize("mode", ["uniform", "local-mollified"])
+    def test_draw_momenta(self, mode):
+        # one draw for a stack is the per-state draws from the same
+        # generator, in order
+        surf, box = canonical_surfaces()
+        spec = ensemble.GibbsSpec(T=2.0, u0=[0.3, -0.1, 0.2], mode=mode,
+                                  probe=np.full(3, 0.9))
+        sampler = ensemble.GibbsSampler(spec, surf, [1.0, 2.0, 1.5, 3.0],
+                                        box, mol=Mollifier(0.9))
+        x = self.configs(3)
+        p = sampler.draw_momenta(x, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        for k in range(self.K):
+            np.testing.assert_array_equal(p[k], sampler.draw_momenta(x[k],
+                                                                     rng))
+
     @pytest.mark.parametrize("kind", ["bare", "corrected"])
     def test_values(self, kind):
         # the surface energies from eigenvalues alone (bare) or from the

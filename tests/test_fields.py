@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from mdfields import fields, geometry, potential
+from mdfields import ensemble, fields, geometry, potential
 from mdfields.errors import InvalidParameterError
 from mdfields.mollifier import Mollifier
 
@@ -435,6 +435,18 @@ class TestFieldGrid:
             with pytest.raises(InvalidParameterError):
                 fields.field_grid(ensembles, Mollifier(0.8), probes,
                                   mode="ensemble")
+
+    def test_dropped_weight_rejected(self):
+        # a group left out of an ensemble takes its weight out of the mean:
+        # weights must sum to one within the tolerance of SurfaceWeights
+        states = random_states(2, 2, np.random.default_rng(21))
+        probes = np.zeros((1, 3))
+        with pytest.raises(InvalidParameterError, match="sum to 0.92,"):
+            fields.field_grid([(0.92, states)], Mollifier(0.8), probes)
+        tol = ensemble.WEIGHT_SUM_TOL
+        with pytest.raises(InvalidParameterError):
+            fields.state_weights([(0.5, states), (0.5 + 2 * tol, states)])
+        fields.state_weights([(0.5, states), (0.5 + tol / 2, states)])
 
     def test_vacuum_probe_flagged(self):
         mol = Mollifier(0.4)
