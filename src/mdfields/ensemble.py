@@ -609,16 +609,29 @@ class GibbsSampler:
         return [s for out in kept for s in out][:n_samples]
 
     def sample(self, n_samples, seed, weights):
-        """PhaseStates with surface labels drawn from ``weights.q``, the
-        states of each surface from one ``run_chain`` at its own thinning."""
-        d = self.surfaces.d
+        """PhaseStates on the surfaces, ``surface_counts(n_samples,
+        weights.q)`` of them on each (no label is drawn): the states of a
+        surface from one ``run_chain`` at its own thinning, their momenta
+        from one ``draw_momenta`` on ``PCG64(seed)``, surface by surface.
+
+        Raises
+        ------
+        InvalidParameterError
+            If a surface of positive weight gets no state; the message
+            names it and the smallest n_samples that gives it one.
+        """
+        q = weights.q
+        counts = surface_counts(n_samples, q)
+        for j in np.flatnonzero((counts == 0) & (q > 0)):
+            need = n_samples + 1
+            while not surface_counts(need, q)[j]:
+                need += 1
+            raise InvalidParameterError(
+                f"surface {j} of weight {q[j]:.4g} gets none of "
+                f"{n_samples} states; {need} is the fewest that give it one")
         rng = np.random.default_rng(np.random.PCG64(seed))
-        labels = rng.choice(d, size=n_samples, p=weights.q)
-        counts = np.bincount(labels, minlength=d)
         out = []
-        for j in range(d):
-            if counts[j] == 0:
-                continue
+        for j in np.flatnonzero(counts):
             xs = self.run_chain(j, int(counts[j]), seed ^ (j + 1))
             # number moves vary N: a grand-canonical run draws per state
             ps = [self.draw_momenta(x, rng) for x in xs] if self.gcmc \
@@ -626,6 +639,17 @@ class GibbsSampler:
             out += [PhaseState(x=x, p=p, masses=self._masses(x.shape[0]),
                                surface=j) for x, p in zip(xs, ps)]
         return out
+
+
+def surface_counts(n, q):
+    """Largest-remainder rounding of n q: each count is floor(n q_j) or
+    ceil(n q_j) and they sum to n, the ceilings going to the largest
+    remainders (the lower surface on a tie)."""
+    exact = n * np.asarray(q, dtype=float)
+    counts = np.floor(exact).astype(int)
+    order = np.argsort(counts - exact, kind="stable")
+    counts[order[:n - counts.sum()]] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

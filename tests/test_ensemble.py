@@ -112,6 +112,57 @@ class TestSampleCount:
                 "reweighting", n_samples=0)
 
 
+class TestSurfaceCounts:
+    def test_largest_remainder(self):
+        # every count is floor or ceil of n q_j and they sum to n
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            q = rng.dirichlet(np.full(rng.integers(1, 6), 0.5))
+            n = int(rng.integers(1, 300))
+            counts = ensemble.surface_counts(n, q)
+            assert counts.sum() == n
+            assert np.all(np.abs(counts - n * q) < 1.0)
+        np.testing.assert_array_equal(
+            ensemble.surface_counts(7, [1 / 3, 1 / 3, 1 / 3]), [3, 2, 2])
+
+    def test_canonical_job_keeps_both_surfaces(self):
+        # canonical-corrected seed 10, job 46: labels drawn from q =
+        # (0.9228, 0.0772) put all 96 states on surface 0; the rounded
+        # counts give surface 1 its 7
+        n, weight_seed, sample_seed = 96, 368462842, 400206342
+        surf, box = canonical_surfaces()
+        spec = ensemble.GibbsSpec(T=2.0)
+        masses = np.full(4, 1.0e3)
+        qw = ensemble.surface_weights(spec, surf, masses, box, "reweighting",
+                                      n_samples=2000, seed=weight_seed)
+        np.testing.assert_allclose(qw.q, [0.9228, 0.0772], atol=5e-5)
+        drawn = np.random.default_rng(np.random.PCG64(sample_seed)).choice(
+            2, size=n, p=qw.q)
+        assert np.bincount(drawn, minlength=2).tolist() == [96, 0]
+        states = ensemble.GibbsSampler(spec, surf, masses, box).sample(
+            n, seed=sample_seed, weights=qw)
+        assert np.bincount([s.surface for s in states]).tolist() == [89, 7]
+
+    def test_empty_surface_named(self):
+        # 96 * 0.003 rounds to 0; 167 * 0.003 = 0.501 is the first to
+        # outrank 167 * 0.997's remainder, 0.499
+        sampler = ensemble.GibbsSampler(
+            ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(d=2),
+            np.ones(2), ensemble.BoxContainer(0.0, 1.0))
+        w = ensemble.SurfaceWeights(q=[0.997, 0.003], stderr=np.zeros(2))
+        with pytest.raises(InvalidParameterError,
+                           match="^surface 1 of weight 0.003 gets none of 96 "
+                                 "states; 167 is the fewest"):
+            sampler.sample(96, seed=1, weights=w)
+        assert sampler.burn_ins == []
+        assert ensemble.surface_counts(166, w.q).tolist() == [166, 0]
+        assert ensemble.surface_counts(167, w.q).tolist() == [166, 1]
+        # a surface of weight zero may get none
+        w0 = ensemble.SurfaceWeights(q=[1.0, 0.0], stderr=np.zeros(2))
+        states = sampler.sample(5, seed=1, weights=w0)
+        assert [s.surface for s in states] == [0] * 5
+
+
 class TestSampling:
     def test_ideal_gas_positions_uniform(self):
         spec = ensemble.GibbsSpec(T=0.7)
