@@ -623,7 +623,8 @@ class GibbsSampler:
         q = weights.q
         counts = surface_counts(n_samples, q)
         for j in np.flatnonzero((counts == 0) & (q > 0)):
-            need = n_samples + 1
+            # a remainder below 1/d never outranks enough others
+            need = max(n_samples + 1, int(1.0 / (len(q) * q[j])) - 1)
             while not surface_counts(need, q)[j]:
                 need += 1
             raise InvalidParameterError(

@@ -157,6 +157,17 @@ class TestSurfaceCounts:
         assert sampler.burn_ins == []
         assert ensemble.surface_counts(166, w.q).tolist() == [166, 0]
         assert ensemble.surface_counts(167, w.q).tolist() == [166, 1]
+        # three surfaces: the fewest found by counting up from 97
+        q3 = [0.6, 0.398, 0.002]
+        fewest = next(m for m in range(97, 10_000)
+                      if ensemble.surface_counts(m, q3)[2])
+        sampler3 = ensemble.GibbsSampler(
+            ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(d=3),
+            np.ones(2), ensemble.BoxContainer(0.0, 1.0))
+        with pytest.raises(InvalidParameterError,
+                           match=f"^surface 2 .* {fewest} is the fewest"):
+            sampler3.sample(96, seed=1, weights=ensemble.SurfaceWeights(
+                q=q3, stderr=np.zeros(3)))
         # a surface of weight zero may get none
         w0 = ensemble.SurfaceWeights(q=[1.0, 0.0], stderr=np.zeros(2))
         states = sampler.sample(5, seed=1, weights=w0)
@@ -260,6 +271,20 @@ class TestSampling:
             first = sampler.run_chain(0, 1, seed,
                                       collect=lambda x, e: x.shape[0])[0]
             assert abs(first - expected) <= 5.0 * np.sqrt(expected), seed
+
+    def test_gcmc_sample_varies_n(self):
+        # number moves change N between a surface's states, so their
+        # momenta are drawn state by state, as many as each state has
+        temp, n_target = 1.0, 2.5
+        mu = temp * np.log(n_target * (2.0 * np.pi * temp) ** -1.5)
+        sampler = ensemble.GibbsSampler(
+            ensemble.GibbsSpec(T=temp, mu=mu), ensemble.ZeroSurfaces(d=2),
+            np.ones(1), ensemble.BoxContainer(0.0, 2.0), gcmc=True)
+        w = ensemble.SurfaceWeights(q=[0.5, 0.5], stderr=np.zeros(2))
+        states = sampler.sample(40, seed=3, weights=w)
+        assert [s.surface for s in states] == [0] * 20 + [1] * 20
+        assert len({s.x.shape[0] for s in states}) > 1
+        assert all(s.p.shape == s.x.shape for s in states)
 
     def test_gcmc_requires_uniform_mode(self):
         spec = ensemble.GibbsSpec(T=1.0, mode="local-mollified")
