@@ -39,14 +39,17 @@ surface energies, read from ``values`` alone; local-mollified mode reads
 ``shares`` and weights them.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .dynamics import AdiabaticSurface, PhaseState
 from .errors import (InsufficientOverlapError, InvalidParameterError,
                      UnattainableTargetError)
+from .fields import WEIGHT_SUM_TOL
 
 # the burn-in stops at detected equilibration, at most factor * N proposals
 # per chain
@@ -61,8 +64,6 @@ ESS_MIN = 100.0
 TAIL_BUDGET = 2 ** 17
 # configurations per stacked surface call of the quadrature
 QUAD_CHUNK = 4096
-# surface weights q_j* must sum to one within this
-WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass
@@ -451,14 +452,11 @@ class GibbsSampler:
             else np.full(n, self.masses[0])
 
     def draw_momenta(self, x, rng):
-        """Exact momenta of one configuration (N, 3), or of a stack
-        (K, N, 3) from one draw, item k equal to the k-th of K single calls
-        on the same generator."""
-        m = self._masses(x.shape[-2])
+        m = self._masses(x.shape[0])
         w = particle_weights(self.spec, x, self.mol)
         scale = np.sqrt(m * self.spec.T / w)
-        return m[:, None] * self.spec.u0 \
-            + rng.normal(size=x.shape) * scale[..., None]
+        return m[:, None] * self.spec.u0[None, :] \
+            + rng.normal(size=(x.shape[0], 3)) * scale[:, None]
 
     def _tune_step(self, x, j, rng, step):
         """Burn-in of lockstep chains x (C, N, 3) on one generator: tune
@@ -612,33 +610,30 @@ class GibbsSampler:
         """PhaseStates on the surfaces, ``surface_counts(n_samples,
         weights.q)`` of them on each (no label is drawn): the states of a
         surface from one ``run_chain`` at its own thinning, their momenta
-        from one ``draw_momenta`` on ``PCG64(seed)``, surface by surface.
+        drawn state by state on ``PCG64(seed)``, surface by surface.
 
         Raises
         ------
         InvalidParameterError
             If a surface of positive weight gets no state; the message
-            names it and the smallest n_samples that gives it one.
+            names it and an n_samples from which on every one gives it a
+            state, ceil(1 / q_j).
         """
         q = weights.q
         counts = surface_counts(n_samples, q)
         for j in np.flatnonzero((counts == 0) & (q > 0)):
-            # a remainder below 1/d never outranks enough others
-            need = max(n_samples + 1, int(1.0 / (len(q) * q[j])) - 1)
-            while not surface_counts(need, q)[j]:
-                need += 1
+            # exact, so that floor(n q_j) >= 1 for every n from it on
+            enough = math.ceil(1 / Fraction(q[j]))
             raise InvalidParameterError(
                 f"surface {j} of weight {q[j]:.4g} gets none of "
-                f"{n_samples} states; {need} is the fewest that give it one")
+                f"{n_samples} states; {enough} or more give it one")
         rng = np.random.default_rng(np.random.PCG64(seed))
         out = []
         for j in np.flatnonzero(counts):
-            xs = self.run_chain(j, int(counts[j]), seed ^ (j + 1))
-            # number moves vary N: a grand-canonical run draws per state
-            ps = [self.draw_momenta(x, rng) for x in xs] if self.gcmc \
-                else self.draw_momenta(np.stack(xs), rng)
-            out += [PhaseState(x=x, p=p, masses=self._masses(x.shape[0]),
-                               surface=j) for x, p in zip(xs, ps)]
+            for x in self.run_chain(j, int(counts[j]), seed ^ (j + 1)):
+                out.append(PhaseState(x=x, p=self.draw_momenta(x, rng),
+                                      masses=self._masses(x.shape[0]),
+                                      surface=j))
         return out
 
 

@@ -60,10 +60,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, geometry, potential
-from .ensemble import WEIGHT_SUM_TOL
 from .errors import InvalidParameterError
 
 RHO_FLOOR = 1e-12
+# group weights, the surface weights q_j*, must sum to one within this
+WEIGHT_SUM_TOL = 1e-12
 # complex step h of the canonical divergences: Im f(m + i h dm) / h has no
 # truncation error at this h and, unlike a difference, no cancellation
 CS_STEP = 1e-20
@@ -233,8 +234,8 @@ def state_weights(ensembles):
     ------
     InvalidParameterError
         For an empty ensemble or an empty group, or when the group weights
-        do not sum to one within ``ensemble.WEIGHT_SUM_TOL``: a dropped
-        group would take its weight out of the mean unseen.
+        do not sum to one within WEIGHT_SUM_TOL: a dropped group would
+        take its weight out of the mean unseen.
     """
     sizes = [len(group) for _, group in ensembles]
     if not sizes or not all(sizes):

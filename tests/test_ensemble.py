@@ -144,34 +144,49 @@ class TestSurfaceCounts:
         assert np.bincount([s.surface for s in states]).tolist() == [89, 7]
 
     def test_empty_surface_named(self):
-        # 96 * 0.003 rounds to 0; 167 * 0.003 = 0.501 is the first to
-        # outrank 167 * 0.997's remainder, 0.499
+        # 96 * 0.003 rounds to 0; from ceil(1 / 0.003) = 334 states on,
+        # floor(n * 0.003) >= 1 gives surface 1 a state
         sampler = ensemble.GibbsSampler(
             ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(d=2),
             np.ones(2), ensemble.BoxContainer(0.0, 1.0))
         w = ensemble.SurfaceWeights(q=[0.997, 0.003], stderr=np.zeros(2))
         with pytest.raises(InvalidParameterError,
                            match="^surface 1 of weight 0.003 gets none of 96 "
-                                 "states; 167 is the fewest"):
+                                 "states; 334 or more give it one$"):
             sampler.sample(96, seed=1, weights=w)
         assert sampler.burn_ins == []
-        assert ensemble.surface_counts(166, w.q).tolist() == [166, 0]
-        assert ensemble.surface_counts(167, w.q).tolist() == [166, 1]
-        # three surfaces: the fewest found by counting up from 97
+        assert all(ensemble.surface_counts(m, w.q)[1]
+                   for m in range(334, 3000))
+        # three surfaces: ceil(1 / 0.002) = 500
         q3 = [0.6, 0.398, 0.002]
-        fewest = next(m for m in range(97, 10_000)
-                      if ensemble.surface_counts(m, q3)[2])
         sampler3 = ensemble.GibbsSampler(
             ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(d=3),
             np.ones(2), ensemble.BoxContainer(0.0, 1.0))
         with pytest.raises(InvalidParameterError,
-                           match=f"^surface 2 .* {fewest} is the fewest"):
+                           match="^surface 2 .* 500 or more give it one$"):
             sampler3.sample(96, seed=1, weights=ensemble.SurfaceWeights(
                 q=q3, stderr=np.zeros(3)))
+        assert all(ensemble.surface_counts(m, q3)[2]
+                   for m in range(500, 5000))
         # a surface of weight zero may get none
         w0 = ensemble.SurfaceWeights(q=[1.0, 0.0], stderr=np.zeros(2))
         states = sampler.sample(5, seed=1, weights=w0)
         assert [s.surface for s in states] == [0] * 5
+
+    @pytest.mark.parametrize("q", [(1 - 2e-9, 1e-9, 1e-9),
+                                   (1 - 1e-25, 1e-25)])
+    def test_tiny_surface_weight_named(self, q):
+        # the error needs no search over n, however small q_j is, and no
+        # count past the int64 range
+        sampler = ensemble.GibbsSampler(
+            ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(d=len(q)),
+            np.ones(2), ensemble.BoxContainer(0.0, 1.0))
+        w = ensemble.SurfaceWeights(q=q, stderr=np.zeros(len(q)))
+        with pytest.raises(InvalidParameterError,
+                           match=f"^surface 1 of weight {q[1]:.4g} gets none "
+                                 r"of 96 states; \d+ or more give it one$"):
+            sampler.sample(96, seed=1, weights=w)
+        assert sampler.burn_ins == []
 
 
 class TestSampling:
@@ -273,8 +288,8 @@ class TestSampling:
             assert abs(first - expected) <= 5.0 * np.sqrt(expected), seed
 
     def test_gcmc_sample_varies_n(self):
-        # number moves change N between a surface's states, so their
-        # momenta are drawn state by state, as many as each state has
+        # number moves change N between a surface's states; each state's
+        # momenta are drawn for its own particles
         temp, n_target = 1.0, 2.5
         mu = temp * np.log(n_target * (2.0 * np.pi * temp) ** -1.5)
         sampler = ensemble.GibbsSampler(
@@ -713,22 +728,6 @@ class TestStack:
                 one, e_k = sampler.log_x_density(x[k], j)
                 assert logd[k] == one
                 np.testing.assert_array_equal(e[k], e_k)
-
-    @pytest.mark.parametrize("mode", ["uniform", "local-mollified"])
-    def test_draw_momenta(self, mode):
-        # one draw for a stack is the per-state draws from the same
-        # generator, in order
-        surf, box = canonical_surfaces()
-        spec = ensemble.GibbsSpec(T=2.0, u0=[0.3, -0.1, 0.2], mode=mode,
-                                  probe=np.full(3, 0.9))
-        sampler = ensemble.GibbsSampler(spec, surf, [1.0, 2.0, 1.5, 3.0],
-                                        box, mol=Mollifier(0.9))
-        x = self.configs(3)
-        p = sampler.draw_momenta(x, np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        for k in range(self.K):
-            np.testing.assert_array_equal(p[k], sampler.draw_momenta(x[k],
-                                                                     rng))
 
     @pytest.mark.parametrize("kind", ["bare", "corrected"])
     def test_values(self, kind):

@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from mdfields import ensemble, fields, geometry, potential
+from mdfields import fields, geometry, potential
 from mdfields.errors import InvalidParameterError
 from mdfields.mollifier import Mollifier
 
@@ -443,7 +443,7 @@ class TestFieldGrid:
         probes = np.zeros((1, 3))
         with pytest.raises(InvalidParameterError, match="sum to 0.92,"):
             fields.field_grid([(0.92, states)], Mollifier(0.8), probes)
-        tol = ensemble.WEIGHT_SUM_TOL
+        tol = fields.WEIGHT_SUM_TOL
         with pytest.raises(InvalidParameterError):
             fields.state_weights([(0.5, states), (0.5 + 2 * tol, states)])
         fields.state_weights([(0.5, states), (0.5 + tol / 2, states)])
