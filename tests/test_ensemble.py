@@ -176,7 +176,7 @@ class TestSurfaceCounts:
     @pytest.mark.parametrize("q", [(1 - 2e-9, 1e-9, 1e-9),
                                    (1 - 1e-25, 1e-25)])
     def test_tiny_surface_weight_named(self, q):
-        # the error needs no search over n, however small q_j is, and no
+        # however small q_j is, the error comes at once and computes no
         # count past the int64 range
         sampler = ensemble.GibbsSampler(
             ensemble.GibbsSpec(T=1.0), ensemble.ZeroSurfaces(d=len(q)),
