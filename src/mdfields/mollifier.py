@@ -12,10 +12,13 @@ part of the segment inside the ball.  The part of grad B along the segment
 is an exact derivative, so it needs no quadrature.  B and the rest of
 grad B come from the same kernel values of a nested tanh-sinh rule
 (Takahasi & Mori, Publ. RIMS 9 (1974) 721): each item halves its step,
-adding only the new nodes, until its own B and grad B changes are below
-``BOND_TOL``.  An item still unconverged at the last step raises
-``NoConvergenceError``.  Each item's result depends on that item alone, not
-on the others of the call.
+adding only the new nodes, until the errors of its own B and grad B,
+estimated from its last two changes, are below ``BOND_TOL``.  The rule
+converges quadratically, so the error left after a step is about
+change^3 / previous change^2 (Bailey, Jeyabalan & Li, Experiment. Math.
+14 (2005) 317), far below the change itself.  An item still unconverged
+at the last step raises ``NoConvergenceError``.  Each item's result
+depends on that item alone, not on the others of the call.
 """
 
 import numpy as np
@@ -25,8 +28,9 @@ from .errors import InvalidParameterError, NoConvergenceError
 
 BOND_TOL = 1e-12
 # tanh-sinh nodes tau = k h, |tau| <= _TAU_MAX, for the steps h = 1/2, 1/4,
-# ..., 1/128.  Past 4 the weights are below 1e-35, so the stop rule, which
-# compares steps on the same tau range, has no truncation error to miss
+# ..., 1/128.  Past 4 the weights are below 1e-35, so the error estimate,
+# which reads the changes between steps on the same tau range, has no
+# truncation error to miss
 _TAU_MAX = 4.0
 _STEPS = 0.5 ** np.arange(1, 8)
 # floor of 1 - z2 at the nodes: rounding can put z2 at or past 1 at the ends
@@ -154,10 +158,11 @@ class Mollifier:
         with ``B[q, k] = int_0^1 eta(y_q - s a_k - (1-s) b_k) ds`` and
         ``gB`` (Q, P, 3), its y-gradient.  Each item is integrated on the
         part of its segment inside the support ball by the nested tanh-sinh
-        rule, its step halved until the changes of both B and grad B are
-        below ``BOND_TOL`` absolute; the part of grad B along the segment
-        is exact.  Items are culled and integrated ``_BOND_CHUNK_ITEMS`` at
-        a time.
+        rule, its step halved until the errors of both B and grad B,
+        estimated from the item's last two changes, are below ``BOND_TOL``
+        absolute (never before h = 1/8); the part of grad B along the
+        segment is exact.  Items are culled and integrated
+        ``_BOND_CHUNK_ITEMS`` at a time.
 
         Raises
         ------
@@ -246,7 +251,12 @@ def _tanh_sinh(par):
     summed in ``bump_ends`` and ``bump_g2_ends``, ``scale`` turns a sum
     into the item's integral and ``grad_weight`` the S0 change into the
     largest grad B change.  Each halving of the step adds its new nodes to
-    running sums; an item stops when both changes are below ``BOND_TOL``.
+    running sums, and an item stops when the estimated errors of its B and
+    grad B are below ``BOND_TOL``.  The estimate needs two changes, so no
+    item stops before h = 1/8.  At h = 1/8 it is the change itself; from
+    h = 1/16 on it is change * min(1, change / previous change)^2, the
+    error a quadratically converging rule leaves, and never more than the
+    change.
     """
     todo = np.arange(par.shape[0])
     out = np.empty((2, todo.size))
@@ -263,16 +273,26 @@ def _tanh_sinh(par):
         change *= h * par[:, 5:6]
         change[:, 1] *= par[:, 6]
         sums += new
-        done = np.max(change, axis=1) < BOND_TOL
+        if h == _STEPS[1]:
+            # one change only: h = 1/2 and 1/4 can agree by chance, and the
+            # 13 nodes of h = 1/2 are too few to set a rate.  A previous
+            # change of 0 makes the h = 1/8 estimate the change itself
+            prev = np.zeros_like(change)
+            continue
+        shrink = np.divide(change, prev, out=np.ones_like(change),
+                           where=change < prev)
+        error = change * shrink * shrink
+        done = np.max(error, axis=1) < BOND_TOL
         out[:, todo[done]] = h * sums[done].T
         if np.all(done):
             return out
         keep = ~done
         par, sums, todo = par[keep], sums[keep], todo[keep]
+        prev = change[keep]
     raise NoConvergenceError(
         f"bond quadrature: {todo.size} (probe, pair) item(s) not converged "
-        f"at tanh-sinh step h = 1/{round(1 / h)}; worst change "
-        f"{float(np.max(change[keep])):.3g} (tolerance {BOND_TOL:g})")
+        f"at tanh-sinh step h = 1/{round(1 / h)}; worst estimated error "
+        f"{float(np.max(error[keep])):.3g} (tolerance {BOND_TOL:g})")
 
 
 def _node_sums(par, x, wt):

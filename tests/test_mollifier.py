@@ -212,6 +212,22 @@ def mixed_pairs():
     return y, a, b
 
 
+def lattice_pairs():
+    """A traj-conserve-shaped state: eight particles near the corners of a
+    unit cube, their 28 pairs and 200 probes in the box around them."""
+    rng = np.random.default_rng(23)
+    x = np.mgrid[0:2, 0:2, 0:2].reshape(3, -1).T \
+        + rng.normal(scale=0.05, size=(8, 3))
+    iu, ju = np.triu_indices(8, 1)
+    y = rng.uniform(x.min(axis=0) - 0.3, x.max(axis=0) + 0.3, size=(200, 3))
+    return y, x[iu], x[ju]
+
+
+# probes and pairs of the stop-rule checks, with a mollifier radius of 1.2
+STATES = pytest.mark.parametrize("state", [mixed_pairs, lattice_pairs],
+                                 ids=["mixed", "lattice"])
+
+
 def quadrature_items(monkeypatch, eta, y, a, b):
     """The per-item rows ``bond_weights`` hands its tanh-sinh quadrature."""
     rows = []
@@ -225,6 +241,23 @@ def quadrature_items(monkeypatch, eta, y, a, b):
     eta.bond_weights(y, a, b)
     monkeypatch.setattr(mollifier, "_tanh_sinh", real)
     return np.concatenate(rows)
+
+
+def items_per_step(monkeypatch, eta, y, a, b):
+    """The number of items the tanh-sinh quadrature evaluates at each step
+    of a ``bond_weights`` call."""
+    counts = np.zeros(len(mollifier._LEVELS), dtype=int)
+    real = mollifier._node_sums
+
+    def count(par, x, wt):
+        step = [level[1] is x for level in mollifier._LEVELS].index(True)
+        counts[step] += par.shape[0]
+        return real(par, x, wt)
+
+    monkeypatch.setattr(mollifier, "_node_sums", count)
+    eta.bond_weights(y, a, b)
+    monkeypatch.setattr(mollifier, "_node_sums", real)
+    return counts
 
 
 def nested_estimates(par):
@@ -337,8 +370,10 @@ class TestBondWeights:
 
     @pytest.mark.parametrize("tol", [1e-6, mollifier.BOND_TOL])
     def test_stop_rule(self, monkeypatch, tol):
-        # an item stops at the first step where both its B change and its
-        # grad B change are below the tolerance
+        # an item stops at the first step from h = 1/8 on where the
+        # estimated errors of its B and grad B are below the tolerance: the
+        # change at h = 1/8, then change * min(1, change / previous
+        # change)^2
         monkeypatch.setattr(mollifier, "BOND_TOL", tol)
         par = quadrature_items(monkeypatch, Mollifier(1.2), *mixed_pairs())
         n = par.shape[0]
@@ -347,11 +382,43 @@ class TestBondWeights:
         for level, (_, estimate, change) in enumerate(
                 nested_estimates(par)):
             levels.append(estimate)
-            if level:
-                stop[(stop == 0) & (np.max(change, axis=1) < tol)] = level
-        assert np.all(stop > 0) and len(set(stop)) > 1
+            if level >= 2:
+                rate = np.ones_like(change)
+                if level > 2:
+                    np.divide(change, prev, out=rate, where=prev > 0.0)
+                    np.minimum(rate, 1.0, out=rate)
+                error = change * rate * rate
+                stop[(stop == 0) & (np.max(error, axis=1) < tol)] = level
+            prev = change
+        assert np.all(stop >= 2) and len(set(stop)) > 1
         np.testing.assert_array_equal(mollifier._tanh_sinh(par).T,
                                       np.array(levels)[stop, np.arange(n)])
+
+    @STATES
+    def test_no_stop_on_one_change(self, monkeypatch, state):
+        # h = 1/2 and 1/4 can agree by chance, so every item goes on to
+        # h = 1/8, where it has two changes
+        counts = items_per_step(monkeypatch, Mollifier(1.2), *state())
+        assert counts[0] > 0
+        assert counts[2] == counts[1] == counts[0]
+
+    @STATES
+    def test_stopped_items_near_finest_step(self, monkeypatch, state):
+        # every item's result is within 2 BOND_TOL of its h = 1/128 sums,
+        # in B and in the largest grad B component
+        par = quadrature_items(monkeypatch, Mollifier(1.2), *state())
+        *_, (_, finest, _) = nested_estimates(par)
+        error = np.abs(mollifier._tanh_sinh(par).T - finest) * par[:, 5:6]
+        error[:, 1] *= par[:, 6]
+        assert np.max(error) <= 2.0 * mollifier.BOND_TOL
+
+    @STATES
+    def test_evaluations_per_item(self, monkeypatch, state):
+        # the error estimate stops most items at h = 1/16, after 101 kernel
+        # evaluations; a stop on the last change alone takes about 167
+        counts = items_per_step(monkeypatch, Mollifier(1.2), *state())
+        nodes = [x.size for _, x, _, _ in mollifier._LEVELS]
+        assert counts @ nodes / counts[0] <= 110.0
 
     def test_memory_bounded(self):
         # items are culled and integrated in chunks of fixed size, so the
